@@ -1,11 +1,23 @@
 """Exhaustive desk-scale censuses of Drinfeld modules.
 
 A census fixes the tower, a rank and one root t per characteristic
-prime, enumerates every phi_T = t + g_1 tau + ... + g_r tau^r with
-g_r != 0, partitions the modules into isomorphism classes by the
-canonical representative of their twist orbit, and groups the classes
-into isogeny classes by the minimal polynomial of the Frobenius. On
-top of the partition it validates the two classification statements:
+prime, and enumerates every phi_T = t + g_1 tau + ... + g_r tau^r with
+g_r != 0. The isomorphism classes are the orbits of k^x acting by
+twisting, c phi c^{-1}: g_i -> c^(1-q^i) g_i. So the partition goes
+orbit by orbit: it walks the candidates as coefficient tuples, and the
+first time it meets one not yet visited it computes that module's
+whole twist orbit directly on tuples, marks every member visited, and
+records one class whose key (the orbit's lexicographic minimum) names
+its representative and whose size is the orbit's size. Each class is
+twisted once, not each module, and F_q^x, which acts trivially, is
+factored out. The classes are then grouped into isogeny classes by the
+minimal polynomial of the Frobenius.
+
+One pass serves the whole census: the partition is built once per root,
+its groups feed both the class records and the validators, and each
+representative's endomorphism-ring summary is computed once
+(`IsoClass.end`). On top of the partition the census validates the two
+classification statements:
 
 * the minimal order occurs as an endomorphism ring in a commutative
   isogeny class exactly when the class is ordinary or the ground field
@@ -18,7 +30,9 @@ top of the partition it validates the two classification statements:
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 from .action import act
 from .apoly import APoly, minimal_poly_over_fq
@@ -50,31 +64,62 @@ def characteristic_roots(tower: FieldTower) -> list[tuple[APoly, KElem]]:
     return sorted(seen.items(), key=lambda kv: (kv[0].degree, kv[0].text()))
 
 
-def enumerate_modules(tower: FieldTower, rank: int, t: KElem):
-    """All phi_T with constant coefficient t and exact tau-degree rank."""
+def check_census_rank(tower: FieldTower, rank) -> None:
+    """Reject a rank that is not a positive integer (ValueError) or whose
+    q^(n*rank) candidates exceed the census guard (TooLarge)."""
+    if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
+        raise ValueError(f"census rank must be a positive integer, got {rank!r}")
     total = tower.q ** (tower.n * rank)
     if total > CANDIDATE_GUARD:
         raise TooLarge(f"{total} candidate modules exceed the census guard")
-    import itertools
 
+
+def _candidate_vectors(tower: FieldTower, rank: int, t: KElem):
+    """Every coefficient vector (t, g_1, ..., g_rank) with g_rank != 0."""
+    check_census_rank(tower, rank)
     singles = list(tower.elements())
+    tops = [c for c in singles if c]
     for mid in itertools.product(singles, repeat=rank - 1):
-        for top in singles:
-            if not top:
-                continue
-            yield DrinfeldModule(tower, SkewPoly(tower, (t,) + mid + (top,)))
+        for top in tops:
+            yield (t,) + mid + (top,)
+
+
+def enumerate_modules(tower: FieldTower, rank: int, t: KElem):
+    """All phi_T with constant coefficient t and exact tau-degree rank."""
+    for coeffs in _candidate_vectors(tower, rank, t):
+        yield DrinfeldModule(tower, SkewPoly(tower, coeffs))
+
+
+@lru_cache(maxsize=32)
+def _twist_multipliers(tower: FieldTower, rank: int) -> tuple[tuple[KElem, ...], ...]:
+    """The distinct vectors (c^(1-q), ..., c^(1-q^rank)) over c in k^x.
+
+    Twisting by c multiplies g_i by the i-th entry. Units with the same
+    vector twist alike, so F_q^x (the all-one vector) and each coset of
+    it are listed once."""
+    out: dict[tuple, tuple[KElem, ...]] = {}
+    for c in tower.elements():
+        if not c:
+            continue
+        cinv = c.inv()
+        vec = tuple(c * cinv.frobq(i) for i in range(1, rank + 1))
+        out.setdefault(tuple(u.coeffs for u in vec), vec)
+    return tuple(out.values())
+
+
+def _twist_orbit(tower: FieldTower, coeffs: tuple[KElem, ...]) -> set[tuple]:
+    """The twist orbit of phi_T = coeffs, as coefficient tuples."""
+    t = coeffs[0].coeffs
+    gs = coeffs[1:]
+    return {
+        (t,) + tuple((u * g).coeffs for u, g in zip(units, gs))
+        for units in _twist_multipliers(tower, len(gs))
+    }
 
 
 def twist_orbit_key(module: DrinfeldModule) -> tuple:
     """Lexicographically least coefficient vector in the twist orbit."""
-    best = None
-    for c in module.tower.elements():
-        if not c:
-            continue
-        cand = tuple(x.coeffs for x in module.twist(c).coeff_vector())
-        if best is None or cand < best:
-            best = cand
-    return best
+    return min(_twist_orbit(module.tower, module.coeff_vector()))
 
 
 @dataclass
@@ -82,6 +127,11 @@ class IsoClass:
     key: tuple
     rep: DrinfeldModule
     size: int = 0
+
+    @cached_property
+    def end(self) -> dict:
+        """`end_ring_summary` of the representative, computed once."""
+        return end_ring_summary(self.rep)
 
 
 @dataclass
@@ -95,23 +145,22 @@ def census_isomorphism_classes(
     tower: FieldTower, rank: int, t: KElem
 ) -> dict[str, IsogenyClass]:
     """Partition all census modules into isomorphism classes grouped by
-    isogeny class."""
-    iso: dict[tuple, IsoClass] = {}
+    isogeny class, one twist orbit per class."""
+    visited: set[tuple] = set()
+    classes: list[IsoClass] = []
     count = 0
-    for module in enumerate_modules(tower, rank, t):
+    for coeffs in _candidate_vectors(tower, rank, t):
         count += 1
-        key = twist_orbit_key(module)
-        entry = iso.get(key)
-        if entry is None:
-            rep = DrinfeldModule(
-                tower, SkewPoly(tower, [tower.elem(list(c)) for c in key])
-            )
-            iso[key] = entry = IsoClass(key, rep)
-        entry.size += 1
-    if sum(c.size for c in iso.values()) != count:
+        if tuple(c.coeffs for c in coeffs) in visited:
+            continue
+        orbit = _twist_orbit(tower, coeffs)
+        key = min(orbit)
+        classes.append(IsoClass(key, DrinfeldModule.from_coeffs(tower, key), len(orbit)))
+        visited.update(orbit)
+    if sum(c.size for c in classes) != count:
         raise CensusViolation("partition sizes do not add up")
     out: dict[str, IsogenyClass] = {}
-    for entry in sorted(iso.values(), key=lambda e: e.key):
+    for entry in sorted(classes, key=lambda e: e.key):
         prof = entry.rep.profile()
         mtext = prof.min_poly_text()
         grp = out.get(mtext)
@@ -183,9 +232,8 @@ def validate_minimal_order_occurrence(group: IsogenyClass) -> dict:
     occurs = False
     indices = []
     for entry in group.iso_classes:
-        info = end_ring_summary(entry.rep)
-        indices.append(info["index_over_minimal"])
-        if info["is_minimal"]:
+        indices.append(entry.end["index_over_minimal"])
+        if entry.end["is_minimal"]:
             occurs = True
     expected = summary["ordinary"] or summary["d"] == summary["n"]
     if occurs != expected:
@@ -228,8 +276,7 @@ def validate_ideal_class_action(
 
     base = None
     for entry in group.iso_classes:
-        info = end_ring_summary(entry.rep)
-        if info["is_minimal"]:
+        if entry.end["is_minimal"]:
             base = entry.rep
             break
     if base is None:
@@ -323,12 +370,12 @@ def short_hash(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def census_records(tower: FieldTower, rank: int, t: KElem) -> list[dict]:
-    """One JSON-ready record per isomorphism class, deterministically
+def census_records(tower: FieldTower, groups: dict[str, IsogenyClass]) -> list[dict]:
+    """One JSON-ready record per isomorphism class of the partition
+    `groups` (from `census_isomorphism_classes`), deterministically
     ordered."""
     from .serialize import kelem_to_json
 
-    groups = census_isomorphism_classes(tower, rank, t)
     records = []
     for mtext in sorted(groups):
         grp = groups[mtext]
@@ -343,7 +390,7 @@ def census_records(tower: FieldTower, rank: int, t: KElem) -> list[dict]:
                 "size": entry.size,
             }
             rec.update(grp.profile_summary)
-            rec["end"] = end_ring_summary(entry.rep)
+            rec["end"] = dict(entry.end)
             records.append(rec)
     records.sort(key=lambda r: (r["m"], r["iso_class"]))
     return records

@@ -15,6 +15,7 @@ from .census import (
     census_records,
     census_isomorphism_classes,
     characteristic_roots,
+    check_census_rank,
     validate_ideal_class_action,
     validate_minimal_order_occurrence,
 )
@@ -44,8 +45,7 @@ def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
     p.add_argument("--format", choices=("json", "text"), default="json")
     p.add_argument("--max-norm-deg", type=int, default=6, dest="max_norm_deg")
     p.add_argument("--lin-equiv-bound", type=int, default=2, dest="lin_equiv_bound")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0, help="echoed into the census header")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,7 +97,8 @@ def _emit_report(report: dict, args) -> None:
 def _run_census(args) -> int:
     data = _load_json(args.input)
     tower = field_from_json(data["field"])
-    rank = int(data["rank"])
+    rank = data["rank"]
+    check_census_rank(tower, rank)
     if "t" in data and data["t"] is not None:
         roots = [(None, kelem_from_json(tower, data["t"]))]
     else:
@@ -114,10 +115,10 @@ def _run_census(args) -> int:
             "seed": args.seed,
         }
         lines.append(dumps_canonical(header))
-        for rec in census_records(tower, rank, t):
+        groups = census_isomorphism_classes(tower, rank, t)
+        for rec in census_records(tower, groups):
             lines.append(dumps_canonical(rec))
         if not args.skip_validate:
-            groups = census_isomorphism_classes(tower, rank, t)
             for mtext in sorted(groups):
                 grp = groups[mtext]
                 try:
@@ -148,9 +149,13 @@ def _run_census(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.jobs < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return 2
+    for flag, value in (
+        ("--max-norm-deg", args.max_norm_deg),
+        ("--lin-equiv-bound", args.lin_equiv_bound),
+    ):
+        if value < 0:
+            print(f"input error: {flag} must be at least 0", file=sys.stderr)
+            return 2
     try:
         if args.command == "analyze":
             module = module_from_json(_load_json(args.input))

@@ -19,6 +19,11 @@ from .skew import SkewPoly
 
 class DrinfeldModule:
     def __init__(self, tower: FieldTower, phi_t: SkewPoly):
+        self._setup(tower, phi_t, None)
+
+    def _setup(self, tower: FieldTower, phi_t: SkewPoly, char_prime: APoly | None) -> None:
+        # char_prime is passed in only when it is known to be the minimal
+        # polynomial of phi_t[0], as for a twist of an existing module
         if phi_t.tower != tower:
             raise ContextError("phi_T does not live over the given tower")
         if phi_t.degree < 1:
@@ -27,7 +32,9 @@ class DrinfeldModule:
         self.phi_t = phi_t
         self.rank = phi_t.degree
         self.t: KElem = phi_t[0]
-        self.char_prime: APoly = minimal_poly_over_fq(self.t)
+        if char_prime is None:
+            char_prime = minimal_poly_over_fq(self.t)
+        self.char_prime: APoly = char_prime
         self.d = self.char_prime.degree
         self.n = tower.n
         if self.n % self.d:
@@ -82,7 +89,10 @@ class DrinfeldModule:
         for i in range(self.rank + 1):
             g = self.phi_t[i]
             coeffs.append(c * g * cinv.frobq(i) if g else g)
-        return DrinfeldModule(self.tower, SkewPoly(self.tower, coeffs))
+        # twisting fixes t, so the characteristic prime carries over
+        out = DrinfeldModule.__new__(DrinfeldModule)
+        out._setup(self.tower, SkewPoly(self.tower, coeffs), self.char_prime)
+        return out
 
     def profile(self):
         """Frobenius invariants of this module (computed once, cached)."""

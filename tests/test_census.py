@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+
 import pytest
 
 from drinfeld import (
@@ -16,9 +20,10 @@ from drinfeld import (
     validate_ideal_class_action,
     validate_minimal_order_occurrence,
 )
+from drinfeld.cli import main
 from drinfeld.serialize import dumps_canonical
 
-from conftest import get_tower
+from conftest import get_tower, rand_module
 
 
 def test_characteristic_roots_cover_divisor_degrees():
@@ -60,6 +65,90 @@ def test_orbit_key_is_invariant_under_twist():
             assert twist_orbit_key(phi.twist(c)) == key
 
 
+def test_orbit_key_matches_twisting_by_every_unit():
+    # the orbit helper against the definition: twist by all of k^x
+    rng = random.Random(7)
+    for name, max_rank in (("f4", 3), ("f8", 2), ("f9", 2), ("f16e2", 2)):
+        tower = get_tower(name)
+        units = [c for c in tower.elements() if c]
+        for _ in range(4):
+            phi = rand_module(rng, tower, max_rank)
+            brute = min(
+                tuple(x.coeffs for x in phi.twist(c).coeff_vector()) for c in units
+            )
+            assert twist_orbit_key(phi) == brute
+
+
+def _burnside_class_count(tower, rank):
+    """(1/|k^x|) sum over c in k^x of the modules c fixes: g_i is fixed
+    when g_i = 0 or c^(q^i - 1) = 1, and g_rank must be nonzero."""
+    units = tower.q**tower.n - 1
+    total = 0
+    for c in tower.elements():
+        if not c:
+            continue
+        fixed = 1
+        for i in range(1, rank + 1):
+            trivial = c ** (tower.q**i - 1) == tower.one
+            fixed *= (1 if i < rank else 0) + units * trivial
+        total += fixed
+    assert total % units == 0
+    return total // units
+
+
+@pytest.mark.parametrize(
+    "name,rank",
+    [("f2", 2), ("f4", 2), ("f8", 2), ("f3", 2), ("f3", 3), ("f16", 2)],
+)
+def test_class_counts_match_burnside(name, rank):
+    tower = get_tower(name)
+    units = tower.q**tower.n - 1
+    expected = _burnside_class_count(tower, rank)
+    for _, t in characteristic_roots(tower):
+        groups = census_isomorphism_classes(tower, rank, t)
+        classes = [c for g in groups.values() for c in g.iso_classes]
+        assert len(classes) == expected
+        assert sum(c.size for c in classes) == tower.q ** (tower.n * (rank - 1)) * units
+
+
+def test_burnside_hand_count_f16():
+    # 270 fixed-point pairs over 15 units: 18 classes per root
+    assert _burnside_class_count(get_tower("f16"), 2) == 18
+
+
+# sha256 of the census JSONL, recorded before the orbit-by-orbit partition
+GOLDEN_CENSUS_DIGESTS = {
+    "f4-rank2-validated": (
+        {"p": 2, "e": 1, "h": [0, 1], "n": 2, "g": [1, 1, 1]},
+        2,
+        [],
+        "3d739de6bc2cce73b2ed7d2a2cfe48bbda1738d292356d8cdd884979926de67b",
+    ),
+    "f8-rank2": (
+        {"p": 2, "e": 1, "h": [0, 1], "n": 3, "g": [1, 1, 0, 1]},
+        2,
+        ["--skip-validate"],
+        "c02c0548f1a20bc7ff98f47cc15806fd4a07ff0f51eea3fe39da8446e5f374c2",
+    ),
+    "f3-rank3": (
+        {"p": 3, "e": 1, "h": [0, 1], "n": 1, "g": [0, 1]},
+        3,
+        ["--skip-validate"],
+        "6fd5d9b69dac2cbc8765f27f1bad71b317f262f3b3face10502a6ddac229300a",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CENSUS_DIGESTS))
+def test_census_jsonl_golden_digest(tmp_path, case):
+    field, rank, flags, digest = GOLDEN_CENSUS_DIGESTS[case]
+    spec = tmp_path / "census.json"
+    spec.write_text(json.dumps({"field": field, "rank": rank}))
+    out = tmp_path / "out.jsonl"
+    assert main(["census", "--input", str(spec), "--out", str(out)] + flags) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_acted_module_stays_in_isogeny_class():
     f4 = get_tower("f4")
     phi = DrinfeldModule(f4, SkewPoly(f4, [f4.zero, f4.gen(), f4.one]))
@@ -72,12 +161,15 @@ def test_census_size_guard():
     f16 = get_tower("f16")
     with pytest.raises(TooLarge):
         list(enumerate_modules(f16, 99, f16.zero))
+    for rank in (0, -1, 2.0, True):
+        with pytest.raises(ValueError):
+            list(enumerate_modules(f16, rank, f16.zero))
 
 
 def test_census_records_deterministic():
     f2 = get_tower("f2")
-    recs1 = census_records(f2, 2, f2.zero)
-    recs2 = census_records(f2, 2, f2.zero)
+    recs1 = census_records(f2, census_isomorphism_classes(f2, 2, f2.zero))
+    recs2 = census_records(f2, census_isomorphism_classes(f2, 2, f2.zero))
     assert [dumps_canonical(r) for r in recs1] == [dumps_canonical(r) for r in recs2]
     assert all(r["record"] == "class" for r in recs1)
     assert {r["m"] for r in recs1} == {"x^2+T", "x^2+x+T"}

@@ -103,6 +103,23 @@ def test_conjugation_coefficient_law():
         assert is_isogeny(SkewPoly.constant(c), phi, psi)
 
 
+def test_twist_carries_the_characteristic_prime():
+    rng = random.Random(84)
+    tower = get_tower("f16")
+    for _ in range(10):
+        phi = rand_module(rng, tower, max_rank=3)
+        psi = phi.twist(rand_kelem(rng, tower) or tower.one)
+        assert psi.char_prime is phi.char_prime
+        fresh = DrinfeldModule(tower, psi.phi_t)
+        assert (psi.char_prime, psi.d, psi.rank, psi.t) == (
+            fresh.char_prime,
+            fresh.d,
+            fresh.rank,
+            fresh.t,
+        )
+        assert psi.height == fresh.height
+
+
 def test_isogeny_trivials(rank3_example):
     phi = rank3_example
     assert is_isogeny(SkewPoly.one(phi.tower), phi, phi)

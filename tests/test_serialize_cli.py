@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from drinfeld import APoly, SkewPoly, coords_in_skew_basis, endomorphism_ring
 from drinfeld.cli import main
 from drinfeld.serialize import (
@@ -168,6 +170,30 @@ def test_cli_input_errors(tmp_path, capsys):
 
 
 def test_cli_jobs_validation(tmp_path, capsys):
+    # --jobs was parsed but did nothing, so it is no longer accepted
     mod = _write(tmp_path, "mod.json", EX38_MODULE)
-    assert main(["analyze", "--input", mod, "--jobs", "0"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--input", mod, "--jobs", "1"])
+    assert exc.value.code == 2
     capsys.readouterr()
+
+
+F2_FIELD = {"p": 2, "e": 1, "h": [0, 1], "n": 1, "g": [1, 1]}
+
+
+@pytest.mark.parametrize("rank", [0, -1, 1.5, "2", True])
+def test_cli_census_rejects_bad_rank(tmp_path, capsys, rank):
+    inp = _write(tmp_path, "census.json", {"field": F2_FIELD, "rank": rank})
+    assert main(["census", "--input", inp]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "rank must be a positive integer" in captured.err
+
+
+@pytest.mark.parametrize("flag", ["--max-norm-deg", "--lin-equiv-bound"])
+def test_cli_census_rejects_negative_bounds(tmp_path, capsys, flag):
+    inp = _write(tmp_path, "census.json", {"field": F2_FIELD, "rank": 2})
+    assert main(["census", "--input", inp, flag, "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {flag} must be at least 0\n"
