@@ -326,19 +326,6 @@ class RatFunc:
         self.num = num
         self.den = den
 
-    @staticmethod
-    def of(a: APoly) -> RatFunc:
-        return RatFunc(a)
-
-    def __add__(self, other: RatFunc) -> RatFunc:
-        return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
-
-    def __sub__(self, other: RatFunc) -> RatFunc:
-        return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
-
-    def __neg__(self) -> RatFunc:
-        return RatFunc(-self.num, self.den)
-
     def __mul__(self, other: RatFunc) -> RatFunc:
         return RatFunc(self.num * other.num, self.den * other.den)
 
@@ -346,11 +333,6 @@ class RatFunc:
         if not other.num:
             raise ZeroDivisionError("division by zero rational function")
         return RatFunc(self.num * other.den, self.den * other.num)
-
-    def inv(self) -> RatFunc:
-        if not self.num:
-            raise ZeroDivisionError("inversion of zero")
-        return RatFunc(self.den, self.num)
 
     def __bool__(self) -> bool:
         return bool(self.num)
@@ -392,36 +374,57 @@ class RatFunc:
 # -- small dense matrices over APoly (rows of lists) --
 
 
+def mat_identity(fq: Fq, n: int) -> list[list[APoly]]:
+    one, zero = APoly.one(fq), APoly.zero(fq)
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+def mat_solve(rows: list[list[APoly]], rhs: list[list[APoly]]):
+    """Fraction-free Gauss-Jordan elimination (Bareiss) over A.
+
+    Solves rows * x = d * rhs for an m x n matrix of full column rank
+    and an m x k right-hand side, and returns (d, x) with x an n x k
+    matrix over A. For square rows d = det(rows), so solving against the
+    identity gives the adjugate. Columns of rows that are dependent give
+    (0, None); an inconsistent right-hand side gives (d, None).
+
+    Every entry stays a minor of the augmented matrix (Sylvester's
+    identity), so each division by the previous pivot is exact.
+    """
+    m, n = len(rows), len(rows[0])
+    aug = [list(r) + list(b) for r, b in zip(rows, rhs)]
+    width = len(aug[0])
+    prev = None  # the previous pivot; the first step divides by 1
+    negate = False
+    for c in range(n):
+        piv = next((i for i in range(c, m) if aug[i][c]), None)
+        if piv is None:
+            return APoly.zero(rows[0][0].fq), None
+        if piv != c:
+            aug[c], aug[piv] = aug[piv], aug[c]
+            negate = not negate
+        prow = aug[c]
+        p = prow[c]
+        # rows above the pivot feed only x, so a bare determinant skips them
+        for i in range(0 if width > n else c + 1, m):
+            if i == c:
+                continue
+            row = aug[i]
+            a = row[c]
+            for j in range(c + 1, width):
+                e = p * row[j]
+                if a and prow[j]:
+                    e = e - a * prow[j]
+                row[j] = e if prev is None else e.exact_div(prev)
+        prev = p
+    if any(v for row in aug[n:] for v in row[n:]):
+        return (-prev if negate else prev), None
+    x = [row[n:] for row in aug[:n]]
+    if negate:
+        return -prev, [[-v for v in row] for row in x]
+    return prev, x
+
+
 def mat_det(rows: list[list[APoly]]) -> APoly:
-    """Determinant by cofactor expansion (matrices here are tiny)."""
-    n = len(rows)
-    fq = rows[0][0].fq
-    if n == 1:
-        return rows[0][0]
-    det = APoly.zero(fq)
-    for j in range(n):
-        if not rows[0][j]:
-            continue
-        minor = [[rows[i][jj] for jj in range(n) if jj != j] for i in range(1, n)]
-        term = rows[0][j] * mat_det(minor)
-        det = det + (term if j % 2 == 0 else -term)
-    return det
-
-
-def mat_adjugate(rows: list[list[APoly]]) -> list[list[APoly]]:
-    """Adjugate matrix: adj * M = det(M) * I."""
-    n = len(rows)
-    fq = rows[0][0].fq
-    if n == 1:
-        return [[APoly.one(fq)]]
-    adj = [[APoly.zero(fq)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [rows[ii][jj] for jj in range(n) if jj != j]
-                for ii in range(n)
-                if ii != i
-            ]
-            c = mat_det(minor)
-            adj[j][i] = c if (i + j) % 2 == 0 else -c
-    return adj
+    """Determinant, by the fraction-free kernel with an empty right-hand side."""
+    return mat_solve(rows, [[] for _ in rows])[0]

@@ -38,16 +38,6 @@ from .worked_examples import run_worked_examples, summary_lines
 SCHEMA_VERSION = 1
 
 
-def _add_common(p: argparse.ArgumentParser, needs_input: bool = True) -> None:
-    if needs_input:
-        p.add_argument("--input", required=True, help="input JSON path")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", choices=("json", "text"), default="json")
-    p.add_argument("--max-norm-deg", type=int, default=6, dest="max_norm_deg")
-    p.add_argument("--lin-equiv-bound", type=int, default=2, dest="lin_equiv_bound")
-    p.add_argument("--seed", type=int, default=0, help="echoed into the census header")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="drinfeld",
@@ -64,17 +54,36 @@ def build_parser() -> argparse.ArgumentParser:
         ("paper-examples", "golden runner for the published worked examples"),
     ):
         p = sub.add_parser(name, help=help_text)
-        _add_common(p, needs_input=name not in ("paper-examples",))
+        if name != "paper-examples":
+            p.add_argument("--input", required=True, help="input JSON path")
+        p.add_argument("--out", help="output path (default stdout)")
         if name in ("ideal-act", "kernel-test"):
             p.add_argument("--ideal", required=True, help="ideal JSON path")
         if name == "census":
+            p.add_argument("--max-norm-deg", type=int, default=6, dest="max_norm_deg")
+            p.add_argument("--lin-equiv-bound", type=int, default=2, dest="lin_equiv_bound")
+            p.add_argument("--seed", type=int, default=0, help="echoed into the census header")
             p.add_argument("--skip-validate", action="store_true")
+        else:
+            p.add_argument("--format", choices=("json", "text"), default="json")
     return parser
+
+
+class _InputObject(dict):
+    """A JSON object read from an input file; a missing field is an input
+    error that names the file."""
+
+    def __init__(self, path: str, pairs):
+        super().__init__(pairs)
+        self.path = path
+
+    def __missing__(self, key):
+        raise ValueError(f"{self.path}: missing field {key!r}")
 
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=lambda pairs: _InputObject(path, pairs))
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -95,6 +104,13 @@ def _emit_report(report: dict, args) -> None:
 
 
 def _run_census(args) -> int:
+    for flag, value in (
+        ("--max-norm-deg", args.max_norm_deg),
+        ("--lin-equiv-bound", args.lin_equiv_bound),
+    ):
+        if value < 0:
+            print(f"input error: {flag} must be at least 0", file=sys.stderr)
+            return 2
     data = _load_json(args.input)
     tower = field_from_json(data["field"])
     rank = data["rank"]
@@ -149,13 +165,6 @@ def _run_census(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    for flag, value in (
-        ("--max-norm-deg", args.max_norm_deg),
-        ("--lin-equiv-bound", args.lin_equiv_bound),
-    ):
-        if value < 0:
-            print(f"input error: {flag} must be at least 0", file=sys.stderr)
-            return 2
     try:
         if args.command == "analyze":
             module = module_from_json(_load_json(args.input))

@@ -4,12 +4,13 @@ Elements are vectors of s = deg(m) polynomials over A (coordinates in
 the power basis 1, x, ..., x^(s-1)) over a single common monic
 denominator, kept reduced. Since m is monic with A-coefficients,
 products reduce without introducing fractions; inverses come from the
-adjugate of the multiplication matrix, whose determinant is the norm.
+fraction-free kernel `mat_solve` applied to the multiplication matrix,
+whose determinant (the norm) is the denominator.
 """
 
 from __future__ import annotations
 
-from .apoly import APoly, RatFunc, mat_adjugate, mat_det, poly_gcd
+from .apoly import APoly, RatFunc, mat_det, mat_solve, poly_gcd
 from .fields import Fq
 
 
@@ -168,11 +169,12 @@ class ExtElem:
     def inv(self) -> ExtElem:
         if not self:
             raise ZeroDivisionError("inversion of zero")
-        mat = self.ext.mult_matrix(list(self.nums))
-        det = mat_det(mat)
-        adj = mat_adjugate(mat)
-        nums = [adj[i][0] * self.den for i in range(self.ext.s)]
-        return ExtElem(self.ext, nums, det)
+        zero, one = APoly.zero(self.ext.fq), APoly.one(self.ext.fq)
+        e0 = [[one]] + [[zero]] * (self.ext.s - 1)
+        det, col = mat_solve(self.ext.mult_matrix(list(self.nums)), e0)
+        if col is None:
+            raise ZeroDivisionError("element is a zero divisor")
+        return ExtElem(self.ext, [row[0] * self.den for row in col], det)
 
     def __truediv__(self, other: ExtElem) -> ExtElem:
         return self * other.inv()
@@ -214,17 +216,11 @@ class ExtElem:
             den_all = nxt.den
             for p in pows:
                 den_all = den_all * p.den
-            rows = []
-            rhs = []
-            for i in range(ext.s):
-                row = []
-                for p in pows:
-                    row.append(p.nums[i] * den_all.exact_div(p.den))
-                rows.append(row)
-                rhs.append(-(nxt.nums[i] * den_all.exact_div(nxt.den)))
-            sol = _solve_over_f(rows, rhs)
+            rows = [[p.nums[i] * den_all.exact_div(p.den) for p in pows] for i in range(ext.s)]
+            rhs = [[-(nxt.nums[i] * den_all.exact_div(nxt.den))] for i in range(ext.s)]
+            det, sol = mat_solve(rows, rhs)
             if sol is not None:
-                return sol + [one]
+                return [RatFunc(row[0], det) for row in sol] + [one]
             pows.append(nxt)
 
     def __bool__(self) -> bool:
@@ -249,35 +245,3 @@ class ExtElem:
             return body
         return f"({body})/({self.den.text()})"
 
-
-def _solve_over_f(rows: list[list[APoly]], rhs: list[APoly]) -> list[RatFunc] | None:
-    """Gaussian elimination over F = F_q(T) for small dense systems."""
-    m, n = len(rows), len(rows[0])
-    aug = [[RatFunc(rows[i][j]) for j in range(n)] + [RatFunc(rhs[i])] for i in range(m)]
-    rank = 0
-    piv_cols = []
-    for col in range(n):
-        sel = None
-        for i in range(rank, m):
-            if aug[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        aug[rank], aug[sel] = aug[sel], aug[rank]
-        inv = aug[rank][col].inv()
-        aug[rank] = [v * inv for v in aug[rank]]
-        for i in range(m):
-            if i != rank and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [a - c * b for a, b in zip(aug[i], aug[rank])]
-        piv_cols.append(col)
-        rank += 1
-    zero = RatFunc(APoly.zero(rows[0][0].fq))
-    for i in range(rank, m):
-        if aug[i][n]:
-            return None
-    sol = [zero] * n
-    for i, c in enumerate(piv_cols):
-        sol[c] = aug[i][n]
-    return sol

@@ -103,6 +103,11 @@ class Fq:
     """
 
     def __init__(self, p: int, e: int, h: tuple[int, ...]):
+        # before the primality and irreducibility checks, which cost up to
+        # sqrt(p) and q^(e/2) steps; e below the limit's bit length keeps
+        # p**e small
+        if p > 1 and e > 0 and (e >= _TABLE_LIMIT.bit_length() or p**e > _TABLE_LIMIT):
+            raise TooLarge(f"q = {p}^{e} exceeds the desk-scale table limit")
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         h = tuple(c % p for c in h)
@@ -114,8 +119,6 @@ class Fq:
         self.e = e
         self.h = h
         self.q = p**e
-        if self.q > _TABLE_LIMIT:
-            raise TooLarge(f"q = {self.q} exceeds the desk-scale table limit")
         self._build_tables()
 
     def _build_tables(self) -> None:
@@ -226,6 +229,8 @@ class FieldTower:
     """The chain F_p <= F_q = F_p[y]/(h) <= k = F_q[x]/(g)."""
 
     def __init__(self, p: int, e: int, h, n: int, g):
+        if n < 1:
+            raise ValueError("n must be at least 1")
         self.fq = Fq(p, e, tuple(h))
         self.p = p
         self.e = e

@@ -10,7 +10,7 @@ equal lattices compare equal componentwise.
 
 from __future__ import annotations
 
-from .apoly import APoly, RatFunc, poly_gcd
+from .apoly import APoly, RatFunc, mat_identity, poly_gcd
 from .errors import NotSublattice, RankError
 from .fields import Fq
 
@@ -75,18 +75,14 @@ class ALattice:
         if content.degree > 0:
             cols = [[e.exact_div(content) for e in c] for c in cols]
             den = den.exact_div(content)
+        # span_A(cols) is unchanged by a unit, so only den is made monic
         if not den.is_monic():
-            u = fq.inv(den.lc())
-            den = den.scale(u)
-            cols = [[e.scale(u) for e in c] for c in cols]
+            den = den.scale(fq.inv(den.lc()))
         return ALattice(fq, dim, cols, den)
 
     @staticmethod
     def identity(fq: Fq, dim: int) -> ALattice:
-        one = APoly.one(fq)
-        zero = APoly.zero(fq)
-        cols = [[one if i == j else zero for i in range(dim)] for j in range(dim)]
-        return ALattice(fq, dim, cols, one)
+        return ALattice(fq, dim, mat_identity(fq, dim), APoly.one(fq))
 
     def det(self) -> APoly:
         d = APoly.one(self.fq)
@@ -94,23 +90,37 @@ class ALattice:
             d = d * self.cols[j][j]
         return d
 
-    def solve(self, vec, den: APoly | None = None) -> list[RatFunc]:
-        """Coordinates of vec/den with respect to the lattice basis
-        (always solvable over F since the basis is triangular)."""
-        if den is None:
-            den = APoly.one(self.fq)
-        resid = [RatFunc(v, den) * RatFunc(self.den) for v in vec]
-        coords = [RatFunc(APoly.zero(self.fq))] * self.dim
+    def coords(self, vec, den: APoly | None = None) -> list[APoly] | None:
+        """Integral coordinates of vec/den in the lattice basis, or None
+        when vec/den is not in the lattice.
+
+        Back-substitution on the triangular basis with monic diagonal,
+        stopping at the first division that is not exact.
+        """
+        resid = [v * self.den for v in vec] if self.den.degree > 0 else list(vec)
+        if den is not None and den.coeffs != (1,):
+            for i, v in enumerate(resid):
+                q, r = divmod(v, den)
+                if r:
+                    return None
+                resid[i] = q
+        coords = [APoly.zero(self.fq)] * self.dim
         for row in range(self.dim - 1, -1, -1):
-            c = resid[row] / RatFunc(self.cols[row][row])
+            col = self.cols[row]
+            c = resid[row]
+            if col[row].degree > 0:  # a monic diagonal of degree 0 is 1
+                c, r = divmod(c, col[row])
+                if r:
+                    return None
             coords[row] = c
             if c:
-                for i in range(row + 1):
-                    resid[i] = resid[i] - c * RatFunc(self.cols[row][i])
+                for i in range(row):
+                    if col[i]:
+                        resid[i] = resid[i] - c * col[i]
         return coords
 
     def contains(self, vec, den: APoly | None = None) -> bool:
-        return all(c.is_integral() for c in self.solve(vec, den))
+        return self.coords(vec, den) is not None
 
     def contains_lattice(self, other: ALattice) -> bool:
         return all(

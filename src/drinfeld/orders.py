@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 
-from .apoly import APoly, RatFunc, mat_adjugate, mat_det
+from .apoly import APoly, RatFunc, mat_det, mat_identity, mat_solve
 from .errors import (
     EmptyIdeal,
     InseparableExtension,
@@ -27,7 +27,7 @@ from .errors import (
     NonCommutativeEndomorphisms,
     TooLarge,
 )
-from .extfield import ExtElem, ExtensionField, _solve_over_f
+from .extfield import ExtElem, ExtensionField
 from .lattices import ALattice, lattice_index
 from .linalg import TrailingEchelon, nullspace, solve_linear
 from .modules import DrinfeldModule
@@ -177,14 +177,8 @@ class AOrder:
         self.module = module
         self.skew_basis = list(skew_basis) if skew_basis is not None else None
         self.tag = tag
-        gens = []
-        dens = APoly.one(self.fq)
-        for b in self.basis_ext:
-            dens = dens * b.den
-        for b in self.basis_ext:
-            scale = dens.exact_div(b.den)
-            gens.append([v * scale for v in b.nums])
-        self.pi_lattice = ALattice.from_generators(self.fq, self.s, gens, dens)
+        rows, dens = self.basis_matrix_rows()
+        self.pi_lattice = ALattice.from_generators(self.fq, self.s, zip(*rows), dens)
         self.table = self._build_table()
         one = self.coords_of(ext.one())
         if one is None or any(not c.is_integral() for c in one):
@@ -196,17 +190,11 @@ class AOrder:
     def coords_of(self, x: ExtElem) -> list[RatFunc] | None:
         """Coordinates of x with respect to basis_ext (None never occurs
         for a true F-basis; kept for symmetry)."""
-        dens = x.den
-        for b in self.basis_ext:
-            dens = dens * b.den
-        rows = []
-        rhs = []
-        for i in range(self.s):
-            rows.append(
-                [b.nums[i] * dens.exact_div(b.den) for b in self.basis_ext]
-            )
-            rhs.append(x.nums[i] * dens.exact_div(x.den))
-        return _solve_over_f(rows, rhs)
+        rows, dens = self.basis_matrix_rows()
+        det, sol = mat_solve(rows, [[v * dens] for v in x.nums])
+        if sol is None:
+            return None
+        return [RatFunc(row[0], det * x.den) for row in sol]
 
     def elem_from_coords(self, coords: list[APoly], den: APoly | None = None) -> ExtElem:
         acc = self.ext.zero()
@@ -258,9 +246,10 @@ class AOrder:
         dens = APoly.one(self.fq)
         for b in self.basis_ext:
             dens = dens * b.den
-        rows = []
-        for i in range(self.s):
-            rows.append([b.nums[i] * dens.exact_div(b.den) for b in self.basis_ext])
+        scales = [dens.exact_div(b.den) for b in self.basis_ext]
+        rows = [
+            [b.nums[i] * c for b, c in zip(self.basis_ext, scales)] for i in range(self.s)
+        ]
         return rows, dens
 
     def ideal_lattice_to_pi(self, lat: ALattice) -> ALattice:
@@ -317,11 +306,10 @@ def endomorphism_ring(module: DrinfeldModule) -> AOrder:
         if coords is None:
             raise InternalError("pi power is not in the extracted basis span")
         p_rows.append(coords)
-    det = mat_det(p_rows)
+    p_t = [[p_rows[j][i] for j in range(s)] for i in range(s)]
+    det, adj_t = mat_solve(p_t, mat_identity(fq, s))
     if not det:
         raise InternalError("pi powers are not an F-basis")
-    p_t = [[p_rows[j][i] for j in range(s)] for i in range(s)]
-    adj_t = mat_adjugate(p_t)
     basis_ext = []
     for j in range(s):
         basis_ext.append(ExtElem(ext, [adj_t[i][j] for i in range(s)], det))
@@ -438,10 +426,10 @@ class FracIdeal:
                 row = []
                 for k in range(s):
                     prod = order.mul_coords(cols_i[j], gcols[k])
-                    coords = self.lattice.solve(prod)
-                    if any(not c.is_integral() for c in coords):
+                    coords = self.lattice.coords(prod)
+                    if coords is None:
                         raise InternalError("ideal is not a module over its order")
-                    row.append([c.to_apoly() for c in coords])
+                    row.append(coords)
                 rho.append(row)
             degc = chi.degree
             nunk = s * degc
@@ -522,10 +510,9 @@ def trace_dual(order: AOrder) -> FracIdeal:
                     acc = acc + c * traces[m]
             row.append(acc)
         tmat.append(row)
-    det = mat_det(tmat)
+    det, adj = mat_solve(tmat, mat_identity(order.fq, s))
     if not det:
         raise InseparableExtension("trace form is singular")
-    adj = mat_adjugate(tmat)
     cols = [[adj[i][j] for i in range(s)] for j in range(s)]
     lat = ALattice.from_generators(order.fq, s, cols, det)
     return FracIdeal(order, lat)
@@ -561,11 +548,8 @@ def integral_ideals(order: AOrder, max_norm_deg: int):
     q = fq.q
     one = APoly.one(fq)
     zero = APoly.zero(fq)
-    basis_vecs = []
-    for i in range(s):
-        v = [zero] * s
-        v[i] = one
-        basis_vecs.append(v)
+    # multiplying by 1 maps every lattice to itself
+    basis_vecs = [e for e in mat_identity(fq, s) if e != order.one_coords]
     for total in range(max_norm_deg + 1):
         for diag_degs in _compositions(total, s):
             offslots = []
@@ -641,6 +625,8 @@ def lin_equiv(ideal: FracIdeal, other: FracIdeal, bound_deg: int = 2):
         raise TooLarge("linear-equivalence search space beyond desk scale")
     cols = [list(c) for c in quot.lattice.cols]
     den = quot.lattice.den
+    den_s = den**s
+    basis_vecs = mat_identity(fq, s)
     coeff_space = list(itertools.product(range(fq.q), repeat=bound_deg + 1))
     for combo in itertools.product(coeff_space, repeat=s):
         if all(all(v == 0 for v in c) for c in combo):
@@ -654,13 +640,12 @@ def lin_equiv(ideal: FracIdeal, other: FracIdeal, bound_deg: int = 2):
                         coords[m] = coords[m] + c * cols[idx][m]
         if not any(coords):
             continue
-        u = order.elem_from_coords(coords, den)
-        if not u:
-            continue
-        if u.norm().monic_normalized() != target:
+        # N(u) is the determinant of multiplication by u in the order basis
+        mult = [order.mul_coords(coords, e) for e in basis_vecs]
+        if RatFunc(mat_det(mult), den_s).monic_normalized() != target:
             continue
         if other.mul_elem(coords, den) == ideal:
-            return "yes", u
+            return "yes", order.elem_from_coords(coords, den)
     return "unknown", None
 
 

@@ -288,3 +288,28 @@ def test_norm_multiplicative_against_determinant():
     assert sq.norm() == pi.norm() * pi.norm()
     # for integral elements the norm is exactly the multiplication-matrix determinant
     assert RatFunc(mat_det(ext.mult_matrix(list(pi.nums)))) == pi.norm()
+    rng = random.Random(31)
+    mats = []
+    for _ in range(20):
+        elem = ext.elem([rand_apoly(rng, ext.fq, 3) for _ in range(ext.s)])
+        mat = ext.mult_matrix(list(elem.nums))
+        assert RatFunc(mat_det(mat)) == elem.norm()
+        mats.append(mat)
+    # differential check of the determinant against sympy over GF(p)[T]
+    sympy = pytest.importorskip("sympy")
+    from sympy.polys.matrices import DomainMatrix
+
+    for fq in (fq2(), fq3()):
+        for n in range(1, 6):
+            mats.append([[rand_apoly(rng, fq, 3) for _ in range(n)] for _ in range(n)])
+    t = sympy.Symbol("T")
+    for mat in mats:
+        fq = mat[0][0].fq
+        ring = sympy.GF(fq.p)[t]
+
+        def conv(a):
+            return ring.from_sympy(sum((c * t**i for i, c in enumerate(a.coeffs)), sympy.Integer(0)))
+
+        n = len(mat)
+        expected = DomainMatrix([[conv(a) for a in row] for row in mat], (n, n), ring).det()
+        assert conv(mat_det(mat)) == expected

@@ -167,6 +167,17 @@ def test_cli_input_errors(tmp_path, capsys):
     )
     assert main(["analyze", "--input", reducible]) == 2
     capsys.readouterr()
+    # size and shape guards fire before any expensive check: a huge prime
+    # is not trial-divided, and a negative degree does not index g
+    for field in (
+        {"p": 1000000000000000003, "e": 1, "h": [0, 1], "n": 1, "g": [1, 1]},
+        {"p": 2, "e": 1, "h": [0, 1], "n": -1, "g": []},
+    ):
+        mod = _write(tmp_path, "field.json", {"field": field, "phi_T": [[0], [1]]})
+        assert main(["analyze", "--input", mod]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("input error: ")
 
 
 def test_cli_jobs_validation(tmp_path, capsys):
@@ -178,7 +189,33 @@ def test_cli_jobs_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv", [["analyze", "--seed", "9"], ["census", "--format", "text"]]
+)
+def test_cli_rejects_flags_the_subcommand_ignores(tmp_path, capsys, argv):
+    mod = _write(tmp_path, "mod.json", EX38_MODULE)
+    with pytest.raises(SystemExit) as exc:
+        main(argv[:1] + ["--input", mod] + argv[1:])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 F2_FIELD = {"p": 2, "e": 1, "h": [0, 1], "n": 1, "g": [1, 1]}
+
+
+@pytest.mark.parametrize(
+    "command,spec,field",
+    [
+        ("analyze", {"field": F2_FIELD}, "phi_T"),
+        ("census", {"field": F2_FIELD}, "rank"),
+    ],
+)
+def test_cli_missing_field_names_file_and_field(tmp_path, capsys, command, spec, field):
+    path = _write(tmp_path, "m.json", spec)
+    assert main([command, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {path}: missing field '{field}'\n"
 
 
 @pytest.mark.parametrize("rank", [0, -1, 1.5, "2", True])
