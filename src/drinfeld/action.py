@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .apoly import APoly, mat_identity, mat_solve
+from .apoly import APoly
 from .errors import EmptyIdeal, InternalError
 from .lattices import ALattice
 from .linalg import nullspace
@@ -160,8 +160,8 @@ def transport_ideal(ideal: FracIdeal, target: AOrder) -> FracIdeal:
     if ideal.order.ext != target.ext:
         raise InternalError("transport across different Frobenius fields")
     pi_lat = ideal.order.ideal_lattice_to_pi(ideal.lattice)
-    rows, dens = target.basis_matrix_rows()
-    det, adj = mat_solve(rows, mat_identity(target.fq, target.s))
+    dens = target.basis_matrix[1]
+    det, adj = target.basis_adjugate
     # inverse transform: coords = (adj/det) * (pi vector / (1/dens))
     inv_rows = [[adj[i][j] * dens for j in range(target.s)] for i in range(target.s)]
     back = pi_lat.transform(inv_rows, det)

@@ -27,6 +27,7 @@ from .serialize import (
     field_from_json,
     field_to_json,
     ideal_act_report,
+    json_field,
     kelem_from_json,
     kelem_to_json,
     kernel_test_report,
@@ -116,7 +117,7 @@ def _run_census(args) -> int:
     rank = data["rank"]
     check_census_rank(tower, rank)
     if "t" in data and data["t"] is not None:
-        roots = [(None, kelem_from_json(tower, data["t"]))]
+        roots = [(None, json_field(data, "t", lambda v: kelem_from_json(tower, v)))]
     else:
         roots = characteristic_roots(tower)
     lines = []

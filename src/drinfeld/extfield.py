@@ -98,18 +98,10 @@ class ExtensionField:
         return ps[k]
 
     def is_separable(self) -> bool:
-        mx = [c for c in self.mod]
-        der = []
-        for i in range(1, len(mx)):
-            k = i % self.fq.p
-            der.append(mx[i].scale(k) if k else APoly.zero(self.fq))
-        while der and not der[-1]:
-            der.pop()
-        if not der:
-            return False
-        # gcd(m, m') over F[x] via pseudo-remainders is overkill here:
-        # m irreducible means separable iff m' is nonzero
-        return True
+        # m is irreducible, so it is separable iff m' != 0, i.e. iff some
+        # coefficient m_i with p not dividing i is nonzero
+        p = self.fq.p
+        return any(c for i, c in enumerate(self.mod) if i % p)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ExtensionField) and self.mod == other.mod

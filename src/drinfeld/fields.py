@@ -5,19 +5,30 @@ Elements of F_q = F_p[y]/(h) are canonically encoded as integers in
 Zero and one are therefore encoded by 0 and 1. Elements of k = F_q[x]/(g)
 are length-n tuples of such integers, little-endian in the defining root.
 
-The q-power map a -> a^q is F_q-linear on k; it is applied through a
-precomputed table of the vectors x^(i*q) mod g rather than by repeated
-exponentiation. The tower is immutable after construction and all element
+When q^n <= _LOG_TABLE_LIMIT, products, inverses, powers and q-power maps
+in k are lookups in discrete-log tables: exp[i] = gamma^i for a primitive
+element gamma of k, and log, its inverse. A tower loads the tables on its
+first such operation, and towers with the same defining data share them.
+Larger towers take the polynomial path, which also builds the tables:
+schoolbook products reduced mod g, inverses by extended Euclid, and
+a -> a^q applied through the vectors x^(i*q) mod g (the q-power map is
+F_q-linear on k). The tower is immutable after construction and all element
 operations are pure, so values can be shared freely.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+from functools import cached_property
 
 from .errors import ContextError, TooLarge
 
 _TABLE_LIMIT = 512  # largest q for which full mul/inv tables are built
+# largest q^n for which k gets discrete-log tables: building them costs a
+# schoolbook product per element, which a single CLI request over a larger
+# k does not win back
+_LOG_TABLE_LIMIT = 1 << 12
 
 
 def _int_poly_trim(c: list[int]) -> list[int]:
@@ -82,6 +93,85 @@ def _fq_vec_divmod(fq: "Fq", a: list[int], b: list[int]) -> tuple[list[int], lis
     while rem and rem[-1] == 0:
         rem.pop()
     return quo, rem
+
+
+def _poly_mulmod(fq: "Fq", g: tuple[int, ...], a, b) -> tuple[int, ...]:
+    """Schoolbook product of two elements of F_q[x]/(g), g monic of degree n."""
+    n = len(g) - 1
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    prod[i + j] = fq.add(prod[i + j], fq.mul(ai, bj))
+    red = _fq_vec_divmod(fq, prod, list(g))[1]
+    return tuple(red + [0] * (n - len(red)))
+
+
+def _poly_powmod(fq: "Fq", g: tuple[int, ...], a, m: int) -> tuple[int, ...]:
+    """a^m in F_q[x]/(g) for m >= 0, by squaring and schoolbook products."""
+    r = (1,) + (0,) * (len(g) - 2)
+    while m:
+        if m & 1:
+            r = _poly_mulmod(fq, g, r, a)
+        a = _poly_mulmod(fq, g, a, a)
+        m >>= 1
+    return r
+
+
+def _poly_invmod(fq: "Fq", g: tuple[int, ...], a) -> tuple[int, ...]:
+    """Inverse of a nonzero element of F_q[x]/(g) by extended Euclid."""
+    # extended gcd of (g, a as poly), tracking coefficients of a
+    r0, r1 = list(g), list(a)
+    while r1 and r1[-1] == 0:
+        r1.pop()
+    s0, s1 = [], [1]
+    while r1:
+        quo, rem = _fq_vec_divmod(fq, r0, r1)
+        qs = [0] * (len(quo) + len(s1) - 1) if quo and s1 else []
+        for i, ci in enumerate(quo):
+            if ci:
+                for j, dj in enumerate(s1):
+                    qs[i + j] = fq.add(qs[i + j], fq.mul(ci, dj))
+        news = [
+            fq.sub(s0[i] if i < len(s0) else 0, qs[i] if i < len(qs) else 0)
+            for i in range(max(len(s0), len(qs)))
+        ]
+        while news and news[-1] == 0:
+            news.pop()
+        r0, r1, s0, s1 = r1, rem, s1, news
+    # r0 is now a unit scalar gcd; s0 * a = r0 (mod g)
+    c = fq.inv(r0[0])
+    return tuple([fq.mul(c, v) for v in s0] + [0] * (len(g) - 1 - len(s0)))
+
+
+def _poly_frob(fq: "Fq", vecs: list[tuple[int, ...]], a, j: int) -> tuple[int, ...]:
+    """a^(q^j), applying the F_q-linear q-power map (vecs[i] = x^(i*q)) j times."""
+    n = len(vecs)
+    for _ in range(j):
+        out = [0] * n
+        for i, ai in enumerate(a):
+            if ai:
+                vec = vecs[i]
+                for m in range(n):
+                    if vec[m]:
+                        out[m] = fq.add(out[m], fq.mul(ai, vec[m]))
+        a = tuple(out)
+    return a
+
+
+def _prime_factors(m: int) -> list[int]:
+    out = []
+    d = 2
+    while d * d <= m:
+        if m % d == 0:
+            out.append(d)
+            while m % d == 0:
+                m //= d
+        d += 1
+    if m > 1:
+        out.append(m)
+    return out
 
 
 def _is_prime(p: int) -> bool:
@@ -225,13 +315,57 @@ class Fq:
         return f"Fq(p={self.p}, e={self.e})"
 
 
+@functools.lru_cache(maxsize=8)
+def base_field(p: int, e: int, h: tuple[int, ...]) -> Fq:
+    """F_p[y]/(h), built once per definition: its tables hold q^2 entries."""
+    return Fq(p, e, h)
+
+
+class _LogTables:
+    """Discrete-log tables of k: exp[i] = gamma^i for a primitive element
+    gamma and 0 <= i < order = q^n - 1, log[exp[i]] = i, and
+    qpow[j] = q^j mod order, so a^(q^j) = exp[log[a] * qpow[j] % order].
+    Zero has no logarithm."""
+
+    __slots__ = ("exp", "log", "order", "qpow")
+
+    def __init__(self, exp: list[tuple[int, ...]], q: int):
+        self.exp = exp
+        self.log = {a: i for i, a in enumerate(exp)}
+        self.order = len(exp)
+        n = len(exp[0])
+        self.qpow = [pow(q, j, self.order) for j in range(n)]
+
+
+@functools.lru_cache(maxsize=8)
+def _log_tables(fq: Fq, g: tuple[int, ...]) -> _LogTables:
+    """The tables of k = F_q[x]/(g), built once per definition (fq compares
+    by p and h, and g fixes n) by the polynomial path."""
+    n = len(g) - 1
+    order = fq.q**n - 1
+    one = (1,) + (0,) * (n - 1)
+    # gamma is primitive iff gamma^(order/l) != 1 for every prime l | order;
+    # candidates go by ascending degree, and a sparse gamma of low degree
+    # makes each product below cost O(n), not O(n^2)
+    cofactors = [order // ell for ell in _prime_factors(order)]
+    gamma = next(
+        a
+        for a in (rev[::-1] for rev in itertools.product(range(fq.q), repeat=n))
+        if any(a) and all(_poly_powmod(fq, g, a, c) != one for c in cofactors)
+    )
+    exp = [one]
+    for _ in range(order - 1):
+        exp.append(_poly_mulmod(fq, g, gamma, exp[-1]))
+    return _LogTables(exp, fq.q)
+
+
 class FieldTower:
     """The chain F_p <= F_q = F_p[y]/(h) <= k = F_q[x]/(g)."""
 
     def __init__(self, p: int, e: int, h, n: int, g):
         if n < 1:
             raise ValueError("n must be at least 1")
-        self.fq = Fq(p, e, tuple(h))
+        self.fq = base_field(p, e, tuple(h))
         self.p = p
         self.e = e
         self.n = n
@@ -242,7 +376,6 @@ class FieldTower:
         if not self._fq_poly_is_irreducible(list(g)):
             raise ValueError("g is reducible over F_q")
         self.g = g
-        self._frob_vectors = self._build_frobenius()
         self.zero = KElem(self, (0,) * n)
         self.one = KElem(self, (1,) + (0,) * (n - 1))
 
@@ -265,22 +398,24 @@ class FieldTower:
                     return False
         return True
 
-    def _build_frobenius(self) -> list[tuple[int, ...]]:
+    @cached_property
+    def _frob_vectors(self) -> list[tuple[int, ...]]:
         # vectors of x^(i*q) mod g; a -> a^q is F_q-linear through these
-        n, q = self.n, self.q
-        vecs = []
-        xq = self._fq_poly_mod([0] * q + [1], list(self.g))
-        cur = [1]
-        for _ in range(n):
-            v = cur + [0] * (n - len(cur))
-            vecs.append(tuple(v))
-            nxt = [0] * (len(cur) + len(xq) - 1) if cur and xq else []
-            for i, ci in enumerate(cur):
-                if ci:
-                    for j, dj in enumerate(xq):
-                        nxt[i + j] = self.fq.add(nxt[i + j], self.fq.mul(ci, dj))
-            cur = self._fq_poly_mod(nxt, list(self.g))
+        n = self.n
+        xq = self._fq_poly_mod([0] * self.q + [1], list(self.g))
+        xq = tuple(xq + [0] * (n - len(xq)))
+        vecs = [self.one.coeffs]
+        for _ in range(n - 1):
+            vecs.append(_poly_mulmod(self.fq, self.g, vecs[-1], xq))
         return vecs
+
+    @cached_property
+    def _tables(self) -> _LogTables | None:
+        """Discrete-log tables of k, loaded on first use and shared by
+        equal towers; None above _LOG_TABLE_LIMIT."""
+        if self.q**self.n > _LOG_TABLE_LIMIT:
+            return None
+        return _log_tables(self.fq, self.g)
 
     # -- element constructors --
 
@@ -347,76 +482,53 @@ class KElem:
     def __mul__(self, other: KElem) -> KElem:
         self._check(other)
         t = self.tower
-        fq = t.fq
-        prod = [0] * (2 * t.n - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    if b:
-                        prod[i + j] = fq.add(prod[i + j], fq.mul(a, b))
-        red = t._fq_poly_mod(prod, list(t.g))
-        return KElem(t, tuple(red + [0] * (t.n - len(red))))
+        tab = t._tables
+        if tab is None:
+            return KElem(t, _poly_mulmod(t.fq, t.g, self.coeffs, other.coeffs))
+        la = tab.log.get(self.coeffs)
+        lb = tab.log.get(other.coeffs)
+        if la is None or lb is None:  # zero has no logarithm
+            return t.zero
+        return KElem(t, tab.exp[(la + lb) % tab.order])
 
     def inv(self) -> KElem:
-        """Multiplicative inverse by extended Euclid in F_q[x] mod g."""
-        if not self:
-            raise ZeroDivisionError("inversion of zero in k")
         t = self.tower
-        fq = t.fq
-        # extended gcd of (g, self as poly), tracking coefficients of self
-        r0, r1 = list(t.g), [c for c in self.coeffs]
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        s0, s1 = [], [1]
-        while r1:
-            quo, rem = _fq_vec_divmod(fq, r0, r1)
-            qs = [0] * (len(quo) + len(s1) - 1) if quo and s1 else []
-            for i, ci in enumerate(quo):
-                if ci:
-                    for j, dj in enumerate(s1):
-                        qs[i + j] = fq.add(qs[i + j], fq.mul(ci, dj))
-            news = [
-                fq.sub(s0[i] if i < len(s0) else 0, qs[i] if i < len(qs) else 0)
-                for i in range(max(len(s0), len(qs)))
-            ]
-            while news and news[-1] == 0:
-                news.pop()
-            r0, r1, s0, s1 = r1, rem, s1, news
-        # r0 is now a unit scalar gcd; s0 * self = r0 (mod g)
-        c = fq.inv(r0[0])
-        out = [fq.mul(c, v) for v in s0]
-        return t.elem(out)
+        tab = t._tables
+        if tab is None:
+            if not self:
+                raise ZeroDivisionError("inversion of zero in k")
+            return KElem(t, _poly_invmod(t.fq, t.g, self.coeffs))
+        la = tab.log.get(self.coeffs)
+        if la is None:
+            raise ZeroDivisionError("inversion of zero in k")
+        return KElem(t, tab.exp[-la % tab.order])
 
     def __truediv__(self, other: KElem) -> KElem:
         return self * other.inv()
 
     def __pow__(self, m: int) -> KElem:
-        if m < 0:
-            return self.inv() ** (-m)
-        r = self.tower.one
-        b = self
-        while m:
-            if m & 1:
-                r = r * b
-            b = b * b
-            m >>= 1
-        return r
+        t = self.tower
+        tab = t._tables
+        if tab is None:
+            base = self.inv() if m < 0 else self
+            return KElem(t, _poly_powmod(t.fq, t.g, base.coeffs, abs(m)))
+        la = tab.log.get(self.coeffs)
+        if la is None:
+            if m < 0:
+                raise ZeroDivisionError("inversion of zero in k")
+            return t.zero if m else t.one
+        return KElem(t, tab.exp[la * m % tab.order])
 
     def frobq(self, j: int = 1) -> KElem:
         """The image under a -> a^(q^j)."""
         t = self.tower
-        fq = t.fq
-        coeffs = self.coeffs
-        for _ in range(j % t.n):
-            out = [0] * t.n
-            for i, a in enumerate(coeffs):
-                if a:
-                    vec = t._frob_vectors[i]
-                    for m in range(t.n):
-                        if vec[m]:
-                            out[m] = fq.add(out[m], fq.mul(a, vec[m]))
-            coeffs = tuple(out)
-        return KElem(t, coeffs)
+        tab = t._tables
+        if tab is None:
+            return KElem(t, _poly_frob(t.fq, t._frob_vectors, self.coeffs, j % t.n))
+        la = tab.log.get(self.coeffs)
+        if la is None:
+            return self
+        return KElem(t, tab.exp[la * tab.qpow[j % t.n] % tab.order])
 
     def in_fq(self) -> bool:
         return not any(self.coeffs[1:])

@@ -16,6 +16,8 @@ maximal at pi.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .apoly import APoly
 from .errors import InternalError
 from .extfield import ExtensionField
@@ -164,12 +166,12 @@ class FrobeniusProfile:
             if c.degree >= m0.degree:
                 raise InternalError("m(0) must strictly dominate other degrees")
 
+    @cached_property
+    def _ext(self) -> ExtensionField:
+        return ExtensionField(list(self.min_poly))
+
     def extension_field(self) -> ExtensionField:
-        ext = getattr(self, "_ext", None)
-        if ext is None:
-            ext = ExtensionField(list(self.min_poly))
-            self._ext = ext
-        return ext
+        return self._ext
 
     @property
     def end_ring_commutative(self) -> bool:

@@ -94,15 +94,22 @@ class DrinfeldModule:
         out._setup(self.tower, SkewPoly(self.tower, coeffs), self.char_prime)
         return out
 
+    @cached_property
+    def _profile(self):
+        from .invariants import FrobeniusProfile
+
+        return FrobeniusProfile(self)
+
     def profile(self):
         """Frobenius invariants of this module (computed once, cached)."""
-        prof = getattr(self, "_profile", None)
-        if prof is None:
-            from .invariants import FrobeniusProfile
+        return self._profile
 
-            prof = FrobeniusProfile(self)
-            self._profile = prof
-        return prof
+    @cached_property
+    def end_ring(self):
+        """End_k(phi) as an A-order (`orders.endomorphism_ring`), built once."""
+        from .orders import build_endomorphism_ring
+
+        return build_endomorphism_ring(self)
 
     def __eq__(self, other) -> bool:
         return (

@@ -18,6 +18,7 @@ is always the identity lattice.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 
 from .apoly import APoly, RatFunc, mat_det, mat_identity, mat_solve
 from .errors import (
@@ -177,7 +178,7 @@ class AOrder:
         self.module = module
         self.skew_basis = list(skew_basis) if skew_basis is not None else None
         self.tag = tag
-        rows, dens = self.basis_matrix_rows()
+        rows, dens = self.basis_matrix
         self.pi_lattice = ALattice.from_generators(self.fq, self.s, zip(*rows), dens)
         self.table = self._build_table()
         one = self.coords_of(ext.one())
@@ -190,11 +191,19 @@ class AOrder:
     def coords_of(self, x: ExtElem) -> list[RatFunc] | None:
         """Coordinates of x with respect to basis_ext (None never occurs
         for a true F-basis; kept for symmetry)."""
-        rows, dens = self.basis_matrix_rows()
-        det, sol = mat_solve(rows, [[v * dens] for v in x.nums])
-        if sol is None:
+        det, adj = self.basis_adjugate
+        if adj is None:
             return None
-        return [RatFunc(row[0], det * x.den) for row in sol]
+        dens = self.basis_matrix[1]
+        nums = [v * dens for v in x.nums]
+        out = []
+        for row in adj:
+            acc = APoly.zero(self.fq)
+            for a, v in zip(row, nums):
+                if a and v:
+                    acc = acc + a * v
+            out.append(RatFunc(acc, det * x.den))
+        return out
 
     def elem_from_coords(self, coords: list[APoly], den: APoly | None = None) -> ExtElem:
         acc = self.ext.zero()
@@ -241,7 +250,8 @@ class AOrder:
     def unit_ideal(self) -> FracIdeal:
         return FracIdeal(self, ALattice.identity(self.fq, self.s))
 
-    def basis_matrix_rows(self) -> tuple[list[list[APoly]], APoly]:
+    @cached_property
+    def basis_matrix(self) -> tuple[list[list[APoly]], APoly]:
         """Rows of the basis-to-power-coordinates matrix plus denominator."""
         dens = APoly.one(self.fq)
         for b in self.basis_ext:
@@ -252,8 +262,15 @@ class AOrder:
         ]
         return rows, dens
 
+    @cached_property
+    def basis_adjugate(self) -> tuple[APoly, list[list[APoly]] | None]:
+        """(det, adj) of the basis matrix's rows, adj None when singular:
+        x = v / den in power coordinates has basis coordinates
+        adj * (dens * v) / (det * den)."""
+        return mat_solve(self.basis_matrix[0], mat_identity(self.fq, self.s))
+
     def ideal_lattice_to_pi(self, lat: ALattice) -> ALattice:
-        rows, dens = self.basis_matrix_rows()
+        rows, dens = self.basis_matrix
         return lat.transform(rows, dens)
 
     def index_over(self, sub: AOrder) -> RatFunc:
@@ -275,14 +292,17 @@ class AOrder:
 
 
 def endomorphism_ring(module: DrinfeldModule) -> AOrder:
-    """End_k(phi) as an A-order with explicit skew realizations.
+    """End_k(phi) as an A-order with explicit skew realizations, built
+    once per module (`DrinfeldModule.end_ring`).
 
     Requires the endomorphism ring to be commutative, which holds
     exactly when [Ftilde:F] equals the rank.
     """
-    cached = getattr(module, "_end_ring", None)
-    if cached is not None:
-        return cached
+    return module.end_ring
+
+
+def build_endomorphism_ring(module: DrinfeldModule) -> AOrder:
+    """The uncached body of `endomorphism_ring`."""
     prof = module.profile()
     if prof.s != module.rank:
         raise NonCommutativeEndomorphisms(
@@ -313,10 +333,7 @@ def endomorphism_ring(module: DrinfeldModule) -> AOrder:
     basis_ext = []
     for j in range(s):
         basis_ext.append(ExtElem(ext, [adj_t[i][j] for i in range(s)], det))
-    order = AOrder(ext, basis_ext, module=module, skew_basis=basis_skew, tag="End")
-    order.profile = prof  # type: ignore[attr-defined]
-    module._end_ring = order  # type: ignore[attr-defined]
-    return order
+    return AOrder(ext, basis_ext, module=module, skew_basis=basis_skew, tag="End")
 
 
 def minimal_frobenius_order(profile, module: DrinfeldModule) -> AOrder:

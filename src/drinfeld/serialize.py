@@ -16,7 +16,7 @@ import json
 
 from .apoly import APoly
 from .errors import InseparableExtension
-from .fields import FieldTower, KElem
+from .fields import FieldTower, KElem, base_field
 from .invariants import FrobeniusProfile
 from .lattices import lattice_index
 from .modules import DrinfeldModule
@@ -35,6 +35,34 @@ def dumps_canonical(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+# -- input values --
+
+
+def json_field(data: dict, key: str, parse):
+    """parse(data[key]), where an invalid value is an input error that
+    names the field and, for objects read by the CLI, the file."""
+    value = data[key]
+    try:
+        return parse(value)
+    except (TypeError, ValueError) as exc:
+        path = getattr(data, "path", None)
+        where = f"{path}: " if path else ""
+        raise ValueError(f"{where}field {key!r}: {exc}") from None
+
+
+def _integer(v) -> int:
+    # bool is a subclass of int; floats and numeric strings are not coerced
+    if type(v) is not int:
+        raise ValueError(f"expected an integer, got {v!r}")
+    return v
+
+
+def _digit(p: int, v) -> int:
+    if type(v) is not int or not 0 <= v < p:
+        raise ValueError(f"expected an integer in [0, {p}), got {v!r}")
+    return v
+
+
 # -- scalars --
 
 
@@ -46,13 +74,11 @@ def scalar_to_json(tower_or_fq, v: int):
 
 
 def scalar_from_json(fq, data) -> int:
-    if isinstance(data, int):
-        if fq.e == 1:
-            return data % fq.q
-        return fq._encode([data % fq.p] + [0] * (fq.e - 1))
-    digits = [int(c) % fq.p for c in data]
+    """An integer in [0, p) or an array of at most e such F_p digits."""
+    digits = data if isinstance(data, list) else [data]
     if len(digits) > fq.e:
         raise ValueError("scalar has too many base-field digits")
+    digits = [_digit(fq.p, c) for c in digits]
     return fq._encode(digits + [0] * (fq.e - len(digits)))
 
 
@@ -61,7 +87,7 @@ def kelem_to_json(tower: FieldTower, x: KElem):
 
 
 def kelem_from_json(tower: FieldTower, data) -> KElem:
-    if isinstance(data, int):
+    if not isinstance(data, list):
         data = [data]
     coeffs = [scalar_from_json(tower.fq, c) for c in data]
     if len(coeffs) > tower.n:
@@ -74,7 +100,7 @@ def apoly_to_json(a: APoly):
 
 
 def apoly_from_json(fq, data) -> APoly:
-    if isinstance(data, int):
+    if not isinstance(data, list):
         data = [data]
     return APoly(fq, [scalar_from_json(fq, c) for c in data])
 
@@ -93,15 +119,11 @@ def field_to_json(tower: FieldTower) -> dict:
 
 
 def field_from_json(data: dict) -> FieldTower:
-    p = int(data["p"])
-    e = int(data["e"])
-    n = int(data["n"])
-    h = [int(c) % p for c in data["h"]]
+    p, e, n = (json_field(data, key, _integer) for key in ("p", "e", "n"))
+    h = json_field(data, "h", lambda v: tuple(_digit(p, c) for c in v))
     # g coefficients may be ints (e = 1) or digit arrays
-    from .fields import Fq
-
-    fq = Fq(p, e, tuple(h))
-    g = [scalar_from_json(fq, c) for c in data["g"]]
+    fq = base_field(p, e, h)
+    g = json_field(data, "g", lambda v: [scalar_from_json(fq, c) for c in v])
     return FieldTower(p, e, h, n, g)
 
 
@@ -114,18 +136,18 @@ def module_to_json(module: DrinfeldModule) -> dict:
 
 def module_from_json(data: dict) -> DrinfeldModule:
     tower = field_from_json(data["field"])
-    coeffs = [kelem_from_json(tower, c) for c in data["phi_T"]]
+    coeffs = json_field(data, "phi_T", lambda v: [kelem_from_json(tower, c) for c in v])
     return DrinfeldModule(tower, SkewPoly(tower, coeffs))
 
 
 def ideal_generators_from_json(order: AOrder, data: dict) -> FracIdeal:
-    gens = []
-    for vec in data["generators"]:
+    def coords(vec) -> list[APoly]:
         if len(vec) > order.s:
             raise ValueError("generator vector longer than the basis")
-        coords = [apoly_from_json(order.fq, c) for c in vec]
-        coords += [APoly.zero(order.fq)] * (order.s - len(coords))
-        gens.append(coords)
+        out = [apoly_from_json(order.fq, c) for c in vec]
+        return out + [APoly.zero(order.fq)] * (order.s - len(out))
+
+    gens = json_field(data, "generators", lambda v: [coords(vec) for vec in v])
     return FracIdeal.from_generators(order, gens)
 
 

@@ -26,6 +26,7 @@ _SPECS = {
     "f9": (3, 1, [0, 1], 2, [2, 1, 1]),
     "f27": (3, 1, [0, 1], 3, None),
     "f81": (3, 1, [0, 1], 4, None),
+    "f256": (2, 1, [0, 1], 8, None),
     "f729": (3, 1, [0, 1], 6, None),
     # two-step tower with e > 1: F_4 = F_2[y]/(y^2+y+1), k = F_16 over F_4
     "f16e2": (2, 2, [1, 1, 1], 2, None),

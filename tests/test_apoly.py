@@ -313,3 +313,42 @@ def test_norm_multiplicative_against_determinant():
         n = len(mat)
         expected = DomainMatrix([[conv(a) for a in row] for row in mat], (n, n), ring).det()
         assert conv(mat_det(mat)) == expected
+
+
+def _sympy_poly(sympy, a: APoly, t):
+    return sympy.Poly(list(reversed(a.coeffs)) or [0], t, modulus=a.fq.p)
+
+
+def _from_sympy(fq, poly) -> APoly:
+    return APoly(fq, [c % fq.p for c in reversed(poly.all_coeffs())])
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_divmod_and_gcd_against_sympy(p):
+    sympy = pytest.importorskip("sympy")
+    from drinfeld.fields import base_field
+
+    fq = base_field(p, 1, (0, 1))
+    t = sympy.Symbol("T")
+    rng = random.Random(100 + p)
+    for _ in range(60):
+        a = rand_apoly(rng, fq, 9)
+        b = rand_nonzero_apoly(rng, fq, 5)
+        # a common factor makes the gcd nontrivial
+        c = rand_nonzero_apoly(rng, fq, 3)
+        sa, sb, sc = (_sympy_poly(sympy, x, t) for x in (a, b, c))
+        quo, rem = divmod(a, b)
+        squo, srem = sympy.div(sa, sb)
+        assert quo == _from_sympy(fq, squo) and rem == _from_sympy(fq, srem)
+        got = poly_gcd(a * c, b * c)
+        assert got == _from_sympy(fq, sympy.gcd(sa * sc, sb * sc).monic())
+
+
+def test_is_separable_reads_the_derivative():
+    for fq in (fq2(), fq3()):
+        p = fq.p
+        zero, one = APoly.zero(fq), APoly.one(fq)
+        # x^p + T has derivative 0; x^p + x + T and x^(p+1) + T do not
+        assert not ExtensionField([T(fq)] + [zero] * (p - 1) + [one]).is_separable()
+        assert ExtensionField([T(fq), one] + [zero] * (p - 2) + [one]).is_separable()
+        assert ExtensionField([T(fq)] + [zero] * p + [one]).is_separable()

@@ -332,3 +332,22 @@ def test_lin_equiv_inequivalent_but_weakly_equivalent_is_unknown():
         for a, b in itertools.combinations(list(integral_ideals(end, 2)), 2)
     }
     assert "unknown" in statuses  # the second ideal class is invertible
+
+
+def test_coords_of_matches_a_solve_per_element(ex38):
+    # coords_of multiplies by the adjugate kept per order; solving the
+    # basis matrix afresh for each element gives the same coordinates
+    from drinfeld.apoly import mat_solve
+
+    phi, end, *_ = ex38
+    minimal = minimal_frobenius_order(phi.profile(), phi)
+    rng = random.Random(23)
+    for order in (end, minimal):
+        rows, dens = order.basis_matrix
+        assert order.basis_adjugate is order.basis_adjugate
+        ext = order.ext
+        for _ in range(15):
+            nums = [APoly(order.fq, [rng.randrange(2) for _ in range(4)]) for _ in range(ext.s)]
+            x = ext.elem(nums, APoly(order.fq, [1, rng.randrange(2), 1]))
+            det, sol = mat_solve(rows, [[v * dens] for v in x.nums])
+            assert order.coords_of(x) == [RatFunc(r[0], det * x.den) for r in sol]

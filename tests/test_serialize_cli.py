@@ -234,3 +234,38 @@ def test_cli_census_rejects_negative_bounds(tmp_path, capsys, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: {flag} must be at least 0\n"
+
+
+@pytest.mark.parametrize(
+    "command,spec,field",
+    [
+        ("analyze", dict(EX38_MODULE, field=dict(EX38_FIELD, p=True)), "p"),
+        ("analyze", dict(EX38_MODULE, field=dict(EX38_FIELD, n=4.0)), "n"),
+        ("analyze", dict(EX38_MODULE, field=dict(EX38_FIELD, e="1")), "e"),
+        ("analyze", dict(EX38_MODULE, field=dict(EX38_FIELD, h=[0, 3])), "h"),
+        ("analyze", dict(EX38_MODULE, field=dict(EX38_FIELD, g=[1, 1, 0, 0, 3])), "g"),
+        # 7 over F_2 used to be reduced to 1, "1" parsed and true read as 1
+        ("analyze", dict(EX38_MODULE, phi_T=[[0, 7], [1]]), "phi_T"),
+        ("analyze", dict(EX38_MODULE, phi_T=[[0, -1], [1]]), "phi_T"),
+        ("analyze", dict(EX38_MODULE, phi_T=[[0, "1"], [1]]), "phi_T"),
+        ("analyze", dict(EX38_MODULE, phi_T=[[0, True], [1]]), "phi_T"),
+        ("census", {"field": F2_FIELD, "rank": 2, "t": [1.0]}, "t"),
+    ],
+)
+def test_cli_rejects_coerced_values(tmp_path, capsys, command, spec, field):
+    path = _write(tmp_path, "m.json", spec)
+    assert main([command, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"input error: {path}: field '{field}': ")
+    assert captured.err.count("\n") == 1
+
+
+def test_cli_rejects_coerced_ideal_generator(tmp_path, capsys):
+    mod = _write(tmp_path, "mod.json", EX38_MODULE)
+    ideal = _write(tmp_path, "ideal.json", {"generators": [[[1, 1], 1.5]]})
+    assert main(["ideal-act", "--input", mod, "--ideal", ideal]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"input error: {ideal}: field 'generators': expected an integer in [0, 2), got 1.5\n"
+    )
