@@ -28,6 +28,7 @@ from .serialize import (
     field_to_json,
     ideal_act_report,
     json_field,
+    json_object,
     kelem_from_json,
     kelem_to_json,
     kernel_test_report,
@@ -84,7 +85,10 @@ class _InputObject(dict):
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh, object_pairs_hook=lambda pairs: _InputObject(path, pairs))
+        data = json.load(fh, object_pairs_hook=lambda pairs: _InputObject(path, pairs))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return data
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -113,7 +117,7 @@ def _run_census(args) -> int:
             print(f"input error: {flag} must be at least 0", file=sys.stderr)
             return 2
     data = _load_json(args.input)
-    tower = field_from_json(data["field"])
+    tower = field_from_json(json_field(data, "field", json_object))
     rank = data["rank"]
     check_census_rank(tower, rank)
     if "t" in data and data["t"] is not None:

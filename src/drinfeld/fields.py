@@ -465,19 +465,22 @@ class KElem:
         if self.tower is not other.tower and self.tower != other.tower:
             raise ContextError("elements of different towers")
 
+    # sums read the F_q tables row by row: add[a][b] for each coordinate
+    # pair, with no per-coordinate method call
     def __add__(self, other: KElem) -> KElem:
         self._check(other)
-        fq = self.tower.fq
-        return KElem(self.tower, tuple(fq.add(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        rows = map(self.tower.fq._add.__getitem__, self.coeffs)
+        return KElem(self.tower, tuple(map(list.__getitem__, rows, other.coeffs)))
 
     def __sub__(self, other: KElem) -> KElem:
         self._check(other)
         fq = self.tower.fq
-        return KElem(self.tower, tuple(fq.sub(a, b) for a, b in zip(self.coeffs, other.coeffs)))
+        rows = map(fq._add.__getitem__, self.coeffs)
+        negs = map(fq._neg.__getitem__, other.coeffs)
+        return KElem(self.tower, tuple(map(list.__getitem__, rows, negs)))
 
     def __neg__(self) -> KElem:
-        fq = self.tower.fq
-        return KElem(self.tower, tuple(fq.neg(a) for a in self.coeffs))
+        return KElem(self.tower, tuple(map(self.tower.fq._neg.__getitem__, self.coeffs)))
 
     def __mul__(self, other: KElem) -> KElem:
         self._check(other)

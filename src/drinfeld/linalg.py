@@ -2,7 +2,9 @@
 
 Vectors and matrices hold canonical integer encodings of F_q scalars
 (see fields.Fq). Systems at desk scale are small, so plain Gaussian
-elimination is used throughout.
+elimination is used throughout. Row operations read the field's tables
+directly: for a multiplier c the row mul[c] is bound once, and
+a - c*b is add[a][mul[-c][b]], over the pivot row's nonzero entries only.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ def solve_linear(fq: Fq, rows: list[list[int]], rhs: list[int]):
     of the particular solution set to zero, or (None, nullspace basis) when
     the system is inconsistent.
     """
+    add, mul, neg = fq._add, fq._mul, fq._neg
     m = len(rows)
     nc = len(rows[0]) if m else 0
     aug = [list(r) + [rhs[i]] for i, r in enumerate(rows)]
@@ -31,16 +34,20 @@ def solve_linear(fq: Fq, rows: list[list[int]], rhs: list[int]):
         if sel is None:
             continue
         aug[rank], aug[sel] = aug[sel], aug[rank]
-        inv = fq.inv(aug[rank][col])
-        if inv != 1:
-            aug[rank] = [fq.mul(inv, v) for v in aug[rank]]
+        rp = aug[rank]
+        if rp[col] != 1:
+            mi = mul[fq.inv(rp[col])]
+            rp = aug[rank] = [mi[v] for v in rp]
+        # entries in a pivot column are never read again, so the column
+        # itself is left as it is in the other rows
+        support = [(j, rp[j]) for j in range(col + 1, nc + 1) if rp[j]]
         for i in range(m):
-            if i != rank and aug[i][col]:
-                c = aug[i][col]
-                ri, rp = aug[i], aug[rank]
-                for j in range(col, nc + 1):
-                    if rp[j]:
-                        ri[j] = fq.sub(ri[j], fq.mul(c, rp[j]))
+            ri = aug[i]
+            c = ri[col]
+            if c and i != rank:
+                mc = mul[neg[c]]
+                for j, v in support:
+                    ri[j] = add[ri[j]][mc[v]]
         piv_cols.append(col)
         rank += 1
         if rank == m:
@@ -52,7 +59,7 @@ def solve_linear(fq: Fq, rows: list[list[int]], rhs: list[int]):
         vec = [0] * nc
         vec[fcol] = 1
         for i, pcol in enumerate(piv_cols):
-            vec[pcol] = fq.neg(aug[i][fcol])
+            vec[pcol] = neg[aug[i][fcol]]
         null.append(vec)
     if not consistent:
         return None, null
@@ -76,8 +83,8 @@ def nullspace(fq: Fq, rows: list[list[int]], ncols: int) -> list[list[int]]:
 
 
 class TrailingEchelon:
-    """A reduced echelon F_q-subspace whose pivots sit at the *highest*
-    nonzero coordinate of each vector.
+    """An echelon F_q-subspace whose pivots sit at the *highest* nonzero
+    coordinate of each vector; each row is 1 at its pivot.
 
     With coordinates ordered by increasing tau-degree this makes the pivot
     position of a vector reflect its degree, which is what the degree
@@ -89,48 +96,50 @@ class TrailingEchelon:
         self.length = length
         self.rows: dict[int, list[int]] = {}
 
-    @staticmethod
-    def _pivot(vec: list[int]) -> int:
-        for i in range(len(vec) - 1, -1, -1):
-            if vec[i]:
-                return i
-        return -1
-
-    def reduce(self, vec) -> list[int]:
-        """Residue of vec modulo the current space."""
-        fq = self.fq
+    def reduce(self, vec) -> tuple[list[int], int]:
+        """Residue of vec modulo the current space and its pivot (-1 if
+        the residue is zero): coordinates are cleared from the top down
+        until the highest nonzero one is not a pivot of the space."""
+        add, mul, neg = self.fq._add, self.fq._mul, self.fq._neg
+        rows = self.rows
         out = list(vec)
-        while True:
-            piv = self._pivot(out)
-            if piv < 0 or piv not in self.rows:
-                return out
+        for piv in range(len(out) - 1, -1, -1):
             c = out[piv]
-            row = self.rows[piv]
-            for i in range(piv + 1):
-                if row[i]:
-                    out[i] = fq.sub(out[i], fq.mul(c, row[i]))
+            if not c:
+                continue
+            row = rows.get(piv)
+            if row is None:
+                return out, piv
+            mc = mul[neg[c]]
+            for i in range(piv):
+                v = row[i]
+                if v:
+                    out[i] = add[out[i]][mc[v]]
+            out[piv] = 0
+        return out, -1
 
     def insert(self, vec) -> int:
         """Adjoin vec; returns its pivot index, or -1 if already contained."""
-        fq = self.fq
-        res = self.reduce(vec)
-        piv = self._pivot(res)
+        add, mul, neg = self.fq._add, self.fq._mul, self.fq._neg
+        res, piv = self.reduce(vec)
         if piv < 0:
             return -1
-        inv = fq.inv(res[piv])
-        if inv != 1:
-            res = [fq.mul(inv, v) for v in res]
+        if res[piv] != 1:
+            mi = mul[self.fq.inv(res[piv])]
+            res = [mi[v] for v in res]
+        support = [(i, v) for i, v in enumerate(res[:piv]) if v]
         for other in self.rows.values():
-            if other[piv]:
-                c = other[piv]
-                for i in range(piv + 1):
-                    if res[i]:
-                        other[i] = fq.sub(other[i], fq.mul(c, res[i]))
+            c = other[piv]
+            if c:
+                mc = mul[neg[c]]
+                for i, v in support:
+                    other[i] = add[other[i]][mc[v]]
+                other[piv] = 0
         self.rows[piv] = res
         return piv
 
     def contains(self, vec) -> bool:
-        return self._pivot(self.reduce(vec)) < 0
+        return self.reduce(vec)[1] < 0
 
     @property
     def dim(self) -> int:

@@ -54,6 +54,33 @@ def _unflatten_skew(module: DrinfeldModule, vec: list[int]) -> SkewPoly:
     return SkewPoly(tower, coeffs)
 
 
+def _commutator_system(module: DrinfeldModule, cap: int) -> list[list[int]]:
+    """The F_q-matrix of u -> u phi_T - phi_T u on skew polynomials u of
+    degree at most cap, in the coordinates of _flatten_skew.
+
+    Column i*n + comp is the image of u = c tau^i with c = x^comp, read
+    off coefficients: with phi_T = sum g_j tau^j, the coefficient of
+    tau^(i+j) in c tau^i phi_T - phi_T c tau^i is c g_j^(q^i) - g_j c^(q^j).
+    """
+    tower = module.tower
+    n = tower.n
+    g = module.phi_t.coeffs
+    monomials = [tower.elem([0] * comp + [1]) for comp in range(n)]
+    monomials_frob = [[c.frobq(j) for j in range(len(g))] for c in monomials]
+    rows = [[0] * ((cap + 1) * n) for _ in range((cap + len(g)) * n)]
+    for i in range(cap + 1):
+        g_frob = [gj.frobq(i) for gj in g]
+        for comp, c in enumerate(monomials):
+            col = i * n + comp
+            for j, gj in enumerate(g):
+                if gj:
+                    entry = c * g_frob[j] - gj * monomials_frob[comp][j]
+                    base = (i + j) * n
+                    for m, v in enumerate(entry.coeffs):
+                        rows[base + m][col] = v
+    return rows
+
+
 def centralizer_basis(module: DrinfeldModule, s: int) -> list[SkewPoly]:
     """A-basis of the centralizer of phi_T in k{tau}, first element 1.
 
@@ -67,17 +94,9 @@ def centralizer_basis(module: DrinfeldModule, s: int) -> list[SkewPoly]:
     n, r = module.n, module.rank
     cap = n * s
     ncols = (cap + 1) * n
-    eq_height = cap + r
 
     # solution space of u phi_T - phi_T u = 0, deg u <= cap
-    columns = []
-    for i in range(cap + 1):
-        for comp in range(n):
-            coeffs = [0] * n
-            coeffs[comp] = 1
-            u = SkewPoly.tau_power(tower, i, tower.elem(coeffs))
-            columns.append(_flatten_skew(u * module.phi_t - module.phi_t * u, eq_height))
-    rows = [[columns[c][i] for c in range(ncols)] for i in range((eq_height + 1) * n)]
+    rows = _commutator_system(module, cap)
     sols = nullspace(fq, rows, ncols)
 
     ech = TrailingEchelon(fq, ncols)
@@ -92,13 +111,12 @@ def centralizer_basis(module: DrinfeldModule, s: int) -> list[SkewPoly]:
     for j in range(cap // r + 1):
         span.insert(_flatten_skew(module.phi_t_power(j), cap))
     for vec in ordered:
-        res = span.reduce(vec)
-        piv = span._pivot(res)
+        res, piv = span.reduce(vec)
         if piv < 0:
             continue
-        inv = fq.inv(res[piv])
-        if inv != 1:
-            res = [fq.mul(inv, v) for v in res]
+        if res[piv] != 1:
+            mi = fq._mul[fq.inv(res[piv])]
+            res = [mi[v] for v in res]
         b = _unflatten_skew(module, res)
         basis.append(b)
         if len(basis) > s:

@@ -57,6 +57,12 @@ def _integer(v) -> int:
     return v
 
 
+def json_object(v) -> dict:
+    if not isinstance(v, dict):
+        raise ValueError("expected a JSON object")
+    return v
+
+
 def _digit(p: int, v) -> int:
     if type(v) is not int or not 0 <= v < p:
         raise ValueError(f"expected an integer in [0, {p}), got {v!r}")
@@ -135,7 +141,7 @@ def module_to_json(module: DrinfeldModule) -> dict:
 
 
 def module_from_json(data: dict) -> DrinfeldModule:
-    tower = field_from_json(data["field"])
+    tower = field_from_json(json_field(data, "field", json_object))
     coeffs = json_field(data, "phi_T", lambda v: [kelem_from_json(tower, c) for c in v])
     return DrinfeldModule(tower, SkewPoly(tower, coeffs))
 

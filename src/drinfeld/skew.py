@@ -77,7 +77,12 @@ class SkewPoly:
         return SkewPoly(self.tower, [-c for c in self.coeffs])
 
     def __sub__(self, other: SkewPoly) -> SkewPoly:
-        return self + (-other)
+        self._check(other)
+        a, b = self.coeffs, other.coeffs
+        out = list(a) + [self.tower.zero] * (len(b) - len(a))
+        for i, v in enumerate(b):
+            out[i] = out[i] - v
+        return SkewPoly(self.tower, out)
 
     def __mul__(self, other: SkewPoly) -> SkewPoly:
         self._check(other)

@@ -178,6 +178,29 @@ def test_cli_input_errors(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("input error: ")
+    # valid JSON that is not an object, as a module, an ideal, a census
+    # spec, or the field inside either
+    mod = _write(tmp_path, "mod.json", EX38_MODULE)
+    for value in ([1, 2], "x", None, 3):
+        path = _write(tmp_path, "value.json", value)
+        for argv in (
+            ["analyze", "--input", path],
+            ["census", "--input", path],
+            ["ideal-act", "--input", mod, "--ideal", path],
+        ):
+            assert main(argv) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"input error: {path}: expected a JSON object\n"
+        for command, spec in (
+            ("analyze", {"field": value, "phi_T": [[0], [1]]}),
+            ("census", {"field": value, "rank": 2}),
+        ):
+            path = _write(tmp_path, "spec.json", spec)
+            assert main([command, "--input", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"input error: {path}: field 'field': expected a JSON object\n"
 
 
 def test_cli_jobs_validation(tmp_path, capsys):
