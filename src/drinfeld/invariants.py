@@ -45,7 +45,7 @@ def minpoly_frobenius(module: DrinfeldModule) -> list[APoly]:
         cols: list[SkewPoly] = []
         for i in range(s):
             for j in range(bounds[i] + 1):
-                cols.append(module.phi_t_power(j) * SkewPoly.tau_power(tower, n * i))
+                cols.append(module.phi_t_power(j).shift(n * i))
         target = SkewPoly.tau_power(tower, n * s)
         maxdeg = max([c.degree for c in cols] + [target.degree])
         height = (maxdeg + 1) * tower.n
@@ -146,7 +146,7 @@ class FrobeniusProfile:
         # m(pi) = 0 in k{tau}
         acc = SkewPoly.zero(mod.tower)
         for i, c in enumerate(self.min_poly):
-            acc = acc + mod(c) * SkewPoly.tau_power(mod.tower, mod.n * i)
+            acc = acc + mod(c).shift(mod.n * i)
         if acc:
             raise InternalError("minimal polynomial does not annihilate pi")
         if self.r % self.s:

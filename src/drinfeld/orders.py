@@ -18,7 +18,7 @@ is always the identity lattice.
 from __future__ import annotations
 
 import itertools
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .apoly import APoly, RatFunc, mat_det, mat_identity, mat_solve
 from .errors import (
@@ -641,10 +641,95 @@ def _closed_under_order(order: AOrder, cols, basis_vecs) -> bool:
     return True
 
 
+def _norm_form(order: AOrder, cols) -> dict[tuple[int, ...], APoly]:
+    """N(sum c_i w_i) = det(sum c_i M_i) as a form of degree s in the c_i,
+    for integral vectors w_i with multiplication matrices M_i: a map from
+    exponent tuples to coefficients. The determinant is multilinear in
+    the rows, so each monomial collects the determinants
+    det(M_sigma(r)[r]) of the row choices sigma with its exponents."""
+    s = order.s
+    basis_vecs = mat_identity(order.fq, s)
+    mats = [[order.mul_coords(w, e) for e in basis_vecs] for w in cols]
+    form: dict[tuple[int, ...], APoly] = {}
+    for sigma in itertools.product(range(s), repeat=s):
+        exps = tuple(sigma.count(i) for i in range(s))
+        d = mat_det([mats[i][r] for r, i in enumerate(sigma)])
+        form[exps] = form[exps] + d if exps in form else d
+    return form
+
+
+@lru_cache(maxsize=16)
+def _box_values(fq, bound_deg: int, s: int) -> tuple:
+    """The polynomials of degree <= bound_deg in lexicographic order of
+    their digits (coefficients from T^0 up), each with its powers 0..s
+    and its first nonzero digit (0 for the zero polynomial)."""
+    out = []
+    for c in _polys_below_degree(fq, bound_deg + 1):
+        pw = [APoly.one(fq)]
+        for _ in range(s):
+            pw.append(pw[-1] * c)
+        out.append((c, tuple(pw), next((v for v in c.coeffs if v), 0)))
+    return tuple(out)
+
+
+def _norm_hits(form: dict[tuple[int, ...], APoly], values: tuple, want: APoly):
+    """Coefficient vectors c over `values` (see _box_values) whose form(c)
+    is a unit times the monic `want`, in lexicographic order of their
+    digits and one per F_q^x line: the first nonzero digit is 1."""
+    s = len(next(iter(form)))
+    zero = APoly.zero(want.fq)
+    terms = [(exps, coef) for exps, coef in form.items() if coef]
+    degrees = range(-1, max(c.degree for c, _, _ in values) + 1)
+    for prefix in itertools.product(values, repeat=s - 1):
+        lead = next((v for _, _, v in prefix if v), 0)
+        if lead > 1:
+            continue
+        # the form restricted to this prefix, a polynomial in the last c
+        part = [zero] * (s + 1)
+        for exps, coef in terms:
+            for (_, pw, _), e in zip(prefix, exps):
+                if e:
+                    coef = coef * pw[e]
+            part[exps[-1]] = part[exps[-1]] + coef
+        # the degree of part[k] * c^k depends on deg c alone; a unique
+        # top term fixes deg form(c), and a tie can only lower it
+        fits = {}
+        for dc in degrees:
+            tops = [p.degree + k * dc for k, p in enumerate(part) if p and (dc >= 0 or not k)]
+            top = max(tops, default=-1)
+            fits[dc] = top == want.degree or (top > want.degree and tops.count(top) > 1)
+        for c, pw, v in values:
+            if not lead and v != 1 or not fits[c.degree]:
+                continue
+            val = part[0]
+            for k in range(1, s + 1):
+                if part[k]:
+                    val = val + part[k] * pw[k]
+            if val.degree == want.degree and val.monic() == want:
+                yield [p for p, _, _ in prefix] + [c]
+
+
+def _norm_target(target: RatFunc, den: APoly, s: int) -> APoly | None:
+    """For u = sum c_i w_i / den, N(u) = form(c) / den^s is a unit times
+    the monic target exactly when form(c) is a unit times the monic
+    polynomial returned. None when target * den^s is not a polynomial:
+    then no u matches."""
+    den_s = den**s
+    if den_s % target.den:
+        return None
+    return (target.num * den_s.exact_div(target.den)).monic()
+
+
 def lin_equiv(ideal: FracIdeal, other: FracIdeal, bound_deg: int = 2):
     """Linear equivalence test: ("yes", u) with ideal = other * u exactly,
     ("no", None) certified by failure of weak equivalence, or
-    ("unknown", None) when the search bound is exhausted."""
+    ("unknown", None) when the search bound is exhausted.
+
+    The search runs over u = sum c_i w_i / den for the basis w_i / den
+    of (ideal : other) and deg c_i <= bound_deg. A candidate must first
+    have N(u) equal to N(ideal) / N(other) up to a unit. Hits are closed
+    under F_q^x scaling, so one vector per line is tried, and the first
+    hit in lexicographic order of the whole box is the one returned."""
     order = ideal.order
     if ideal == other:
         return "yes", order.ext.one()
@@ -660,25 +745,17 @@ def lin_equiv(ideal: FracIdeal, other: FracIdeal, bound_deg: int = 2):
         raise TooLarge("linear-equivalence search space beyond desk scale")
     cols = [list(c) for c in quot.lattice.cols]
     den = quot.lattice.den
-    den_s = den**s
-    basis_vecs = mat_identity(fq, s)
-    coeff_space = list(itertools.product(range(fq.q), repeat=bound_deg + 1))
-    for combo in itertools.product(coeff_space, repeat=s):
-        if all(all(v == 0 for v in c) for c in combo):
-            continue
+    want = _norm_target(target, den, s)
+    if want is None:
+        return "unknown", None
+    form = _norm_form(order, cols)
+    for combo in _norm_hits(form, _box_values(fq, bound_deg, s), want):
         coords = [APoly.zero(fq)] * s
-        for idx in range(s):
-            c = APoly(fq, list(combo[idx]))
+        for c, col in zip(combo, cols):
             if c:
                 for m in range(s):
-                    if cols[idx][m]:
-                        coords[m] = coords[m] + c * cols[idx][m]
-        if not any(coords):
-            continue
-        # N(u) is the determinant of multiplication by u in the order basis
-        mult = [order.mul_coords(coords, e) for e in basis_vecs]
-        if RatFunc(mat_det(mult), den_s).monic_normalized() != target:
-            continue
+                    if col[m]:
+                        coords[m] = coords[m] + c * col[m]
         if other.mul_elem(coords, den) == ideal:
             return "yes", order.elem_from_coords(coords, den)
     return "unknown", None

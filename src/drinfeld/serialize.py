@@ -63,6 +63,12 @@ def json_object(v) -> dict:
     return v
 
 
+def _array(v) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"expected an array, got {v!r}")
+    return v
+
+
 def _digit(p: int, v) -> int:
     if type(v) is not int or not 0 <= v < p:
         raise ValueError(f"expected an integer in [0, {p}), got {v!r}")
@@ -126,10 +132,10 @@ def field_to_json(tower: FieldTower) -> dict:
 
 def field_from_json(data: dict) -> FieldTower:
     p, e, n = (json_field(data, key, _integer) for key in ("p", "e", "n"))
-    h = json_field(data, "h", lambda v: tuple(_digit(p, c) for c in v))
+    h = json_field(data, "h", lambda v: tuple(_digit(p, c) for c in _array(v)))
     # g coefficients may be ints (e = 1) or digit arrays
     fq = base_field(p, e, h)
-    g = json_field(data, "g", lambda v: [scalar_from_json(fq, c) for c in v])
+    g = json_field(data, "g", lambda v: [scalar_from_json(fq, c) for c in _array(v)])
     return FieldTower(p, e, h, n, g)
 
 
@@ -142,18 +148,18 @@ def module_to_json(module: DrinfeldModule) -> dict:
 
 def module_from_json(data: dict) -> DrinfeldModule:
     tower = field_from_json(json_field(data, "field", json_object))
-    coeffs = json_field(data, "phi_T", lambda v: [kelem_from_json(tower, c) for c in v])
+    coeffs = json_field(data, "phi_T", lambda v: [kelem_from_json(tower, c) for c in _array(v)])
     return DrinfeldModule(tower, SkewPoly(tower, coeffs))
 
 
 def ideal_generators_from_json(order: AOrder, data: dict) -> FracIdeal:
     def coords(vec) -> list[APoly]:
-        if len(vec) > order.s:
+        if len(_array(vec)) > order.s:
             raise ValueError("generator vector longer than the basis")
         out = [apoly_from_json(order.fq, c) for c in vec]
         return out + [APoly.zero(order.fq)] * (order.s - len(out))
 
-    gens = json_field(data, "generators", lambda v: [coords(vec) for vec in v])
+    gens = json_field(data, "generators", lambda v: [coords(vec) for vec in _array(v)])
     return FracIdeal.from_generators(order, gens)
 
 

@@ -99,6 +99,10 @@ class SkewPoly:
                     out[i + j] = out[i + j] + ai * bj.frobq(i)
         return SkewPoly(t, out)
 
+    def shift(self, m: int) -> SkewPoly:
+        """Multiply by tau^m on the right: (a_i tau^i) tau^m = a_i tau^(i+m)."""
+        return SkewPoly(self.tower, (self.tower.zero,) * m + self.coeffs)
+
     def left_scale(self, c: KElem) -> SkewPoly:
         """Multiply by a constant on the left: c * (a_i tau^i) = (c a_i) tau^i."""
         return SkewPoly(self.tower, [c * a for a in self.coeffs])

@@ -136,6 +136,13 @@ GOLDEN_CENSUS_DIGESTS = {
         ["--skip-validate"],
         "6fd5d9b69dac2cbc8765f27f1bad71b317f262f3b3face10502a6ddac229300a",
     ),
+    # recorded with the box search that lin_equiv ran before the norm form
+    "f3-rank3-validated": (
+        {"p": 3, "e": 1, "h": [0, 1], "n": 1, "g": [0, 1]},
+        3,
+        [],
+        "98d7fe6ee6bc3bb46906f328832326d2f6a0e094fa7822880ac8b975f6e3457c",
+    ),
 }
 
 

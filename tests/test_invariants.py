@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from drinfeld import (
     APoly,
     DrinfeldModule,
@@ -11,6 +13,21 @@ from drinfeld import (
 )
 
 from conftest import get_tower, rand_module
+
+
+@pytest.mark.parametrize("name", ["f9", "f16e2", "f729"])
+def test_frobenius_columns_shift_equals_product(name):
+    # minpoly_frobenius builds its columns phi_{T^j} tau^(n i) by moving
+    # coefficients up, with j <= n and i <= rank
+    tower = get_tower(name)
+    rng = random.Random(name)
+    assert SkewPoly.zero(tower).shift(tower.n) == SkewPoly.zero(tower)
+    for _ in range(3):
+        phi = rand_module(rng, tower)
+        for i in range(phi.rank + 1):
+            tau = SkewPoly.tau_power(tower, phi.n * i)
+            for j in range(phi.n + 1):
+                assert phi.phi_t_power(j).shift(phi.n * i) == phi.phi_t_power(j) * tau
 
 
 def test_supersingular_minpoly():

@@ -12,6 +12,7 @@ from drinfeld import (
     NonCommutativeEndomorphisms,
     RatFunc,
     SkewPoly,
+    TooLarge,
     coords_in_skew_basis,
     endomorphism_ring,
     gorenstein_conductor,
@@ -25,8 +26,10 @@ from drinfeld import (
     roots_in_k,
     trace_dual,
 )
+from drinfeld.apoly import mat_det, mat_identity
+from drinfeld.orders import _norm_form, _norm_target
 
-from conftest import get_tower
+from conftest import get_tower, rand_apoly
 
 
 @pytest.fixture(scope="module")
@@ -332,6 +335,119 @@ def test_lin_equiv_inequivalent_but_weakly_equivalent_is_unknown():
         for a, b in itertools.combinations(list(integral_ideals(end, 2)), 2)
     }
     assert "unknown" in statuses  # the second ideal class is invertible
+
+
+def _lin_equiv_box(ideal, other, bound_deg=2):
+    """lin_equiv as it ran before the norm form, kept as the reference:
+    every vector of the box in lexicographic order, with the determinant
+    of multiplication by u computed afresh for each candidate."""
+    order = ideal.order
+    if ideal == other:
+        return "yes", order.ext.one()
+    quot = ideal.colon(other)
+    quot_rev = other.colon(ideal)
+    if not quot.mul(quot_rev).contains_one():
+        return "no", None
+    target = (ideal.norm() / other.norm()).monic_normalized()
+    s = order.s
+    fq = order.fq
+    count = fq.q ** (s * (bound_deg + 1))
+    if count > 5 * 10**5:
+        raise TooLarge("linear-equivalence search space beyond desk scale")
+    cols = [list(c) for c in quot.lattice.cols]
+    den = quot.lattice.den
+    den_s = den**s
+    basis_vecs = mat_identity(fq, s)
+    coeff_space = list(itertools.product(range(fq.q), repeat=bound_deg + 1))
+    for combo in itertools.product(coeff_space, repeat=s):
+        if all(all(v == 0 for v in c) for c in combo):
+            continue
+        coords = [APoly.zero(fq)] * s
+        for idx in range(s):
+            c = APoly(fq, list(combo[idx]))
+            if c:
+                for m in range(s):
+                    if cols[idx][m]:
+                        coords[m] = coords[m] + c * cols[idx][m]
+        if not any(coords):
+            continue
+        mult = [order.mul_coords(coords, e) for e in basis_vecs]
+        if RatFunc(mat_det(mult), den_s).monic_normalized() != target:
+            continue
+        if other.mul_elem(coords, den) == ideal:
+            return "yes", order.elem_from_coords(coords, den)
+    return "unknown", None
+
+
+# A[pi] of ordinary modules, as (tower, phi_T coefficients, largest bound,
+# statuses met). The reference walks the whole box for every pair it
+# cannot settle early, so each case stops at the bound where it would
+# take seconds.
+LIN_EQUIV_CASES = {
+    # every pair is principal from bound 1 on
+    "f9-one-class": ("f9", [[0, 1], [0, 0], [1, 0]], 3, {"yes", "unknown"}),
+    # some pairs fail weak equivalence
+    "f9-weakly-inequivalent": ("f9", [[0, 1], [0, 0], [0, 1]], 1, {"yes", "no", "unknown"}),
+    # a second ideal class: unknown at every bound
+    "f9-two-classes": ("f9", [[0, 1], [0, 1], [0, 1]], 1, {"yes", "unknown"}),
+    # the module of test_lin_equiv_inequivalent_but_weakly_equivalent_is_unknown
+    "f4-two-classes": ("f4", [[0, 0], [0, 1], [0, 1]], 3, {"yes", "unknown"}),
+    # s = 3: the norm form is a cubic in three coefficients
+    "f3-rank3": ("f3", [[1], [1], [0], [1]], 1, {"yes", "unknown"}),
+}
+
+
+def _case_order(name):
+    tower_name, coeffs, _, _ = LIN_EQUIV_CASES[name]
+    tower = get_tower(tower_name)
+    phi = DrinfeldModule(tower, SkewPoly(tower, [tower.elem(c) for c in coeffs]))
+    return minimal_frobenius_order(phi.profile(), phi)
+
+
+@pytest.mark.parametrize("name", sorted(LIN_EQUIV_CASES))
+def test_lin_equiv_matches_the_box_search(name):
+    # same status and same witness as the full box, at every bound
+    order = _case_order(name)
+    ideals = list(integral_ideals(order, 2))
+    statuses = set()
+    for bound in range(LIN_EQUIV_CASES[name][2] + 1):
+        for a, b in itertools.combinations(ideals, 2):
+            got = lin_equiv(a, b, bound)
+            assert got == _lin_equiv_box(a, b, bound), (bound, a, b)
+            statuses.add(got[0])
+    assert statuses == LIN_EQUIV_CASES[name][3]
+
+
+@pytest.mark.parametrize("name", ["f9-one-class", "f3-rank3"])
+def test_norm_form_is_the_determinant(name):
+    # form(c) = det of multiplication by sum c_i w_i, for any integral w_i
+    order = _case_order(name)
+    s, fq = order.s, order.fq
+    rng = random.Random(name)
+    cols = [[rand_apoly(rng, fq, 2) for _ in range(s)] for _ in range(s)]
+    form = _norm_form(order, cols)
+    assert len(form) == len(list(itertools.combinations_with_replacement(range(s), s)))
+    for _ in range(20):
+        c = [rand_apoly(rng, fq, 3) for _ in range(s)]
+        u = [APoly.zero(fq)] * s
+        for ci, col in zip(c, cols):
+            u = [x + ci * y for x, y in zip(u, col)]
+        value = APoly.zero(fq)
+        for exps, coef in form.items():
+            for ci, e in zip(c, exps):
+                coef = coef * ci**e
+            value = value + coef
+        assert value == mat_det([order.mul_coords(u, e) for e in mat_identity(fq, s)])
+
+
+def test_norm_target_clears_the_colon_denominator():
+    fq = get_tower("f3").fq
+    t, one = APoly.var(fq), APoly.one(fq)
+    # (T+1)/T^3 times T^4 is T(T+1), up to a unit
+    assert _norm_target(RatFunc(-(t + one), t**3), t**2, 2) == t * (t + one)
+    # den^s = T^2 cannot clear T^3, so no candidate's norm matches
+    assert _norm_target(RatFunc(t + one, t**3), t, 2) is None
+    assert _norm_target(RatFunc(one, t), t + one, 3) is None
 
 
 def test_coords_of_matches_a_solve_per_element(ex38):

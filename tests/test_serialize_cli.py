@@ -201,6 +201,28 @@ def test_cli_input_errors(tmp_path, capsys):
             captured = capsys.readouterr()
             assert captured.out == ""
             assert captured.err == f"input error: {path}: field 'field': expected a JSON object\n"
+    # an array field given a scalar says what it expected, not that the
+    # scalar is not iterable
+    for spec, field, value in (
+        (dict(EX38_MODULE, phi_T=5), "phi_T", 5),
+        (dict(EX38_MODULE, field=dict(EX38_FIELD, h=5)), "h", 5),
+        (dict(EX38_MODULE, field=dict(EX38_FIELD, g=7)), "g", 7),
+    ):
+        path = _write(tmp_path, "array.json", spec)
+        assert main(["analyze", "--input", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: {path}: field '{field}': expected an array, got {value}\n"
+        )
+    for generators in (5, [5]):
+        path = _write(tmp_path, "ideal.json", {"generators": generators})
+        assert main(["ideal-act", "--input", mod, "--ideal", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: {path}: field 'generators': expected an array, got 5\n"
+        )
 
 
 def test_cli_jobs_validation(tmp_path, capsys):
