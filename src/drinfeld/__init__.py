@@ -26,7 +26,6 @@ from .apoly import (
     RatFunc,
     first_irreducible,
     minimal_poly_over_fq,
-    monic_irreducibles,
     monic_polys,
     poly_gcd,
     prime_divisors,
@@ -134,7 +133,6 @@ __all__ = [
     "minimal_frobenius_order",
     "minimal_poly_over_fq",
     "minpoly_frobenius",
-    "monic_irreducibles",
     "monic_polys",
     "order_from_pi_lattice",
     "poly_gcd",

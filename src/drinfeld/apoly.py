@@ -13,9 +13,12 @@ on it being stable.
 from __future__ import annotations
 
 import itertools
+from typing import TYPE_CHECKING
 
 from .errors import TooLarge
-from .fields import Fq, KElem
+
+if TYPE_CHECKING:  # fields builds F_q and k on APoly, so it imports this module
+    from .fields import Fq, KElem
 
 
 class APoly:
@@ -149,14 +152,17 @@ class APoly:
         """Modular exponentiation self^m mod modulus."""
         if not modulus:
             raise ZeroDivisionError("reduction modulo the zero polynomial")
-        r = APoly.one(self.fq) % modulus
+        # r stays None until the first factor, and the last square is
+        # skipped: a power of two costs its squarings only
+        r = None
         b = self % modulus
         while m:
             if m & 1:
-                r = (r * b) % modulus
-            b = (b * b) % modulus
+                r = b if r is None else r * b % modulus
             m >>= 1
-        return r
+            if m:
+                b = b * b % modulus
+        return APoly.one(self.fq) % modulus if r is None else r
 
     def monic(self) -> APoly:
         if not self:
@@ -180,27 +186,35 @@ class APoly:
             acc = acc * x + t.embed_fq(c)
         return acc
 
-    def eval_fq(self, x: int) -> int:
-        fq = self.fq
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = fq.add(fq.mul(acc, x), c)
-        return acc
-
     # -- structure --
 
+    def inverse_mod(self, modulus: APoly) -> APoly:
+        """The inverse of self modulo modulus, by extended Euclid."""
+        r0, r1 = modulus, self % modulus
+        s0, s1 = APoly.zero(self.fq), APoly.one(self.fq)
+        while r1:
+            quo, rem = divmod(r0, r1)
+            r0, r1, s0, s1 = r1, rem, s1, s0 - quo * s1
+        if r0.degree != 0:
+            raise ZeroDivisionError("not invertible modulo the polynomial")
+        # s0 * self = r0, a unit, modulo modulus
+        return s0.scale(self.fq.inv(r0.lc()))
+
     def is_irreducible(self) -> bool:
-        """Brute-force check by trial division up to degree deg/2."""
+        """Ben-Or's test: f of degree d is irreducible iff it has no factor
+        of degree i <= d/2, that is iff gcd(f, x^(q^i) - x mod f) = 1 for
+        every such i."""
         d = self.degree
         if d <= 0:
             return False
-        q = self.fq.q
-        if sum(q**i for i in range(1, d // 2 + 1)) > 10**6:
-            raise TooLarge("irreducibility check beyond desk scale")
-        for dd in range(1, d // 2 + 1):
-            for tail in itertools.product(range(q), repeat=dd):
-                if not self % APoly(self.fq, list(tail) + [1]):
-                    return False
+        if d > 1 and not self.coeffs[0]:  # divisible by x
+            return False
+        x = APoly.var(self.fq)
+        xqi = x
+        for _ in range(d // 2):
+            xqi = xqi.powmod(self.fq.q, self)
+            if poly_gcd(self, xqi - x).degree > 0:
+                return False
         return True
 
     def __eq__(self, other) -> bool:
@@ -244,30 +258,33 @@ def monic_polys(fq: Fq, degree: int):
         yield APoly(fq, list(tail) + [1])
 
 
-def monic_irreducibles(fq: Fq, max_degree: int):
-    """Monic irreducible polynomials of degree 1..max_degree, ascending."""
-    for d in range(1, max_degree + 1):
-        for f in monic_polys(fq, d):
-            if f.is_irreducible():
-                yield f
-
-
 def prime_divisors(f: APoly) -> list[APoly]:
-    """Monic irreducible divisors of a nonzero polynomial, by trial division."""
+    """Monic irreducible divisors of a nonzero polynomial, ascending by
+    degree, then lexicographically.
+
+    Trial division by every monic polynomial of degree up to half the
+    remaining degree: a divisor found this way has no factor of smaller
+    degree left, so it is prime, and so is whatever remains at the end."""
     out = []
     rest = f.monic()
-    for p in monic_irreducibles(f.fq, f.degree):
-        if rest.degree < 1:
-            break
-        if p.degree > rest.degree:
-            break
-        while True:
-            q, r = divmod(rest, p)
-            if r:
+    tried = 0
+    d = 1
+    while 2 * d <= rest.degree:
+        tried += f.fq.q**d
+        if tried > 10**6:
+            raise TooLarge("factorization beyond desk scale")
+        for p in monic_polys(f.fq, d):
+            if 2 * d > rest.degree:
                 break
-            if p not in out:
+            quo, rem = divmod(rest, p)
+            if not rem:
                 out.append(p)
-            rest = q
+            while not rem:
+                rest = quo
+                quo, rem = divmod(rest, p)
+        d += 1
+    if rest.degree > 0:
+        out.append(rest)
     return out
 
 

@@ -10,10 +10,12 @@ in k are lookups in discrete-log tables: exp[i] = gamma^i for a primitive
 element gamma of k, and log, its inverse. A tower loads the tables on its
 first such operation, and towers with the same defining data share them.
 Larger towers take the polynomial path, which also builds the tables:
-schoolbook products reduced mod g, inverses by extended Euclid, and
+APoly products and powers reduced mod g, inverses by extended Euclid, and
 a -> a^q applied through the vectors x^(i*q) mod g (the q-power map is
-F_q-linear on k). The tower is immutable after construction and all element
-operations are pure, so values can be shared freely.
+F_q-linear on k). F_q itself is built the same way over F_p: its product
+and inverse tables are read off the discrete-log tables of F_p[y]/(h).
+The tower is immutable after construction and all element operations are
+pure, so values can be shared freely.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import functools
 import itertools
 from functools import cached_property
 
+from .apoly import APoly
 from .errors import ContextError, TooLarge
 
 _TABLE_LIMIT = 512  # largest q for which full mul/inv tables are built
@@ -31,118 +34,9 @@ _TABLE_LIMIT = 512  # largest q for which full mul/inv tables are built
 _LOG_TABLE_LIMIT = 1 << 12
 
 
-def _int_poly_trim(c: list[int]) -> list[int]:
-    while c and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _int_poly_mulmod(a: list[int], b: list[int], h: list[int], p: int) -> list[int]:
-    # multiply two F_p polynomials and reduce modulo monic h
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    e = len(h) - 1
-    for i in range(len(out) - 1, e - 1, -1):
-        c = out[i]
-        if c:
-            out[i] = 0
-            for j in range(e):
-                out[i - e + j] = (out[i - e + j] - c * h[j]) % p
-    return _int_poly_trim(out)
-
-
-def _int_poly_is_irreducible(h: list[int], p: int) -> bool:
-    """Brute-force irreducibility over F_p: trial division by every monic
-    polynomial of degree at most deg(h)/2."""
-    deg = len(h) - 1
-    if deg <= 0:
-        return False
-    for d in range(1, deg // 2 + 1):
-        for tail in itertools.product(range(p), repeat=d):
-            div = list(tail) + [1]
-            rem = list(h)
-            # long division rem mod div
-            for i in range(len(rem) - 1, d - 1, -1):
-                c = rem[i]
-                if c:
-                    rem[i] = 0
-                    for j in range(d):
-                        rem[i - d + j] = (rem[i - d + j] - c * div[j]) % p
-            if not any(rem):
-                return False
-    return True
-
-
-def _fq_vec_divmod(fq: "Fq", a: list[int], b: list[int]) -> tuple[list[int], list[int]]:
-    """Division with remainder of F_q coefficient vectors (b nonzero, trimmed)."""
-    rem = list(a)
-    db = len(b) - 1
-    quo = [0] * max(0, len(rem) - db)
-    lead_inv = fq.inv(b[-1])
-    for i in range(len(rem) - 1, db - 1, -1):
-        c = rem[i]
-        if c:
-            c = fq.mul(c, lead_inv)
-            quo[i - db] = c
-            rem[i] = 0
-            for j in range(db):
-                rem[i - db + j] = fq.sub(rem[i - db + j], fq.mul(c, b[j]))
-    while rem and rem[-1] == 0:
-        rem.pop()
-    return quo, rem
-
-
-def _poly_mulmod(fq: "Fq", g: tuple[int, ...], a, b) -> tuple[int, ...]:
-    """Schoolbook product of two elements of F_q[x]/(g), g monic of degree n."""
-    n = len(g) - 1
-    prod = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    prod[i + j] = fq.add(prod[i + j], fq.mul(ai, bj))
-    red = _fq_vec_divmod(fq, prod, list(g))[1]
-    return tuple(red + [0] * (n - len(red)))
-
-
-def _poly_powmod(fq: "Fq", g: tuple[int, ...], a, m: int) -> tuple[int, ...]:
-    """a^m in F_q[x]/(g) for m >= 0, by squaring and schoolbook products."""
-    r = (1,) + (0,) * (len(g) - 2)
-    while m:
-        if m & 1:
-            r = _poly_mulmod(fq, g, r, a)
-        a = _poly_mulmod(fq, g, a, a)
-        m >>= 1
-    return r
-
-
-def _poly_invmod(fq: "Fq", g: tuple[int, ...], a) -> tuple[int, ...]:
-    """Inverse of a nonzero element of F_q[x]/(g) by extended Euclid."""
-    # extended gcd of (g, a as poly), tracking coefficients of a
-    r0, r1 = list(g), list(a)
-    while r1 and r1[-1] == 0:
-        r1.pop()
-    s0, s1 = [], [1]
-    while r1:
-        quo, rem = _fq_vec_divmod(fq, r0, r1)
-        qs = [0] * (len(quo) + len(s1) - 1) if quo and s1 else []
-        for i, ci in enumerate(quo):
-            if ci:
-                for j, dj in enumerate(s1):
-                    qs[i + j] = fq.add(qs[i + j], fq.mul(ci, dj))
-        news = [
-            fq.sub(s0[i] if i < len(s0) else 0, qs[i] if i < len(qs) else 0)
-            for i in range(max(len(s0), len(qs)))
-        ]
-        while news and news[-1] == 0:
-            news.pop()
-        r0, r1, s0, s1 = r1, rem, s1, news
-    # r0 is now a unit scalar gcd; s0 * a = r0 (mod g)
-    c = fq.inv(r0[0])
-    return tuple([fq.mul(c, v) for v in s0] + [0] * (len(g) - 1 - len(s0)))
+def _vector(a: APoly, n: int) -> tuple[int, ...]:
+    """The coefficient tuple of a reduced polynomial, padded to n entries."""
+    return a.coeffs + (0,) * (n - len(a.coeffs))
 
 
 def _poly_frob(fq: "Fq", vecs: list[tuple[int, ...]], a, j: int) -> tuple[int, ...]:
@@ -174,6 +68,29 @@ def _prime_factors(m: int) -> list[int]:
     return out
 
 
+def _primitive_powers(fq: Fq, g: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The powers gamma^i, 0 <= i < q^n - 1, of a primitive element gamma
+    of F_q[x]/(g), for g monic irreducible of degree n, as coefficient
+    tuples of length n."""
+    n = len(g) - 1
+    order = fq.q**n - 1
+    modulus = APoly(fq, g)
+    one = APoly.one(fq)
+    # gamma is primitive iff gamma^(order/l) != 1 for every prime l | order;
+    # candidates go by ascending degree, and a sparse gamma of low degree
+    # makes each product below cost O(n), not O(n^2)
+    cofactors = [order // ell for ell in _prime_factors(order)]
+    gamma = next(
+        a
+        for a in (APoly(fq, rev[::-1]) for rev in itertools.product(range(fq.q), repeat=n))
+        if a and all(a.powmod(c, modulus).coeffs != one.coeffs for c in cofactors)
+    )
+    powers = [one]
+    for _ in range(order - 1):
+        powers.append(powers[-1] * gamma % modulus)
+    return [_vector(a, n) for a in powers]
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
@@ -193,17 +110,18 @@ class Fq:
     """
 
     def __init__(self, p: int, e: int, h: tuple[int, ...]):
-        # before the primality and irreducibility checks, which cost up to
-        # sqrt(p) and q^(e/2) steps; e below the limit's bit length keeps
-        # p**e small
-        if p > 1 and e > 0 and (e >= _TABLE_LIMIT.bit_length() or p**e > _TABLE_LIMIT):
+        if e < 1:
+            raise ValueError("e must be at least 1")
+        # before the primality check, which costs up to sqrt(p) steps; e
+        # below the limit's bit length keeps p**e small
+        if p > 1 and (e >= _TABLE_LIMIT.bit_length() or p**e > _TABLE_LIMIT):
             raise TooLarge(f"q = {p}^{e} exceeds the desk-scale table limit")
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         h = tuple(c % p for c in h)
         if len(h) != e + 1 or h[-1] != 1:
             raise ValueError("h must be monic of degree e")
-        if not _int_poly_is_irreducible(list(h), p):
+        if e > 1 and not APoly(base_field(p, 1, (0, 1)), h).is_irreducible():
             raise ValueError("h is reducible over F_p")
         self.p = p
         self.e = e
@@ -213,34 +131,31 @@ class Fq:
 
     def _build_tables(self) -> None:
         p, e, q = self.p, self.e, self.q
-        digits = [self._digits(a) for a in range(q)]
-        mul = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                v = self._encode(_int_poly_mulmod(digits[a], digits[b], list(self.h), p))
-                mul[a][b] = v
-                mul[b][a] = v
-        self._mul = mul
-        inv = [0] * q
-        for a in range(1, q):
-            row = mul[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv[a] = b
-                    break
-        self._inv = inv
-        add = [[0] * q for _ in range(q)]
-        for a in range(q):
-            da = digits[a]
-            for b in range(q):
-                db = digits[b]
-                s = [((da[i] if i < len(da) else 0) + (db[i] if i < len(db) else 0)) % p for i in range(e)]
-                add[a][b] = self._encode(s)
+        if e == 1:
+            self._mul = [[a * b % p for b in range(q)] for a in range(q)]
+            self._inv = [0] + [pow(a, -1, p) for a in range(1, q)]
+        else:
+            # F_p[y]/(h) is built as k is: mul[a][b] = exp[(log a + log b) mod (q - 1)]
+            exp = [self._encode(v) for v in _primitive_powers(base_field(p, 1, (0, 1)), self.h)]
+            log = [0] * q
+            for i, a in enumerate(exp):
+                log[a] = i
+            self._mul = [[0] * q] + [
+                [0] + [exp[(log[a] + lb) % (q - 1)] for lb in log[1:]] for a in range(1, q)
+            ]
+            self._inv = [0] + [exp[-log[a] % (q - 1)] for a in range(1, q)]
+        # sums are digit-wise mod p, built up one base-p digit at a time
+        add = [[0]]
+        for size in (p**i for i in range(e)):
+            add = [
+                [
+                    add[a % size][b % size] + size * ((a // size + b // size) % p)
+                    for b in range(size * p)
+                ]
+                for a in range(size * p)
+            ]
         self._add = add
-        self._neg = [add[0][0]] * q
-        for a in range(q):
-            da = digits[a]
-            self._neg[a] = self._encode([(-c) % p for c in da] + [0] * (e - len(da)))
+        self._neg = [row.index(0) for row in add]
 
     def _digits(self, a: int) -> list[int]:
         out = []
@@ -341,22 +256,7 @@ class _LogTables:
 def _log_tables(fq: Fq, g: tuple[int, ...]) -> _LogTables:
     """The tables of k = F_q[x]/(g), built once per definition (fq compares
     by p and h, and g fixes n) by the polynomial path."""
-    n = len(g) - 1
-    order = fq.q**n - 1
-    one = (1,) + (0,) * (n - 1)
-    # gamma is primitive iff gamma^(order/l) != 1 for every prime l | order;
-    # candidates go by ascending degree, and a sparse gamma of low degree
-    # makes each product below cost O(n), not O(n^2)
-    cofactors = [order // ell for ell in _prime_factors(order)]
-    gamma = next(
-        a
-        for a in (rev[::-1] for rev in itertools.product(range(fq.q), repeat=n))
-        if any(a) and all(_poly_powmod(fq, g, a, c) != one for c in cofactors)
-    )
-    exp = [one]
-    for _ in range(order - 1):
-        exp.append(_poly_mulmod(fq, g, gamma, exp[-1]))
-    return _LogTables(exp, fq.q)
+    return _LogTables(_primitive_powers(fq, g), fq.q)
 
 
 class FieldTower:
@@ -373,41 +273,25 @@ class FieldTower:
         g = tuple(c % self.q if isinstance(c, int) else c for c in g)
         if len(g) != n + 1 or g[-1] != 1:
             raise ValueError("g must be monic of degree n")
-        if not self._fq_poly_is_irreducible(list(g)):
+        # desk scale: sum_{d <= n/2} q^d <= 10^6; twenty terms decide it,
+        # as 2^20 > 10^6
+        if sum(self.q**d for d in range(1, min(n // 2, 20) + 1)) > 10**6:
+            raise TooLarge(f"k of degree {n} over F_{self.q} is beyond desk scale")
+        self._modulus = APoly(self.fq, g)
+        if not self._modulus.is_irreducible():
             raise ValueError("g is reducible over F_q")
         self.g = g
         self.zero = KElem(self, (0,) * n)
         self.one = KElem(self, (1,) + (0,) * (n - 1))
 
-    # -- raw F_q[x] helpers (coefficient lists of F_q scalars) --
-
-    def _fq_poly_mod(self, a: list[int], d: list[int]) -> list[int]:
-        return _fq_vec_divmod(self.fq, a, d)[1]
-
-    def _fq_poly_is_irreducible(self, g: list[int]) -> bool:
-        deg = len(g) - 1
-        if deg <= 0:
-            return False
-        q = self.q
-        work = sum(q**d for d in range(1, deg // 2 + 1))
-        if work > 10**6:
-            raise TooLarge("irreducibility check beyond desk scale")
-        for d in range(1, deg // 2 + 1):
-            for tail in itertools.product(range(q), repeat=d):
-                if not self._fq_poly_mod(g, list(tail) + [1]):
-                    return False
-        return True
-
     @cached_property
     def _frob_vectors(self) -> list[tuple[int, ...]]:
         # vectors of x^(i*q) mod g; a -> a^q is F_q-linear through these
-        n = self.n
-        xq = self._fq_poly_mod([0] * self.q + [1], list(self.g))
-        xq = tuple(xq + [0] * (n - len(xq)))
-        vecs = [self.one.coeffs]
-        for _ in range(n - 1):
-            vecs.append(_poly_mulmod(self.fq, self.g, vecs[-1], xq))
-        return vecs
+        xq = APoly.var(self.fq).powmod(self.q, self._modulus)
+        vecs = [APoly.one(self.fq)]
+        for _ in range(self.n - 1):
+            vecs.append(vecs[-1] * xq % self._modulus)
+        return [_vector(v, self.n) for v in vecs]
 
     @cached_property
     def _tables(self) -> _LogTables | None:
@@ -461,6 +345,9 @@ class KElem:
         self.tower = tower
         self.coeffs = coeffs
 
+    def _poly(self) -> APoly:
+        return APoly(self.tower.fq, self.coeffs)
+
     def _check(self, other: KElem) -> None:
         if self.tower is not other.tower and self.tower != other.tower:
             raise ContextError("elements of different towers")
@@ -487,7 +374,7 @@ class KElem:
         t = self.tower
         tab = t._tables
         if tab is None:
-            return KElem(t, _poly_mulmod(t.fq, t.g, self.coeffs, other.coeffs))
+            return KElem(t, _vector(self._poly() * other._poly() % t._modulus, t.n))
         la = tab.log.get(self.coeffs)
         lb = tab.log.get(other.coeffs)
         if la is None or lb is None:  # zero has no logarithm
@@ -500,7 +387,7 @@ class KElem:
         if tab is None:
             if not self:
                 raise ZeroDivisionError("inversion of zero in k")
-            return KElem(t, _poly_invmod(t.fq, t.g, self.coeffs))
+            return KElem(t, _vector(self._poly().inverse_mod(t._modulus), t.n))
         la = tab.log.get(self.coeffs)
         if la is None:
             raise ZeroDivisionError("inversion of zero in k")
@@ -514,7 +401,7 @@ class KElem:
         tab = t._tables
         if tab is None:
             base = self.inv() if m < 0 else self
-            return KElem(t, _poly_powmod(t.fq, t.g, base.coeffs, abs(m)))
+            return KElem(t, _vector(base._poly().powmod(abs(m), t._modulus), t.n))
         la = tab.log.get(self.coeffs)
         if la is None:
             if m < 0:

@@ -149,12 +149,6 @@ class ALattice:
             gens.append(vec)
         return ALattice.from_generators(self.fq, self.dim, gens, self.den * den)
 
-    def sum(self, other: ALattice) -> ALattice:
-        """Lattice generated by both (common refinement of denominators)."""
-        gens = [[e * other.den for e in col] for col in self.cols]
-        gens += [[e * self.den for e in col] for col in other.cols]
-        return ALattice.from_generators(self.fq, self.dim, gens, self.den * other.den)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ALattice)

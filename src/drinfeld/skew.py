@@ -142,9 +142,6 @@ class SkewPoly:
             rem.pop()
         return SkewPoly(t, quo), SkewPoly(t, rem)
 
-    def rmod(self, other: SkewPoly) -> SkewPoly:
-        return self.rdivmod(other)[1]
-
     def right_divides(self, other: SkewPoly) -> bool:
         return not other.rdivmod(self)[1]
 

@@ -1,24 +1,17 @@
 """The discrete-log table path of k against the polynomial path.
 
-The polynomial path (schoolbook products reduced mod g, extended Euclid,
-the linear q-power map) builds the tables and serves towers above the
-table limit; here it is the reference every table lookup is checked
-against."""
+The polynomial path (APoly products and powers reduced mod g, extended
+Euclid, the linear q-power map) builds the tables and serves towers above
+the table limit; here it is the reference every table lookup is checked
+against, and sympy's GF(p) arithmetic checks it in turn."""
 
 import itertools
 import random
 
 import pytest
 
-from drinfeld import FieldTower, first_irreducible
-from drinfeld.fields import (
-    _LOG_TABLE_LIMIT,
-    base_field,
-    _poly_frob,
-    _poly_invmod,
-    _poly_mulmod,
-    _poly_powmod,
-)
+from drinfeld import APoly, FieldTower, first_irreducible
+from drinfeld.fields import _LOG_TABLE_LIMIT, _poly_frob, _vector, base_field
 from drinfeld.serialize import field_from_json, field_to_json
 
 from conftest import get_tower, rand_kelem
@@ -28,13 +21,17 @@ SAMPLED = ("f256", "f729")
 
 
 def ref_mul(t, a, b):
-    return _poly_mulmod(t.fq, t.g, a, b)
+    return _vector(APoly(t.fq, a) * APoly(t.fq, b) % APoly(t.fq, t.g), t.n)
+
+
+def ref_inv(t, a):
+    return _vector(APoly(t.fq, a).inverse_mod(APoly(t.fq, t.g)), t.n)
 
 
 def ref_pow(t, a, m):
     if m < 0:
-        return _poly_powmod(t.fq, t.g, _poly_invmod(t.fq, t.g, a), -m)
-    return _poly_powmod(t.fq, t.g, a, m)
+        a, m = ref_inv(t, a), -m
+    return _vector(APoly(t.fq, a).powmod(m, APoly(t.fq, t.g)), t.n)
 
 
 def check_element(t, a):
@@ -46,7 +43,7 @@ def check_element(t, a):
         assert want == ref_pow(t, a.coeffs, t.q ** (j % t.n))
     exponents = [0, 1, 2, 3, t.q, order, order + 1, 2 * order + 5]
     if a:
-        assert a.inv().coeffs == _poly_invmod(t.fq, t.g, a.coeffs)
+        assert a.inv().coeffs == ref_inv(t, a.coeffs)
         exponents += [-1, -2, -order - 1]
     for m in exponents:
         assert (a**m).coeffs == ref_pow(t, a.coeffs, m)
@@ -55,7 +52,23 @@ def check_element(t, a):
 def check_pair(t, a, b):
     assert (a * b).coeffs == ref_mul(t, a.coeffs, b.coeffs)
     if b:
-        assert (a / b).coeffs == ref_mul(t, a.coeffs, _poly_invmod(t.fq, t.g, b.coeffs))
+        assert (a / b).coeffs == ref_mul(t, a.coeffs, ref_inv(t, b.coeffs))
+
+
+@pytest.mark.parametrize("name", ("f9", "f27", "f256"))
+def test_reference_product_matches_sympy(name):
+    galois = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    t = get_tower(name)
+    g = list(reversed(t.g))
+    rng = random.Random(43)
+    for _ in range(200):
+        a, b = rand_kelem(rng, t).coeffs, rand_kelem(rng, t).coeffs
+        a_be, b_be = (galois.gf_strip(list(v[::-1])) for v in (a, b))
+        prod = galois.gf_rem(galois.gf_mul(a_be, b_be, t.p, ZZ), g, t.p, ZZ)
+        want = tuple(reversed(prod)) + (0,) * (t.n - len(prod))
+        assert ref_mul(t, a, b) == want
 
 
 @pytest.mark.parametrize("name", EXHAUSTIVE)

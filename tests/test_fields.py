@@ -1,8 +1,11 @@
+import json
 import random
+import time
 
 import pytest
 
 from drinfeld import APoly, FieldTower, TooLarge, roots_in_k
+from drinfeld.cli import main
 from drinfeld.serialize import kelem_from_json, kelem_to_json
 
 from conftest import get_tower, rand_kelem
@@ -80,12 +83,53 @@ def test_reducible_polynomials_rejected():
     with pytest.raises(ValueError):
         FieldTower(2, 2, [1, 0, 1], 1, [0, 1])  # y^2+1 reducible over F_2
     with pytest.raises(ValueError):
+        FieldTower(3, 3, [0, 1, 0, 1], 1, [0, 1])  # y^3+y is divisible by y
+    with pytest.raises(ValueError):
         FieldTower(4, 1, [0, 1], 2, [1, 1, 1])  # p = 4 is not prime
 
 
 def test_table_guard():
     with pytest.raises(TooLarge):
         FieldTower(1009, 1, [0, 1], 1, [0, 1])
+
+
+def _sparse(n, terms):
+    return [terms.get(i, 0) for i in range(n)] + [1]
+
+
+# the largest towers the desk-scale guard accepts over F_2 and F_3
+# (sum_{d <= n/2} q^d <= 10^6), and the first ones it refuses, each with
+# an irreducible g
+ACCEPTED = [(2, 37, {0: 1, 1: 1, 2: 1, 9: 1}), (3, 25, {0: 1, 3: 2})]
+REFUSED = [(2, 38, {0: 1, 1: 1, 2: 1, 7: 1}), (3, 26, {0: 1, 2: 2})]
+
+
+def test_boundary_moduli_are_irreducible_by_sympy():
+    sympy = pytest.importorskip("sympy")
+    x = sympy.Symbol("x")
+    for p, n, terms in ACCEPTED + REFUSED:
+        g = sympy.Poly(list(reversed(_sparse(n, terms))), x, modulus=p)
+        assert g.is_irreducible
+
+
+def test_tower_guard_boundary(tmp_path, capsys):
+    for p, n, terms in ACCEPTED:
+        start = time.process_time()
+        tower = FieldTower(p, 1, [0, 1], n, _sparse(n, terms))
+        assert time.process_time() - start < 1.0
+        a = tower.gen() + tower.one
+        assert a * a.inv() == tower.one
+        assert a.frobq(n) == a
+    for p, n, terms in REFUSED:
+        with pytest.raises(TooLarge):
+            FieldTower(p, 1, [0, 1], n, _sparse(n, terms))
+        path = tmp_path / "module.json"
+        field = {"p": p, "e": 1, "h": [0, 1], "n": n, "g": _sparse(n, terms)}
+        path.write_text(json.dumps({"field": field, "phi_T": [[0], [1]]}))
+        assert main(["analyze", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: k of degree {n} over F_{p} is beyond desk scale\n"
 
 
 def test_canonical_encoding_roundtrip():

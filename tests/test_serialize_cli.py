@@ -1,4 +1,8 @@
+import contextlib
+import io
 import json
+import pathlib
+import tempfile
 
 import pytest
 
@@ -81,6 +85,57 @@ def _write(tmp_path, name, obj):
     path = tmp_path / name
     path.write_text(json.dumps(obj))
     return str(path)
+
+
+def _field_specs():
+    """Field specs with small p, e and n and random h and g digits, where
+    h and g are monic of the stated degree or one off, and where one key
+    may hold a value of the wrong type or be missing."""
+    st = pytest.importorskip("hypothesis.strategies")
+    junk = st.one_of(st.none(), st.booleans(), st.text(max_size=2), st.floats(allow_nan=False))
+
+    @st.composite
+    def specs(draw):
+        p = draw(st.sampled_from([2, 3, 5, 7, 4, 1, 0, -3]))
+        e = draw(st.integers(-1, 3))
+        n = draw(st.integers(-1, 4))
+        digit = st.integers(0, max(p, 1) - 1)
+        top = st.one_of(st.just([1]), st.sampled_from([[], [0, 1]]))
+        h = draw(st.lists(digit, min_size=max(e, 0), max_size=max(e, 0))) + draw(top)
+        scalar = st.one_of(digit, st.lists(digit, max_size=max(e, 1)))
+        g = draw(st.lists(scalar, min_size=max(n, 0), max_size=max(n, 0))) + draw(top)
+        spec = {"p": p, "e": e, "h": h, "n": n, "g": g}
+        key = draw(st.one_of(st.none(), st.sampled_from(["p", "e", "h", "n", "g"])))
+        if key is not None:
+            if draw(st.booleans()):
+                del spec[key]
+            else:
+                spec[key] = draw(junk)
+        return spec
+
+    return specs()
+
+
+def test_cli_field_spec_fuzz():
+    hypothesis = pytest.importorskip("hypothesis")
+
+    @hypothesis.settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(_field_specs())
+    def run(field):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = pathlib.Path(tmp) / "module.json"
+            path.write_text(json.dumps({"field": field, "phi_T": [[0], [1]]}))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                rc = main(["analyze", "--input", str(path)])
+        assert rc in (0, 2), (field, err.getvalue())
+        if rc == 2:
+            assert out.getvalue() == ""
+            assert err.getvalue().count("\n") == 1, err.getvalue()
+        else:
+            assert err.getvalue() == ""
+
+    run()
 
 
 def test_cli_analyze(tmp_path, capsys):
@@ -168,16 +223,20 @@ def test_cli_input_errors(tmp_path, capsys):
     assert main(["analyze", "--input", reducible]) == 2
     capsys.readouterr()
     # size and shape guards fire before any expensive check: a huge prime
-    # is not trial-divided, and a negative degree does not index g
+    # is not trial-divided, and a negative degree does not index g or h
     for field in (
         {"p": 1000000000000000003, "e": 1, "h": [0, 1], "n": 1, "g": [1, 1]},
         {"p": 2, "e": 1, "h": [0, 1], "n": -1, "g": []},
+        {"p": 2, "e": -1, "h": [], "n": 1, "g": [0, 1]},
+        {"p": 2, "e": 0, "h": [1], "n": 1, "g": [0, 1]},
     ):
         mod = _write(tmp_path, "field.json", {"field": field, "phi_T": [[0], [1]]})
         assert main(["analyze", "--input", mod]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("input error: ")
+        if field["e"] < 1:
+            assert captured.err == "input error: e must be at least 1\n"
     # valid JSON that is not an object, as a module, an ideal, a census
     # spec, or the field inside either
     mod = _write(tmp_path, "mod.json", EX38_MODULE)
