@@ -139,6 +139,8 @@ class APoly:
         return q
 
     def __pow__(self, m: int) -> APoly:
+        if m < 0:
+            raise ValueError("negative exponent; invert first")
         r = APoly.one(self.fq)
         b = self
         while m:
@@ -149,9 +151,11 @@ class APoly:
         return r
 
     def powmod(self, m: int, modulus: APoly) -> APoly:
-        """Modular exponentiation self^m mod modulus."""
+        """Modular exponentiation self^m mod modulus, for m >= 0."""
         if not modulus:
             raise ZeroDivisionError("reduction modulo the zero polynomial")
+        if m < 0:
+            raise ValueError("negative exponent; invert first")
         # r stays None until the first factor, and the last square is
         # skipped: a power of two costs its squarings only
         r = None
@@ -294,10 +298,16 @@ def roots_in_k(tower, f: APoly) -> list[KElem]:
 
 
 def first_irreducible(fq: Fq, degree: int) -> APoly:
-    """The first monic irreducible of the given degree in enumeration order."""
-    for f in monic_polys(fq, degree):
-        if f.is_irreducible():
-            return f
+    """The first monic irreducible of the given degree in the order of
+    `monic_polys`. Above degree 1 a candidate with f(0) = 0 is divisible
+    by T, so the walk starts at constant term 1: the constant term is
+    the most significant digit of that order."""
+    if degree >= 1:
+        for c0 in range(1 if degree > 1 else 0, fq.q):
+            for tail in itertools.product(range(fq.q), repeat=degree - 1):
+                f = APoly(fq, (c0,) + tail + (1,))
+                if f.is_irreducible():
+                    return f
     raise ValueError("no irreducible polynomial found")
 
 

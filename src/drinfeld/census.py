@@ -14,10 +14,12 @@ factored out. The classes are then grouped into isogeny classes by the
 minimal polynomial of the Frobenius.
 
 One pass serves the whole census: the partition is built once per root,
-its groups feed both the class records and the validators, and each
-representative's endomorphism-ring summary is computed once
-(`IsoClass.end`). On top of the partition the census validates the two
-classification statements:
+and its groups feed both the class records and the validators. The
+endomorphism-ring summaries come from the isogeny class
+(`IsogenyClass.end`): A[pi] is built once per isogeny class, whose
+members share m, and the index over it and the Gorenstein conductor once
+per distinct End order, not once per isomorphism class. On top of the
+partition the census validates the two classification statements:
 
 * the minimal order occurs as an endomorphism ring in a commutative
   isogeny class exactly when the class is ordinary or the ground field
@@ -41,6 +43,7 @@ from .fields import FieldTower, KElem
 from .lattices import lattice_index
 from .modules import DrinfeldModule
 from .orders import (
+    AOrder,
     FracIdeal,
     endomorphism_ring,
     gorenstein_conductor,
@@ -128,17 +131,31 @@ class IsoClass:
     rep: DrinfeldModule
     size: int = 0
 
-    @cached_property
-    def end(self) -> dict:
-        """`end_ring_summary` of the representative, computed once."""
-        return end_ring_summary(self.rep)
-
 
 @dataclass
 class IsogenyClass:
     m_text: str
     profile_summary: dict
     iso_classes: list[IsoClass] = field(default_factory=list)
+    # End order -> its summary; members with equal End rings share one
+    order_summaries: dict[AOrder, dict] = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def minimal_order(self) -> AOrder:
+        """A[pi], the same order for every member: they share m."""
+        rep = self.iso_classes[0].rep
+        return minimal_frobenius_order(rep.profile(), rep)
+
+    def end(self, entry: IsoClass) -> dict:
+        """Endomorphism-ring record of a member's representative."""
+        if not self.profile_summary["commutative"]:
+            return {"commutative": False}
+        order = endomorphism_ring(entry.rep)
+        summary = self.order_summaries.get(order)
+        if summary is None:
+            summary = end_order_summary(order, self.minimal_order)
+            self.order_summaries[order] = summary
+        return summary
 
 
 def census_isomorphism_classes(
@@ -198,13 +215,9 @@ def census_isomorphism_classes(
     return out
 
 
-def end_ring_summary(module: DrinfeldModule) -> dict:
-    """Endomorphism-ring record for one isomorphism class representative."""
-    prof = module.profile()
-    if not prof.end_ring_commutative:
-        return {"commutative": False}
-    end = endomorphism_ring(module)
-    minimal = minimal_frobenius_order(prof, module)
+def end_order_summary(end: AOrder, minimal: AOrder) -> dict:
+    """Endomorphism-ring record of a commutative End order over the
+    minimal order A[pi] of its isogeny class."""
     index = lattice_index(end.pi_lattice, minimal.pi_lattice)
     out = {
         "commutative": True,
@@ -232,8 +245,9 @@ def validate_minimal_order_occurrence(group: IsogenyClass) -> dict:
     occurs = False
     indices = []
     for entry in group.iso_classes:
-        indices.append(entry.end["index_over_minimal"])
-        if entry.end["is_minimal"]:
+        end = group.end(entry)
+        indices.append(end["index_over_minimal"])
+        if end["is_minimal"]:
             occurs = True
     expected = summary["ordinary"] or summary["d"] == summary["n"]
     if occurs != expected:
@@ -276,7 +290,7 @@ def validate_ideal_class_action(
 
     base = None
     for entry in group.iso_classes:
-        if entry.end["is_minimal"]:
+        if group.end(entry)["is_minimal"]:
             base = entry.rep
             break
     if base is None:
@@ -390,7 +404,7 @@ def census_records(tower: FieldTower, groups: dict[str, IsogenyClass]) -> list[d
                 "size": entry.size,
             }
             rec.update(grp.profile_summary)
-            rec["end"] = dict(entry.end)
+            rec["end"] = dict(grp.end(entry))
             records.append(rec)
     records.sort(key=lambda r: (r["m"], r["iso_class"]))
     return records

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .census import (
     census_records,
@@ -40,7 +41,10 @@ from .worked_examples import run_worked_examples, summary_lines
 SCHEMA_VERSION = 1
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing
+    leaves no state in it, and each parse returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="drinfeld",
         description="Frobenius invariants, endomorphism rings and ideal "

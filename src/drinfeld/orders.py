@@ -287,6 +287,33 @@ class AOrder:
         adj * (dens * v) / (det * den)."""
         return mat_solve(self.basis_matrix[0], mat_identity(self.fq, self.s))
 
+    @cached_property
+    def trace_form(self) -> tuple[APoly, list[list[APoly]]]:
+        """(det G, adj G) of the trace Gram matrix G[i][j] = Tr(e_i e_j) of
+        the basis; InseparableExtension when the trace form degenerates."""
+        if not self.ext.is_separable():
+            raise InseparableExtension("trace form degenerates; dual undefined")
+        traces = []
+        for b in self.basis_ext:
+            tr = b.trace()
+            if not tr.is_integral():
+                raise InternalError("trace of an integral element escaped A")
+            traces.append(tr.to_apoly())
+        gram = []
+        for i in range(self.s):
+            row = []
+            for j in range(self.s):
+                acc = APoly.zero(self.fq)
+                for c, tr in zip(self.table[i][j], traces):
+                    if c:
+                        acc = acc + c * tr
+                row.append(acc)
+            gram.append(row)
+        det, adj = mat_solve(gram, mat_identity(self.fq, self.s))
+        if not det:
+            raise InseparableExtension("trace form is singular")
+        return det, adj
+
     def ideal_lattice_to_pi(self, lat: ALattice) -> ALattice:
         rows, dens = self.basis_matrix
         return lat.transform(rows, dens)
@@ -373,11 +400,12 @@ class FracIdeal:
     """A fractional ideal of an order, as an HNF lattice in the order's
     basis coordinates (the order itself is the identity lattice)."""
 
-    __slots__ = ("order", "lattice")
+    __slots__ = ("order", "lattice", "_norm")
 
     def __init__(self, order: AOrder, lattice: ALattice):
         self.order = order
         self.lattice = lattice
+        self._norm = None
 
     @staticmethod
     def from_generators(order: AOrder, vectors, den: APoly | None = None) -> FracIdeal:
@@ -406,8 +434,13 @@ class FracIdeal:
         return FracIdeal(self.order, self.lattice.scale(r))
 
     def norm(self) -> RatFunc:
-        """chi(order / I), extended multiplicatively to fractional ideals."""
-        return RatFunc(self.lattice.det(), self.lattice.den ** self.order.s).monic_normalized()
+        """chi(order / I), extended multiplicatively to fractional ideals;
+        computed once per ideal."""
+        if self._norm is None:
+            self._norm = RatFunc(
+                self.lattice.det(), self.lattice.den ** self.order.s
+            ).monic_normalized()
+        return self._norm
 
     def norm_poly(self) -> APoly:
         return self.norm().to_apoly()
@@ -500,6 +533,33 @@ class FracIdeal:
             result = result.scale(RatFunc(b_den))
         return result
 
+    def dual(self) -> FracIdeal:
+        """The trace dual {x : Tr(x * I) <= A}.
+
+        With G the trace Gram matrix of the order and I spanned by the
+        columns of B / d, x = sum c_i e_i lies in the dual exactly when
+        c^T G B / d is integral. So the dual is spanned by the columns of
+        d G^-1 B^-T = d adj(G) adj(B)^T / (det G det B)."""
+        order = self.order
+        fq, s = order.fq, order.s
+        det_g, adj_g = order.trace_form
+        cols = self.lattice.cols
+        det_b, adj_b = mat_solve(
+            [[col[i] for col in cols] for i in range(s)], mat_identity(fq, s)
+        )
+        d = self.lattice.den
+        gens = []
+        for k in range(s):
+            vec = []
+            for i in range(s):
+                acc = APoly.zero(fq)
+                for a, b in zip(adj_g[i], adj_b[k]):
+                    if a and b:
+                        acc = acc + a * b
+                vec.append(acc * d)
+            gens.append(vec)
+        return FracIdeal(order, ALattice.from_generators(fq, s, gens, det_g * det_b))
+
     def multiplicator_ring(self) -> AOrder:
         """O_I = (I : I), an overorder of the ambient order."""
         oi = self.colon(self)
@@ -525,42 +585,20 @@ class FracIdeal:
 
 def trace_dual(order: AOrder) -> FracIdeal:
     """The lattice {x : Tr(x * order) <= A} in order coordinates."""
-    if not order.ext.is_separable():
-        raise InseparableExtension("trace form degenerates; dual undefined")
-    s = order.s
-    traces = []
-    for b in order.basis_ext:
-        tr = b.trace()
-        if not tr.is_integral():
-            raise InternalError("trace of an integral element escaped A")
-        traces.append(tr.to_apoly())
-    tmat = []
-    for i in range(s):
-        row = []
-        for j in range(s):
-            acc = APoly.zero(order.fq)
-            for m in range(s):
-                c = order.table[i][j][m]
-                if c:
-                    acc = acc + c * traces[m]
-            row.append(acc)
-        tmat.append(row)
-    det, adj = mat_solve(tmat, mat_identity(order.fq, s))
-    if not det:
-        raise InseparableExtension("trace form is singular")
-    cols = [[adj[i][j] for i in range(s)] for j in range(s)]
-    lat = ALattice.from_generators(order.fq, s, cols, det)
-    return FracIdeal(order, lat)
+    return order.unit_ideal().dual()
 
 
 def gorenstein_conductor(order: AOrder) -> APoly:
-    """chi(order / C) for C = dual * (order : dual); the order is
-    Gorenstein at ell exactly when ell does not divide this index."""
+    """chi(order / C) for C = D * (order : D) with D the trace dual; the
+    order is Gorenstein at ell exactly when ell does not divide this
+    index. Trace duality (I : J) = (J * I^dual)^dual gives
+    (order : D) = (D * D)^dual, so no colon is solved."""
     dual = trace_dual(order)
-    c = dual.mul(order.unit_ideal().colon(dual))
+    c = dual.mul(dual.mul(dual).dual())
     if not c.is_integral():
         raise InternalError("Gorenstein conductor ideal is not integral")
     return c.norm_poly()
+
 
 def is_gorenstein_at(order: AOrder, ell: APoly) -> bool:
     if not ell.is_irreducible():

@@ -71,6 +71,15 @@ def test_powmod_matches_naive():
         T(fq).powmod(2, APoly.zero(fq))
 
 
+def test_negative_exponent_is_rejected():
+    # m >>= 1 stays at -1, so a negative exponent used to loop forever
+    fq = fq2()
+    with pytest.raises(ValueError):
+        T(fq).powmod(-1, APoly(fq, (1, 1, 1)))
+    with pytest.raises(ValueError):
+        T(fq) ** -2
+
+
 def test_euclidean_identity_random():
     rng = random.Random(2)
     fq = fq3()

@@ -156,6 +156,14 @@ def test_first_irreducible_is_unchanged(q):
     assert got == FIRST_IRREDUCIBLE[q]
 
 
+def test_first_irreducible_degree_24_over_f2():
+    # the walk skips the 2^23 candidates with f(0) = 0 that come first
+    f = first_irreducible(base_field(2, 1, (0, 1)), 24)
+    assert f.degree == 24 and f.is_monic() and f.coeffs[0] == 1
+    assert f.is_irreducible()
+    assert _sympy_poly(f).is_irreducible
+
+
 def test_random_products_are_reducible():
     rng = random.Random(5)
     for fq in (base_field(5, 1, (0, 1)), F4):

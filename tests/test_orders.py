@@ -224,6 +224,124 @@ def test_trace_dual_contains_order(ex38):
     assert dual.lattice.contains_lattice(end.unit_ideal().lattice)
 
 
+def _random_ideals(order, rng, count):
+    """Ideals generated by two random integral elements, every other one
+    divided by T + 1 so that denominators occur."""
+    fq = order.fq
+    out = []
+    while len(out) < count:
+        gens = [[rand_apoly(rng, fq, 2) for _ in range(order.s)] for _ in range(2)]
+        if not any(any(v) for v in gens):
+            continue
+        ideal = FracIdeal.from_generators(order, gens)
+        if len(out) % 2:
+            ideal = ideal.scale(RatFunc(APoly.one(fq), APoly(fq, [1, 1])))
+        out.append(ideal)
+    return out
+
+
+def _elements(ideal):
+    order = ideal.order
+    return [order.elem_from_coords(list(col), ideal.lattice.den) for col in ideal.lattice.cols]
+
+
+def _f9_minimal_orders(count):
+    tower = get_tower("f9")
+    rng = random.Random(11)
+    out = []
+    while len(out) < count:
+        coeffs = [[rng.randrange(3) for _ in range(2)] for _ in range(3)]
+        if not any(coeffs[-1]):
+            continue
+        phi = DrinfeldModule.from_coeffs(tower, coeffs)
+        if not phi.profile().end_ring_commutative:
+            continue
+        minimal = minimal_frobenius_order(phi.profile(), phi)
+        if minimal.ext.is_separable():
+            out.append(minimal)
+    return out
+
+
+def _check_dual(ideal):
+    dual = ideal.dual()
+    assert dual.dual() == ideal
+    # Tr pairs I with its dual into A, and perfectly: det of the pairing is a unit
+    pairing = []
+    for x in _elements(ideal):
+        row = []
+        for y in _elements(dual):
+            tr = (x * y).trace()
+            assert tr.is_integral()
+            row.append(tr.to_apoly())
+        pairing.append(row)
+    assert mat_det(pairing).degree == 0
+
+
+def test_dual_is_an_involution_with_perfect_trace_pairing(ex38):
+    _, end, _, _, example = ex38
+    rng = random.Random(7)
+    for ideal in [end.unit_ideal(), example] + _random_ideals(end, rng, 6):
+        _check_dual(ideal)
+    for order in _f9_minimal_orders(4):
+        for ideal in [order.unit_ideal()] + _random_ideals(order, rng, 3):
+            _check_dual(ideal)
+
+
+def _colon_conductor(order):
+    """The conductor as computed before trace duality: chi(order / D (order : D))."""
+    dual = trace_dual(order)
+    return dual.mul(order.unit_ideal().colon(dual)).norm_poly()
+
+
+@pytest.mark.parametrize("name,separable,inseparable", [("f4", 15, 1), ("f9", 138, 0)])
+def test_gorenstein_conductor_matches_colon_oracle(name, separable, inseparable):
+    from drinfeld import census_isomorphism_classes, characteristic_roots
+
+    tower = get_tower(name)
+    counts = [0, 0]
+    for _, t in characteristic_roots(tower):
+        for grp in census_isomorphism_classes(tower, 2, t).values():
+            if not grp.profile_summary["commutative"]:
+                continue
+            for entry in grp.iso_classes:
+                end = endomorphism_ring(entry.rep)
+                if not end.ext.is_separable():
+                    with pytest.raises(InseparableExtension):
+                        gorenstein_conductor(end)
+                    counts[1] += 1
+                    continue
+                assert gorenstein_conductor(end) == _colon_conductor(end)
+                counts[0] += 1
+    assert counts == [separable, inseparable]
+
+
+# rank-3 modules whose End ring is not Gorenstein, with its conductor
+NON_GORENSTEIN_RANK3 = [
+    ("f16", [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0]], [1, 1]),  # ex38
+    ("f8", [[0, 1, 1], [1, 1, 1], [0, 1, 1], [0, 1, 0]], [0, 1]),
+    ("f8", [[0, 1, 1], [0, 1, 1], [0, 1, 0], [1, 1, 0]], [1, 1]),
+    ("f16", [[0, 0, 1, 0], [1, 1, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0]], [0, 1]),
+    ("f27", [[1, 2, 0], [1, 2, 0], [0, 1, 0], [2, 1, 1]], [0, 1]),
+    ("f27", [[0, 1, 1], [1, 2, 0], [0, 2, 0], [2, 1, 0]], [2, 1]),
+]
+
+
+@pytest.mark.parametrize("name,coeffs,conductor", NON_GORENSTEIN_RANK3)
+def test_gorenstein_conductor_matches_colon_oracle_rank3(name, coeffs, conductor):
+    end = endomorphism_ring(DrinfeldModule.from_coeffs(get_tower(name), coeffs))
+    want = APoly(end.fq, conductor)
+    assert _colon_conductor(end) == gorenstein_conductor(end) == want
+
+
+def test_dual_of_inseparable_order_raises():
+    f8 = get_tower("f8")
+    end = endomorphism_ring(DrinfeldModule(f8, SkewPoly.tau_power(f8, 2)))
+    with pytest.raises(InseparableExtension):
+        end.unit_ideal().dual()
+    with pytest.raises(InseparableExtension):
+        gorenstein_conductor(end)
+
+
 def test_integral_ideal_enumeration(ex38):
     phi, end, c2, c3, ideal = ex38
     only_unit = list(integral_ideals(end, 0))

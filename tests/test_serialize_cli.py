@@ -284,6 +284,30 @@ def test_cli_input_errors(tmp_path, capsys):
         )
 
 
+def test_cli_parser_is_shared_and_parses_independently(tmp_path, capsys):
+    from drinfeld.cli import build_parser
+
+    assert build_parser() is build_parser()
+    a = build_parser().parse_args(
+        ["census", "--input", "c.json", "--skip-validate", "--seed", "3"]
+    )
+    b = build_parser().parse_args(["analyze", "--input", "m.json", "--format", "text"])
+    c = build_parser().parse_args(["census", "--input", "d.json"])
+    assert (a.command, a.input, a.skip_validate, a.seed) == ("census", "c.json", True, 3)
+    assert (b.command, b.input, b.format) == ("analyze", "m.json", "text")
+    assert not hasattr(b, "skip_validate") and not hasattr(a, "format")
+    assert (c.input, c.skip_validate, c.seed) == ("d.json", False, 0)
+
+    # the text format of one call does not carry over into the next
+    mod = _write(tmp_path, "mod.json", EX38_MODULE)
+    assert main(["analyze", "--input", mod, "--format", "text"]) == 0
+    text = capsys.readouterr().out
+    assert main(["analyze", "--input", mod]) == 0
+    assert json.loads(capsys.readouterr().out)["m"] == "x^3+T*x^2+x+(T^4+T+1)"
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(text)
+
+
 def test_cli_jobs_validation(tmp_path, capsys):
     # --jobs was parsed but did nothing, so it is no longer accepted
     mod = _write(tmp_path, "mod.json", EX38_MODULE)
