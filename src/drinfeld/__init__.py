@@ -53,6 +53,7 @@ from .orders import (
     coords_in_skew_basis,
     endomorphism_ring,
     gorenstein_conductor,
+    ideals_of_norm_degree,
     integral_ideals,
     is_gorenstein,
     is_gorenstein_at,
@@ -122,6 +123,7 @@ __all__ = [
     "find_isomorphism",
     "first_irreducible",
     "gorenstein_conductor",
+    "ideals_of_norm_degree",
     "integral_ideals",
     "is_gorenstein",
     "is_gorenstein_at",

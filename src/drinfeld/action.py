@@ -23,14 +23,17 @@ from .skew import SkewPoly, rgcd
 
 
 def skew_realization(order: AOrder, coords: list[APoly]) -> SkewPoly:
-    """The element of k{tau} with the given integral order coordinates."""
+    """The element of k{tau} with the given integral order coordinates:
+    sum over j and a of c_(j,a) * phi_{T^a} * b_j, from the products the
+    order keeps (`AOrder.skew_term`)."""
     if order.skew_basis is None or order.module is None:
         raise InternalError("order carries no skew realization")
-    module = order.module
-    acc = SkewPoly.zero(module.tower)
-    for c, b in zip(coords, order.skew_basis):
-        if c:
-            acc = acc + module(c) * b
+    tower = order.module.tower
+    acc = SkewPoly.zero(tower)
+    for j, c in enumerate(coords):
+        for a, v in enumerate(c.coeffs):
+            if v:
+                acc = acc + order.skew_term(j, a).left_scale(tower.embed_fq(v))
     return acc
 
 
@@ -63,7 +66,9 @@ def act(phi: DrinfeldModule, ideal: FracIdeal) -> IdealActionResult:
     psi_t, rem = prod.rdivmod(u)
     if rem:
         raise InternalError("conjugation by u_I left a remainder")
-    psi = DrinfeldModule(phi.tower, psi_t)
+    # psi_T[0] = t^(q^v) for v the tau-valuation of u: a Frobenius
+    # conjugate of t, so the characteristic prime carries over
+    psi = DrinfeldModule.with_char_prime(phi.tower, psi_t, phi.char_prime)
     ann = annihilator_ideal(order, integral, u)
     if not ann.lattice.contains_lattice(integral.lattice):
         raise InternalError("annihilator does not contain the ideal")
@@ -103,8 +108,7 @@ def annihilator_ideal(order: AOrder, integral: FracIdeal, u: SkewPoly) -> FracId
         cols = []
         for j in range(s):
             for a in range(degc):
-                w = module(APoly(fq, [0] * a + [1])) * order.skew_basis[j]
-                rem = w.rdivmod(u)[1]
+                rem = order.skew_term(j, a).rdivmod(u)[1]
                 flat = [0] * height
                 for dg, coeff in enumerate(rem.coeffs):
                     for comp, v in enumerate(coeff.coeffs):

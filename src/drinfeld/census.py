@@ -16,9 +16,9 @@ minimal polynomial of the Frobenius.
 One pass serves the whole census: the partition is built once per root,
 and its groups feed both the class records and the validators. The
 endomorphism-ring summaries come from the isogeny class
-(`IsogenyClass.end`): A[pi] is built once per isogeny class, whose
-members share m, and the index over it and the Gorenstein conductor once
-per distinct End order, not once per isomorphism class. On top of the
+(`IsogenyClass.end`): the index over A[pi], whose pi-lattice is the
+identity, and the Gorenstein conductor are computed once per distinct
+End order, not once per isomorphism class. On top of the
 partition the census validates the two classification statements:
 
 * the minimal order occurs as an endomorphism ring in a commutative
@@ -34,22 +34,21 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from .action import act
 from .apoly import APoly, minimal_poly_over_fq
 from .errors import CensusViolation, InseparableExtension, TooLarge
 from .fields import FieldTower, KElem
-from .lattices import lattice_index
+from .lattices import ALattice, lattice_index
 from .modules import DrinfeldModule
 from .orders import (
     AOrder,
     FracIdeal,
     endomorphism_ring,
     gorenstein_conductor,
-    integral_ideals,
+    ideals_of_norm_degree,
     lin_equiv,
-    minimal_frobenius_order,
 )
 from .skew import SkewPoly
 
@@ -140,12 +139,6 @@ class IsogenyClass:
     # End order -> its summary; members with equal End rings share one
     order_summaries: dict[AOrder, dict] = field(default_factory=dict, init=False, repr=False)
 
-    @cached_property
-    def minimal_order(self) -> AOrder:
-        """A[pi], the same order for every member: they share m."""
-        rep = self.iso_classes[0].rep
-        return minimal_frobenius_order(rep.profile(), rep)
-
     def end(self, entry: IsoClass) -> dict:
         """Endomorphism-ring record of a member's representative."""
         if not self.profile_summary["commutative"]:
@@ -153,7 +146,7 @@ class IsogenyClass:
         order = endomorphism_ring(entry.rep)
         summary = self.order_summaries.get(order)
         if summary is None:
-            summary = end_order_summary(order, self.minimal_order)
+            summary = end_order_summary(order)
             self.order_summaries[order] = summary
         return summary
 
@@ -166,13 +159,17 @@ def census_isomorphism_classes(
     visited: set[tuple] = set()
     classes: list[IsoClass] = []
     count = 0
+    # every candidate has constant term t, so one characteristic prime
+    char_prime = minimal_poly_over_fq(t)
     for coeffs in _candidate_vectors(tower, rank, t):
         count += 1
         if tuple(c.coeffs for c in coeffs) in visited:
             continue
         orbit = _twist_orbit(tower, coeffs)
         key = min(orbit)
-        classes.append(IsoClass(key, DrinfeldModule.from_coeffs(tower, key), len(orbit)))
+        phi_t = SkewPoly(tower, [tower.elem(c) for c in key])
+        rep = DrinfeldModule.with_char_prime(tower, phi_t, char_prime)
+        classes.append(IsoClass(key, rep, len(orbit)))
         visited.update(orbit)
     if sum(c.size for c in classes) != count:
         raise CensusViolation("partition sizes do not add up")
@@ -215,10 +212,16 @@ def census_isomorphism_classes(
     return out
 
 
-def end_order_summary(end: AOrder, minimal: AOrder) -> dict:
+def end_order_summary(end: AOrder) -> dict:
     """Endomorphism-ring record of a commutative End order over the
-    minimal order A[pi] of its isogeny class."""
-    index = lattice_index(end.pi_lattice, minimal.pi_lattice)
+    minimal order A[pi] of its isogeny class, whose pi-lattice is the
+    identity: A[pi] has the power basis."""
+    # the multiplication table and the coordinates of 1 are built on
+    # first use, with their checks (closed under multiplication, contains
+    # 1); build them here, once per distinct order, because the conductor
+    # never reads them for an inseparable Frobenius field
+    _ = end.table, end.one_coords
+    index = lattice_index(end.pi_lattice, ALattice.identity(end.fq, end.s))
     out = {
         "commutative": True,
         "rank": end.s,
@@ -308,9 +311,7 @@ def validate_ideal_class_action(
     while level < max_norm_ceiling:
         level += 1
         new_classes = 0
-        for ideal in integral_ideals(order, level):
-            if ideal.norm_poly().degree != level:
-                continue
+        for ideal in ideals_of_norm_degree(order, level):
             result = act(base, ideal)
             if not result.is_kernel:
                 raise CensusViolation(

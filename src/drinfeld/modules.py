@@ -21,9 +21,19 @@ class DrinfeldModule:
     def __init__(self, tower: FieldTower, phi_t: SkewPoly):
         self._setup(tower, phi_t, None)
 
+    @staticmethod
+    def with_char_prime(tower: FieldTower, phi_t: SkewPoly, char_prime: APoly) -> DrinfeldModule:
+        """The module phi_T with a characteristic prime known to be the
+        minimal polynomial of phi_t[0] over F_q, as for every module of a
+        census root or for an image under an isogeny, whose constant
+        term is a Frobenius conjugate of the source's."""
+        out = DrinfeldModule.__new__(DrinfeldModule)
+        out._setup(tower, phi_t, char_prime)
+        return out
+
     def _setup(self, tower: FieldTower, phi_t: SkewPoly, char_prime: APoly | None) -> None:
         # char_prime is passed in only when it is known to be the minimal
-        # polynomial of phi_t[0], as for a twist of an existing module
+        # polynomial of phi_t[0] (`with_char_prime`)
         if phi_t.tower != tower:
             raise ContextError("phi_T does not live over the given tower")
         if phi_t.degree < 1:
@@ -90,9 +100,9 @@ class DrinfeldModule:
             g = self.phi_t[i]
             coeffs.append(c * g * cinv.frobq(i) if g else g)
         # twisting fixes t, so the characteristic prime carries over
-        out = DrinfeldModule.__new__(DrinfeldModule)
-        out._setup(self.tower, SkewPoly(self.tower, coeffs), self.char_prime)
-        return out
+        return DrinfeldModule.with_char_prime(
+            self.tower, SkewPoly(self.tower, coeffs), self.char_prime
+        )
 
     @cached_property
     def _profile(self):

@@ -198,11 +198,8 @@ class AOrder:
         self.tag = tag
         rows, dens = self.basis_matrix
         self.pi_lattice = ALattice.from_generators(self.fq, self.s, zip(*rows), dens)
-        self.table = self._build_table()
-        one = self.coords_of(ext.one())
-        if one is None or any(not c.is_integral() for c in one):
-            raise InternalError("order does not contain 1")
-        self.one_coords = [c.to_apoly() for c in one]
+        # phi_{T^a} * skew_basis[j], grown on demand (`skew_term`)
+        self._skew_terms = [[b] for b in self.skew_basis] if self.skew_basis else None
 
     # -- coordinates --
 
@@ -224,13 +221,17 @@ class AOrder:
         return out
 
     def elem_from_coords(self, coords: list[APoly], den: APoly | None = None) -> ExtElem:
-        acc = self.ext.zero()
-        for c, b in zip(coords, self.basis_ext):
-            if c:
-                acc = acc + b * self.ext.from_scalar(c)
+        rows, dens = self.basis_matrix
+        nums = []
+        for row in rows:
+            acc = APoly.zero(self.fq)
+            for a, c in zip(row, coords):
+                if a and c:
+                    acc = acc + a * c
+            nums.append(acc)
         if den is not None and den.degree >= 0:
-            return ExtElem(self.ext, list(acc.nums), acc.den * den)
-        return acc
+            dens = dens * den
+        return ExtElem(self.ext, nums, dens)
 
     def mul_coords(self, a: list[APoly], b: list[APoly]) -> list[APoly]:
         """Product of two integral coordinate vectors, via the table."""
@@ -247,7 +248,10 @@ class AOrder:
                             out[m] = out[m] + prod * vec[m]
         return out
 
-    def _build_table(self) -> list[list[list[APoly]]]:
+    @cached_property
+    def table(self) -> list[list[list[APoly]]]:
+        """The multiplication table over A, built on first use; raises
+        InternalError when the basis does not span a ring."""
         table: list[list] = [[None] * self.s for _ in range(self.s)]
         for i in range(self.s):
             for j in range(i, self.s):
@@ -260,6 +264,23 @@ class AOrder:
                 table[i][j] = [c.to_apoly() for c in coords]
                 table[j][i] = table[i][j]
         return table
+
+    @cached_property
+    def one_coords(self) -> list[APoly]:
+        one = self.coords_of(self.ext.one())
+        if one is None or any(not c.is_integral() for c in one):
+            raise InternalError("order does not contain 1")
+        return [c.to_apoly() for c in one]
+
+    def skew_term(self, j: int, a: int) -> SkewPoly:
+        """phi_{T^a} * skew_basis[j], kept per order: the skew realization
+        of T^a times the j-th basis element."""
+        if self._skew_terms is None or self.module is None:
+            raise InternalError("order carries no skew realization")
+        terms = self._skew_terms[j]
+        while len(terms) <= a:
+            terms.append(self.module.phi_t * terms[-1])
+        return terms[a]
 
     def contains(self, x: ExtElem) -> bool:
         coords = self.coords_of(x)
@@ -615,7 +636,17 @@ def is_gorenstein(order: AOrder) -> bool:
 
 def integral_ideals(order: AOrder, max_norm_deg: int):
     """Every integral ideal I with deg chi(order/I) <= max_norm_deg,
-    exactly once, in a deterministic order."""
+    exactly once, in a deterministic order: by norm degree, each degree
+    as `ideals_of_norm_degree` lists it."""
+    for total in range(max_norm_deg + 1):
+        yield from ideals_of_norm_degree(order, total)
+
+
+def ideals_of_norm_degree(order: AOrder, total: int):
+    """Every integral ideal I with deg chi(order/I) = total, exactly once:
+    the HNF lattices whose diagonal degrees sum to total and that are
+    closed under the order. The size guard is checked per diagonal shape,
+    before that shape is enumerated."""
     s = order.s
     fq = order.fq
     q = fq.q
@@ -623,28 +654,27 @@ def integral_ideals(order: AOrder, max_norm_deg: int):
     zero = APoly.zero(fq)
     # multiplying by 1 maps every lattice to itself
     basis_vecs = [e for e in mat_identity(fq, s) if e != order.one_coords]
-    for total in range(max_norm_deg + 1):
-        for diag_degs in _compositions(total, s):
-            offslots = []
-            for i in range(s):
-                for j in range(i + 1, s):
-                    offslots.append((i, j, diag_degs[i]))
-            work = q ** (sum(diag_degs) + sum(sl[2] for sl in offslots))
-            if work > 10**6:
-                raise TooLarge("ideal enumeration beyond desk scale")
-            diag_iters = [list(_monic_of_degree(fq, d)) for d in diag_degs]
-            off_iters = [list(_polys_below_degree(fq, d)) for (_, _, d) in offslots]
-            for diag in itertools.product(*diag_iters):
-                for offs in itertools.product(*off_iters):
-                    cols = [[zero] * s for _ in range(s)]
-                    for i in range(s):
-                        cols[i][i] = diag[i]
-                    for (slot, (i, j, _)) in zip(offs, offslots):
-                        cols[j][i] = slot
-                    if not _closed_under_order(order, cols, basis_vecs):
-                        continue
-                    lat = ALattice(fq, s, [tuple(c) for c in cols], one)
-                    yield FracIdeal(order, lat)
+    for diag_degs in _compositions(total, s):
+        offslots = []
+        for i in range(s):
+            for j in range(i + 1, s):
+                offslots.append((i, j, diag_degs[i]))
+        work = q ** (sum(diag_degs) + sum(sl[2] for sl in offslots))
+        if work > 10**6:
+            raise TooLarge("ideal enumeration beyond desk scale")
+        diag_iters = [list(_monic_of_degree(fq, d)) for d in diag_degs]
+        off_iters = [list(_polys_below_degree(fq, d)) for (_, _, d) in offslots]
+        for diag in itertools.product(*diag_iters):
+            for offs in itertools.product(*off_iters):
+                cols = [[zero] * s for _ in range(s)]
+                for i in range(s):
+                    cols[i][i] = diag[i]
+                for (slot, (i, j, _)) in zip(offs, offslots):
+                    cols[j][i] = slot
+                if not _closed_under_order(order, cols, basis_vecs):
+                    continue
+                lat = ALattice(fq, s, [tuple(c) for c in cols], one)
+                yield FracIdeal(order, lat)
 
 
 def _compositions(total: int, parts: int):
@@ -767,36 +797,47 @@ def lin_equiv(ideal: FracIdeal, other: FracIdeal, bound_deg: int = 2):
     of (ideal : other) and deg c_i <= bound_deg. A candidate must first
     have N(u) equal to N(ideal) / N(other) up to a unit. Hits are closed
     under F_q^x scaling, so one vector per line is tried, and the first
-    hit in lexicographic order of the whole box is the one returned."""
+    hit in lexicographic order of the whole box is the one returned.
+
+    A witness proves weak equivalence as well, so (other : ideal) and
+    the product (ideal : other)(other : ideal) are computed only when
+    no witness is found, or before the size guard raises: a weakly
+    inequivalent pair answers "no" whatever the bound."""
     order = ideal.order
     if ideal == other:
         return "yes", order.ext.one()
     quot = ideal.colon(other)
-    quot_rev = other.colon(ideal)
-    if not quot.mul(quot_rev).contains_one():
-        return "no", None
-    target = (ideal.norm() / other.norm()).monic_normalized()
     s = order.s
     fq = order.fq
     count = fq.q ** (s * (bound_deg + 1))
     if count > 5 * 10**5:
+        if not _weakly_equivalent(ideal, other, quot):
+            return "no", None
         raise TooLarge("linear-equivalence search space beyond desk scale")
     cols = [list(c) for c in quot.lattice.cols]
     den = quot.lattice.den
+    target = (ideal.norm() / other.norm()).monic_normalized()
     want = _norm_target(target, den, s)
-    if want is None:
-        return "unknown", None
-    form = _norm_form(order, cols)
-    for combo in _norm_hits(form, _box_values(fq, bound_deg, s), want):
-        coords = [APoly.zero(fq)] * s
-        for c, col in zip(combo, cols):
-            if c:
-                for m in range(s):
-                    if col[m]:
-                        coords[m] = coords[m] + c * col[m]
-        if other.mul_elem(coords, den) == ideal:
-            return "yes", order.elem_from_coords(coords, den)
+    if want is not None:
+        form = _norm_form(order, cols)
+        for combo in _norm_hits(form, _box_values(fq, bound_deg, s), want):
+            coords = [APoly.zero(fq)] * s
+            for c, col in zip(combo, cols):
+                if c:
+                    for m in range(s):
+                        if col[m]:
+                            coords[m] = coords[m] + c * col[m]
+            if other.mul_elem(coords, den) == ideal:
+                return "yes", order.elem_from_coords(coords, den)
+    if not _weakly_equivalent(ideal, other, quot):
+        return "no", None
     return "unknown", None
+
+
+def _weakly_equivalent(ideal: FracIdeal, other: FracIdeal, quot: FracIdeal) -> bool:
+    """Whether (ideal : other)(other : ideal) contains 1, given
+    quot = (ideal : other)."""
+    return quot.mul(other.colon(ideal)).contains_one()
 
 
 def is_principal(ideal: FracIdeal, bound_deg: int = 2):

@@ -18,14 +18,13 @@ from .apoly import APoly
 from .errors import InseparableExtension
 from .fields import FieldTower, KElem, base_field
 from .invariants import FrobeniusProfile
-from .lattices import lattice_index
+from .lattices import ALattice, lattice_index
 from .modules import DrinfeldModule
 from .orders import (
     AOrder,
     FracIdeal,
     endomorphism_ring,
     gorenstein_conductor,
-    minimal_frobenius_order,
 )
 from .apoly import prime_divisors
 from .skew import SkewPoly
@@ -192,9 +191,8 @@ def analyze_report(module: DrinfeldModule) -> dict:
 
 def endring_report(module: DrinfeldModule) -> dict:
     order = endomorphism_ring(module)
-    prof = module.profile()
-    minimal = minimal_frobenius_order(prof, module)
-    index = lattice_index(order.pi_lattice, minimal.pi_lattice).to_apoly()
+    # A[pi] has the power basis, so its pi-lattice is the identity
+    index = lattice_index(order.pi_lattice, ALattice.identity(order.fq, order.s)).to_apoly()
     basis = []
     for skew, ext in zip(order.skew_basis, order.basis_ext):
         basis.append(

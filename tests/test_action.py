@@ -185,3 +185,91 @@ def test_action_is_monoidal_up_to_isomorphism():
         a_shifted = transport_ideal(a, end_mid)
         right = act(mid.image, a_shifted).image
         assert find_isomorphism(left, right) is not None
+
+
+def _f9_minimal():
+    # an ordinary F_9 module and A[pi], realized by the powers of tau^n
+    from drinfeld import minimal_frobenius_order
+
+    f9 = get_tower("f9")
+    phi = DrinfeldModule(f9, SkewPoly(f9, [f9.elem(c) for c in ([0, 1], [0, 0], [1, 0])]))
+    return phi, minimal_frobenius_order(phi.profile(), phi)
+
+
+def _direct_realization(order, coords):
+    module = order.module
+    acc = SkewPoly.zero(module.tower)
+    for c, b in zip(coords, order.skew_basis):
+        if c:
+            acc = acc + module(c) * b
+    return acc
+
+
+def _direct_annihilator(order, integral, u):
+    """{w in E : u right-divides w}, from the F_q-kernel of w -> w mod u
+    on the sum_j sum_(a < deg chi) c_(j,a) T^a e_j, with every
+    phi_{T^a} * b_j multiplied out afresh; then re-spanned with chi E."""
+    from drinfeld import ALattice
+    from drinfeld.apoly import mat_identity
+    from drinfeld.linalg import nullspace
+
+    module, fq, s = order.module, order.fq, order.s
+    chi = integral.norm_poly()
+    deg = chi.degree
+    gens = [[chi * c for c in e] for e in mat_identity(fq, s)]
+    if u.degree > 0 and deg > 0:
+        cols = []
+        for j in range(s):
+            for a in range(deg):
+                w = module(APoly(fq, [0] * a + [1])) * order.skew_basis[j]
+                rem = w.rdivmod(u)[1]
+                cols.append([v for dg in range(u.degree) for v in rem[dg].coeffs])
+        rows = [list(r) for r in zip(*cols)]
+        for vec in nullspace(fq, rows, len(cols)):
+            gens.append([APoly(fq, vec[j * deg : (j + 1) * deg]) for j in range(s)])
+    elif u.degree == 0:
+        gens = mat_identity(fq, s)
+    return FracIdeal(order, ALattice.from_generators(fq, s, gens))
+
+
+def _order_cases(ex38):
+    phi, end, ideal = ex38
+    f9_phi, f9_order = _f9_minimal()
+    yield phi, end, [ideal] + list(itertools.islice(integral_ideals(end, 1), 4))
+    yield f9_phi, f9_order, list(integral_ideals(f9_order, 2))
+
+
+def test_skew_terms_are_the_direct_products(ex38):
+    rng = random.Random(41)
+    for phi, order, _ in _order_cases(ex38):
+        for j, b in enumerate(order.skew_basis):
+            for a in (3, 0, 5, 1):  # grown on demand, read in any order
+                assert order.skew_term(j, a) == phi.phi_t_power(a) * b
+        for _ in range(8):
+            coords = [rand_apoly(rng, order.fq, 3) for _ in range(order.s)]
+            assert skew_realization(order, coords) == _direct_realization(order, coords)
+
+
+def test_annihilator_matches_the_direct_products(ex38):
+    from drinfeld import annihilator_ideal
+
+    kinds = set()
+    for phi, order, ideals in _order_cases(ex38):
+        for ideal in ideals:
+            result = act(phi, ideal)
+            integral = ideal.scaled_integral()
+            ann = annihilator_ideal(order, integral, result.u)
+            assert ann == result.annihilator
+            assert ann == _direct_annihilator(order, integral, result.u)
+            kinds.add(result.is_kernel)
+    assert kinds == {True, False}  # the rank-3 example is not a kernel ideal
+
+
+def test_act_image_keeps_the_characteristic_prime(ex38):
+    from drinfeld import minimal_poly_over_fq
+
+    for phi, _, ideals in _order_cases(ex38):
+        for ideal in ideals:
+            image = act(phi, ideal).image
+            assert image.char_prime == minimal_poly_over_fq(image.t)
+            assert image.char_prime == phi.char_prime

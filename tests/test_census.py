@@ -203,3 +203,81 @@ def test_ideal_class_action_bijective_on_f4_ordinary():
     report = validate_ideal_class_action(grp, f4)
     assert report["bijective"] and report["saturated"]
     assert report["ideal_classes"] == report["iso_classes"] == 2
+
+
+def _commutative_groups(name, rank):
+    tower = get_tower(name)
+    for _, t in characteristic_roots(tower):
+        for grp in census_isomorphism_classes(tower, rank, t).values():
+            if grp.profile_summary["commutative"]:
+                yield tower, grp
+
+
+def test_minimal_order_is_the_identity_pi_lattice():
+    # A[pi] has the power basis, so the index over it is read against the
+    # identity lattice instead of a built order
+    from drinfeld import ALattice, minimal_frobenius_order
+
+    count = 0
+    for tower, grp in _commutative_groups("f9", 2):
+        for entry in grp.iso_classes:
+            rep = entry.rep
+            minimal = minimal_frobenius_order(rep.profile(), rep)
+            assert minimal.pi_lattice == ALattice.identity(tower.fq, minimal.s)
+            count += 1
+    assert count == 138
+
+
+def test_class_representatives_take_the_root_prime(monkeypatch):
+    import drinfeld.modules as modules
+    from drinfeld import minimal_poly_over_fq
+
+    f9 = get_tower("f9")
+    calls = []
+    monkeypatch.setattr(
+        modules, "minimal_poly_over_fq", lambda t: calls.append(t) or minimal_poly_over_fq(t)
+    )
+    for _, t in characteristic_roots(f9)[:2] + characteristic_roots(f9)[-1:]:
+        groups = census_isomorphism_classes(f9, 2, t)
+        for grp in groups.values():
+            for entry in grp.iso_classes:
+                assert entry.rep.char_prime == minimal_poly_over_fq(entry.rep.t)
+    assert calls == []
+
+
+def test_census_builds_each_multiplication_table_once_per_order():
+    # End orders that hit the per-order cache never build their table; the
+    # summarised ones all do, the inseparable one of F_4 included
+    hits = summarised = inseparable = 0
+    for _, grp in _commutative_groups("f4", 2):
+        for entry in grp.iso_classes:
+            grp.end(entry)
+        for entry in grp.iso_classes:
+            order = endomorphism_ring(entry.rep)
+            key = next(k for k in grp.order_summaries if k == order)
+            if key is not order:
+                hits += 1
+                assert "table" not in vars(order)
+        for order in grp.order_summaries:
+            summarised += 1
+            assert "table" in vars(order) and "one_coords" in vars(order)
+            inseparable += not order.ext.is_separable()
+    assert hits > 0 and summarised > 0 and inseparable == 1
+
+
+def test_validator_enumerates_each_norm_level_once(monkeypatch):
+    import drinfeld.census as census
+
+    f4 = get_tower("f4")
+    groups = census_isomorphism_classes(f4, 2, f4.zero)
+    grp = groups["x^2+(T+1)*x+T^2"]
+    levels = []
+    real = census.ideals_of_norm_degree
+
+    def spy(order, level):
+        levels.append(level)
+        return real(order, level)
+
+    monkeypatch.setattr(census, "ideals_of_norm_degree", spy)
+    report = validate_ideal_class_action(grp, f4)
+    assert levels == list(range(report["max_norm_deg"] + 1))

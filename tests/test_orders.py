@@ -9,6 +9,7 @@ from drinfeld import (
     DrinfeldModule,
     FracIdeal,
     InseparableExtension,
+    InternalError,
     NonCommutativeEndomorphisms,
     RatFunc,
     SkewPoly,
@@ -16,6 +17,7 @@ from drinfeld import (
     coords_in_skew_basis,
     endomorphism_ring,
     gorenstein_conductor,
+    ideals_of_norm_degree,
     integral_ideals,
     is_gorenstein,
     is_gorenstein_at,
@@ -585,3 +587,65 @@ def test_coords_of_matches_a_solve_per_element(ex38):
             x = ext.elem(nums, APoly(order.fq, [1, rng.randrange(2), 1]))
             det, sol = mat_solve(rows, [[v * dens] for v in x.nums])
             assert order.coords_of(x) == [RatFunc(r[0], det * x.den) for r in sol]
+
+
+def test_lin_equiv_size_guard_after_weak_equivalence():
+    # past the search guard a weakly inequivalent pair is still a certified
+    # "no"; a weakly equivalent pair (equivalent or not) raises TooLarge
+    order = _case_order("f9-weakly-inequivalent")
+    ideals = list(integral_ideals(order, 2))
+    big = 5  # 3^(2 * 6) candidates exceed the guard
+    seen = set()
+    for a, b in itertools.combinations(ideals, 2):
+        status = _lin_equiv_box(a, b, 0)[0]
+        seen.add(status)
+        if status == "no":
+            assert lin_equiv(a, b, big) == ("no", None)
+        else:
+            with pytest.raises(TooLarge):
+                lin_equiv(a, b, big)
+    assert {"yes", "no"} <= seen
+
+
+def test_elem_from_coords_is_the_basis_combination(ex38):
+    # the clearing matrix of the basis gives the same reduced element as
+    # summing c_i * e_i in the Frobenius field
+    phi, end, *_ = ex38
+    rng = random.Random(5)
+    for order in (end, minimal_frobenius_order(phi.profile(), phi), _case_order("f3-rank3")):
+        ext = order.ext
+        for _ in range(10):
+            coords = [rand_apoly(rng, order.fq, 2) for _ in range(order.s)]
+            den = rand_apoly(rng, order.fq, 2)
+            acc = ext.zero()
+            for c, b in zip(coords, order.basis_ext):
+                acc = acc + b * ext.from_scalar(c)
+            assert order.elem_from_coords(coords) == acc
+            if den:
+                assert order.elem_from_coords(coords, den) == acc * ext.from_scalar(den).inv()
+
+
+@pytest.mark.parametrize("name", ["f9-weakly-inequivalent", "f3-rank3"])
+def test_ideals_of_norm_degree_are_the_levels_of_integral_ideals(name):
+    order = _case_order(name)
+    levels = [list(ideals_of_norm_degree(order, d)) for d in range(3)]
+    assert [J for level in levels for J in level] == list(integral_ideals(order, 2))
+    for d, level in enumerate(levels):
+        assert all(J.norm_poly().degree == d for J in level)
+    assert levels[0] == [order.unit_ideal()]
+
+
+def test_multiplication_table_is_built_on_first_use(ex38):
+    from drinfeld.orders import order_from_pi_lattice
+
+    phi, end, *_ = ex38
+    fresh = order_from_pi_lattice(end.ext, end.pi_lattice)
+    assert "table" not in vars(fresh) and "one_coords" not in vars(fresh)
+    assert fresh == end and fresh.table == end.table
+    assert fresh.one_coords == [APoly.one(end.fq), APoly.zero(end.fq), APoly.zero(end.fq)]
+    # a basis that does not span a ring fails its checks when they are read
+    cols = mat_identity(end.fq, 3)
+    cols[2][2] = APoly.var(end.fq)  # 1, pi, T pi^2: pi * pi is missing
+    not_closed = order_from_pi_lattice(end.ext, ALattice.from_generators(end.fq, 3, cols))
+    with pytest.raises(InternalError):
+        not_closed.table
