@@ -107,8 +107,13 @@ def annihilator_ideal(order: AOrder, integral: FracIdeal, u: SkewPoly) -> FracId
         height = u.degree * n
         cols = []
         for j in range(s):
+            # rem(phi_{T^(a+1)} b_j) = rem(phi_T rem(phi_{T^a} b_j)): left
+            # multiples of u stay in k{tau} u, so each division is of
+            # degree below deg u + r
+            rem = order.skew_term(j, 0).rdivmod(u)[1]
             for a in range(degc):
-                rem = order.skew_term(j, a).rdivmod(u)[1]
+                if a:
+                    rem = (module.phi_t * rem).rdivmod(u)[1]
                 flat = [0] * height
                 for dg, coeff in enumerate(rem.coeffs):
                     for comp, v in enumerate(coeff.coeffs):

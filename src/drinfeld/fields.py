@@ -7,7 +7,11 @@ are length-n tuples of such integers, little-endian in the defining root.
 
 When q^n <= _LOG_TABLE_LIMIT, products, inverses, powers and q-power maps
 in k are lookups in discrete-log tables: exp[i] = gamma^i for a primitive
-element gamma of k, and log, its inverse. A tower loads the tables on its
+element gamma of k, and log, its inverse. The tables also hold the Zech
+logarithms zech[z] = log(1 + gamma^z), which make a sum of two nonzero
+elements one lookup on their logarithms; k{tau} (the skew module) runs its
+products, right divisions and centralizer columns on logarithms that way,
+while KElem sums stay coordinate-wise. A tower loads the tables on its
 first such operation, and towers with the same defining data share them.
 Larger towers take the polynomial path, which also builds the tables:
 APoly products and powers reduced mod g, inverses by extended Euclid, and
@@ -240,23 +244,31 @@ class _LogTables:
     """Discrete-log tables of k: exp[i] = gamma^i for a primitive element
     gamma and 0 <= i < order = q^n - 1, log[exp[i]] = i, and
     qpow[j] = q^j mod order, so a^(q^j) = exp[log[a] * qpow[j] % order].
-    Zero has no logarithm."""
+    Zero has no logarithm.
 
-    __slots__ = ("exp", "log", "order", "qpow")
+    Sums are lookups too: zech[z] = log(1 + gamma^z), or None where
+    1 + gamma^z = 0, so gamma^a + gamma^b = gamma^(a + zech[b - a]) (the
+    Zech logarithm), and neg = log(-1) is 0 in characteristic 2 and
+    order/2 otherwise, so -gamma^a = gamma^(a + neg)."""
 
-    def __init__(self, exp: list[tuple[int, ...]], q: int):
+    __slots__ = ("exp", "log", "order", "qpow", "zech", "neg")
+
+    def __init__(self, exp: list[tuple[int, ...]], fq: Fq):
         self.exp = exp
         self.log = {a: i for i, a in enumerate(exp)}
         self.order = len(exp)
         n = len(exp[0])
-        self.qpow = [pow(q, j, self.order) for j in range(n)]
+        self.qpow = [pow(fq.q, j, self.order) for j in range(n)]
+        inc = fq._add[1]
+        self.zech = [self.log.get((inc[v[0]],) + v[1:]) for v in exp]
+        self.neg = 0 if fq.p == 2 else self.order // 2
 
 
 @functools.lru_cache(maxsize=8)
 def _log_tables(fq: Fq, g: tuple[int, ...]) -> _LogTables:
     """The tables of k = F_q[x]/(g), built once per definition (fq compares
     by p and h, and g fixes n) by the polynomial path."""
-    return _LogTables(_primitive_powers(fq, g), fq.q)
+    return _LogTables(_primitive_powers(fq, g), fq)
 
 
 class FieldTower:

@@ -32,7 +32,7 @@ from .extfield import ExtElem, ExtensionField
 from .lattices import ALattice, lattice_index
 from .linalg import TrailingEchelon, nullspace, solve_linear
 from .modules import DrinfeldModule
-from .skew import SkewPoly
+from .skew import SkewPoly, commutator_system
 
 
 def _flatten_skew(sp: SkewPoly, height_deg: int) -> list[int]:
@@ -54,33 +54,6 @@ def _unflatten_skew(module: DrinfeldModule, vec: list[int]) -> SkewPoly:
     return SkewPoly(tower, coeffs)
 
 
-def _commutator_system(module: DrinfeldModule, cap: int) -> list[list[int]]:
-    """The F_q-matrix of u -> u phi_T - phi_T u on skew polynomials u of
-    degree at most cap, in the coordinates of _flatten_skew.
-
-    Column i*n + comp is the image of u = c tau^i with c = x^comp, read
-    off coefficients: with phi_T = sum g_j tau^j, the coefficient of
-    tau^(i+j) in c tau^i phi_T - phi_T c tau^i is c g_j^(q^i) - g_j c^(q^j).
-    """
-    tower = module.tower
-    n = tower.n
-    g = module.phi_t.coeffs
-    monomials = [tower.elem([0] * comp + [1]) for comp in range(n)]
-    monomials_frob = [[c.frobq(j) for j in range(len(g))] for c in monomials]
-    rows = [[0] * ((cap + 1) * n) for _ in range((cap + len(g)) * n)]
-    for i in range(cap + 1):
-        g_frob = [gj.frobq(i) for gj in g]
-        for comp, c in enumerate(monomials):
-            col = i * n + comp
-            for j, gj in enumerate(g):
-                if gj:
-                    entry = c * g_frob[j] - gj * monomials_frob[comp][j]
-                    base = (i + j) * n
-                    for m, v in enumerate(entry.coeffs):
-                        rows[base + m][col] = v
-    return rows
-
-
 def centralizer_basis(module: DrinfeldModule, s: int) -> list[SkewPoly]:
     """A-basis of the centralizer of phi_T in k{tau}, first element 1.
 
@@ -96,7 +69,7 @@ def centralizer_basis(module: DrinfeldModule, s: int) -> list[SkewPoly]:
     ncols = (cap + 1) * n
 
     # solution space of u phi_T - phi_T u = 0, deg u <= cap
-    rows = _commutator_system(module, cap)
+    rows = commutator_system(module.phi_t, cap)
     sols = nullspace(fq, rows, ncols)
 
     ech = TrailingEchelon(fq, ncols)

@@ -6,12 +6,19 @@ Right gcds therefore compute generators of left ideals, which is how
 isogenies u_I are produced. The right gcd returned here is normalized to
 have leading coefficient one; ideal generators are only defined up to a
 left unit, and fixing the monic representative makes results reproducible.
+
+Where k has discrete-log tables (`FieldTower._tables`), products, right
+division and the commutator system run on logarithms: each operand is
+converted once, a term a_i * b_j^(q^i) is (log a_i + log b_j * q^i) mod
+(q^n - 1), and sums go through the Zech table. Zero coefficients are None
+there. Larger towers multiply and divide KElem by KElem, with the same
+results.
 """
 
 from __future__ import annotations
 
 from .errors import ContextError, EmptyIdeal
-from .fields import FieldTower, KElem
+from .fields import FieldTower, KElem, _LogTables
 
 
 class SkewPoly:
@@ -90,6 +97,9 @@ class SkewPoly:
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return SkewPoly(t, ())
+        tab = t._tables
+        if tab is not None:
+            return _from_logs(t, tab, _mul_logs(tab, t.n, _logs(tab, a), _logs(tab, b)))
         out = [t.zero] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if not ai:
@@ -108,6 +118,8 @@ class SkewPoly:
         return SkewPoly(self.tower, [c * a for a in self.coeffs])
 
     def __pow__(self, m: int) -> SkewPoly:
+        if m < 0:
+            raise ValueError("negative exponent: k{tau} has no inverse of positive degree")
         r = SkewPoly.one(self.tower)
         b = self
         while m:
@@ -123,6 +135,10 @@ class SkewPoly:
         if not other.coeffs:
             raise ZeroDivisionError("right division by zero")
         t = self.tower
+        tab = t._tables
+        if tab is not None:
+            quo, rem = _rdivmod_logs(tab, t.n, _logs(tab, self.coeffs), _logs(tab, other.coeffs))
+            return _from_logs(t, tab, quo), _from_logs(t, tab, rem)
         d = other.degree
         rem = list(self.coeffs)
         quo = [t.zero] * max(0, len(rem) - d)
@@ -183,6 +199,123 @@ class SkewPoly:
 
     def __repr__(self) -> str:
         return self.text()
+
+
+def _logs(tab: _LogTables, coeffs) -> list[int | None]:
+    """The logarithms of KElem coefficients, None for zero."""
+    get = tab.log.get
+    return [get(c.coeffs) for c in coeffs]
+
+
+def _from_logs(tower: FieldTower, tab: _LogTables, logs: list[int | None]) -> SkewPoly:
+    exp, zero = tab.exp, tower.zero
+    return SkewPoly(tower, [zero if v is None else KElem(tower, exp[v]) for v in logs])
+
+
+def _mul_logs(tab: _LogTables, n: int, la: list, lb: list) -> list[int | None]:
+    """The coefficient logarithms of (sum a_i tau^i) * (sum b_j tau^j)."""
+    order, zech, qpow = tab.order, tab.zech, tab.qpow
+    out = [None] * (len(la) + len(lb) - 1)
+    for i, x in enumerate(la):
+        if x is None:
+            continue
+        qi = qpow[i % n]
+        for k, y in enumerate(lb, i):
+            if y is None:
+                continue
+            z = (x + y * qi) % order
+            w = out[k]
+            if w is None:
+                out[k] = z
+            else:
+                # gamma^w + gamma^z = gamma^(w + zech[z - w]); a negative
+                # index reads zech at z - w + order
+                s = zech[z - w]
+                out[k] = None if s is None else (w + s) % order
+    return out
+
+
+def _rdivmod_logs(tab: _LogTables, n: int, rem: list, lb: list) -> tuple[list, list]:
+    """Right division on coefficient logarithms: rem (consumed) = quo *
+    b + rem, for b with logarithms lb and a nonzero leading coefficient."""
+    order, zech, qpow = tab.order, tab.zech, tab.qpow
+    d = len(lb) - 1
+    top = lb[d]
+    low = list(enumerate(lb[:d]))
+    quo = [None] * max(0, len(rem) - d)
+    while len(rem) > d:
+        c = rem.pop()
+        if c is None:
+            continue
+        shift = len(rem) - d
+        qs = qpow[shift % n]
+        c = (c - top * qs) % order
+        quo[shift] = c
+        # rem -= (c tau^shift) * b below the popped top: add the terms
+        # -c * b_j^(q^shift), with -1 = gamma^neg
+        c += tab.neg
+        for k, y in low:
+            if y is None:
+                continue
+            z = (c + y * qs) % order
+            k += shift
+            w = rem[k]
+            if w is None:
+                rem[k] = z
+            else:
+                s = zech[z - w]
+                rem[k] = None if s is None else (w + s) % order
+    return quo, rem
+
+
+def commutator_system(f: SkewPoly, cap: int) -> list[list[int]]:
+    """The F_q-matrix of u -> u f - f u on skew polynomials u of degree at
+    most cap, in flattened coordinates: entry (d*n + m, i*n + comp) is
+    coordinate m of the coefficient of tau^d in the image of c tau^i,
+    c = x^comp.
+
+    Column i*n + comp is read off coefficients: with f = sum g_j tau^j, the
+    coefficient of tau^(i+j) in c tau^i f - f c tau^i is
+    c g_j^(q^i) - g_j c^(q^j).
+    """
+    tower = f.tower
+    n = tower.n
+    g = f.coeffs
+    rows = [[0] * ((cap + 1) * n) for _ in range((cap + len(g)) * n)]
+    tab = tower._tables
+    if tab is None:
+        monomials = [tower.elem([0] * comp + [1]) for comp in range(n)]
+        monomials_frob = [[c.frobq(j) for j in range(len(g))] for c in monomials]
+        for i in range(cap + 1):
+            g_frob = [gj.frobq(i) for gj in g]
+            for comp, c in enumerate(monomials):
+                col = i * n + comp
+                for j, gj in enumerate(g):
+                    if gj:
+                        entry = c * g_frob[j] - gj * monomials_frob[comp][j]
+                        base = (i + j) * n
+                        for m, v in enumerate(entry.coeffs):
+                            rows[base + m][col] = v
+        return rows
+    order, zech, qpow, exp = tab.order, tab.zech, tab.qpow, tab.exp
+    lg = [(j, y) for j, y in enumerate(_logs(tab, g)) if y is not None]
+    # logs of the monomials c = x^comp; below, a = log(c g_j^(q^i)) and
+    # b = log(-g_j c^(q^j))
+    lx = [tab.log[(0,) * comp + (1,) + (0,) * (n - 1 - comp)] for comp in range(n)]
+    for i in range(cap + 1):
+        qi = qpow[i % n]
+        for comp, lc in enumerate(lx):
+            col = i * n + comp
+            for j, y in lg:
+                a = (lc + y * qi) % order
+                b = (y + lc * qpow[j % n] + tab.neg) % order
+                s = zech[b - a]
+                if s is None:
+                    continue
+                base = (i + j) * n
+                for m, v in enumerate(exp[(a + s) % order]):
+                    rows[base + m][col] = v
+    return rows
 
 
 def rgcd(polys: list[SkewPoly]) -> SkewPoly:

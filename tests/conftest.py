@@ -82,6 +82,18 @@ def rand_nonzero_skew(rng: random.Random, tower: FieldTower, maxdeg: int) -> Ske
             return f
 
 
+def ref_skew_mul(f: SkewPoly, g: SkewPoly) -> SkewPoly:
+    """The defining sum of f * g: a_i b_j^(q^i) tau^(i+j), one KElem product
+    and Frobenius per term and coordinate-wise KElem sums, independent of
+    the logarithm kernels of SkewPoly."""
+    t = f.tower
+    out = [t.zero] * (len(f.coeffs) + len(g.coeffs))
+    for i, a in enumerate(f.coeffs):
+        for j, b in enumerate(g.coeffs):
+            out[i + j] = out[i + j] + a * b.frobq(i)
+    return SkewPoly(t, out)
+
+
 def rand_apoly(rng: random.Random, fq, maxdeg: int) -> APoly:
     d = rng.randrange(maxdeg + 1)
     return APoly(fq, [rng.randrange(fq.q) for _ in range(d + 1)])

@@ -143,6 +143,48 @@ GOLDEN_CENSUS_DIGESTS = {
         [],
         "98d7fe6ee6bc3bb46906f328832326d2f6a0e094fa7822880ac8b975f6e3457c",
     ),
+    # recorded with KElem-by-KElem skew products, before the logarithm kernels
+    "f16-rank2": (
+        {"p": 2, "e": 1, "h": [0, 1], "n": 4, "g": [1, 1, 0, 0, 1]},
+        2,
+        ["--skip-validate"],
+        "7e612846970f7fac9d4a9dba47fa47f497d623f619baddec4909391425ad2293",
+    ),
+}
+
+# sha256 of `endring` reports, recorded with KElem-by-KElem skew products:
+# F_256 runs the logarithm kernels of k{tau}, F_{2^13} (above the table
+# limit) the polynomial path
+GOLDEN_ENDRING_DIGESTS = {
+    "f256-rank3": (
+        {
+            "field": {"p": 2, "e": 1, "h": [0, 1], "n": 8, "g": [1, 0, 0, 0, 1, 1, 0, 1, 1]},
+            "phi_T": [
+                [0, 0, 0, 0, 0, 1, 1, 1],
+                [1, 1, 0, 1, 1, 0, 1, 0],
+                [0, 1, 1, 0, 1, 1, 0, 1],
+                [1, 0, 0, 0, 0, 0, 0, 0],
+            ],
+        },
+        "e08e68981e7e75aaf9a86381db68cc083a7da5904c19f1d0d65385eaeefab981",
+    ),
+    "f8192-rank2": (
+        {
+            "field": {
+                "p": 2,
+                "e": 1,
+                "h": [0, 1],
+                "n": 13,
+                "g": [1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1],
+            },
+            "phi_T": [
+                [0, 1] + [0] * 11,
+                [0, 0, 1] + [0] * 10,
+                [1] + [0] * 12,
+            ],
+        },
+        "4f7a6f952ee8bfec7d87446e70035a51cc4c8cbf2b858050df73bf80ee580033",
+    ),
 }
 
 
@@ -153,6 +195,16 @@ def test_census_jsonl_golden_digest(tmp_path, case):
     spec.write_text(json.dumps({"field": field, "rank": rank}))
     out = tmp_path / "out.jsonl"
     assert main(["census", "--input", str(spec), "--out", str(out)] + flags) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ENDRING_DIGESTS))
+def test_endring_report_golden_digest(tmp_path, case):
+    module, digest = GOLDEN_ENDRING_DIGESTS[case]
+    spec = tmp_path / "module.json"
+    spec.write_text(json.dumps(module))
+    out = tmp_path / "endring.json"
+    assert main(["endring", "--input", str(spec), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
