@@ -19,7 +19,7 @@ from .lattices import ALattice
 from .linalg import nullspace
 from .modules import DrinfeldModule
 from .orders import AOrder, FracIdeal, endomorphism_ring
-from .skew import SkewPoly, rgcd
+from .skew import SkewPoly, coefficient_rows, rgcd
 
 
 def skew_realization(order: AOrder, coords: list[APoly]) -> SkewPoly:
@@ -103,8 +103,6 @@ def annihilator_ideal(order: AOrder, integral: FracIdeal, u: SkewPoly) -> FracId
     degc = chi.degree
     gens: list[list[APoly]] = []
     if degc > 0:
-        n = module.tower.n
-        height = u.degree * n
         cols = []
         for j in range(s):
             # rem(phi_{T^(a+1)} b_j) = rem(phi_T rem(phi_{T^a} b_j)): left
@@ -114,13 +112,8 @@ def annihilator_ideal(order: AOrder, integral: FracIdeal, u: SkewPoly) -> FracId
             for a in range(degc):
                 if a:
                     rem = (module.phi_t * rem).rdivmod(u)[1]
-                flat = [0] * height
-                for dg, coeff in enumerate(rem.coeffs):
-                    for comp, v in enumerate(coeff.coeffs):
-                        flat[dg * n + comp] = v
-                cols.append(flat)
-        rows = [[cols[c][i] for c in range(len(cols))] for i in range(height)]
-        kernel = nullspace(fq, rows, len(cols))
+                cols.append(rem)
+        kernel = nullspace(fq, coefficient_rows(cols, u.degree), len(cols))
         for vec in kernel:
             gens.append([APoly(fq, vec[j * degc : (j + 1) * degc]) for j in range(s)])
     zero = APoly.zero(fq)

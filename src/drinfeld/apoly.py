@@ -312,21 +312,19 @@ def first_irreducible(fq: Fq, degree: int) -> APoly:
 
 
 def minimal_poly_over_fq(x: KElem) -> APoly:
-    """Minimal polynomial over F_q of an element of k (monic)."""
+    """Minimal polynomial over F_q of an element of k (monic).
+
+    It is the first F_q-linear dependence among 1, x, ..., x^n: the
+    null vector of the first free column of that n x (n+1) system, whose
+    columns before it are independent."""
     t = x.tower
-    fq = t.fq
-    # first F_q-linear dependence among 1, x, x^2, ...
-    from .linalg import solve_linear
+    from .linalg import nullspace
 
     pows = [t.one]
-    while True:
-        d = len(pows)
-        rows = [[pows[j].coeffs[i] for j in range(d)] for i in range(t.n)]
-        rhs = [fq.neg((pows[-1] * x).coeffs[i]) for i in range(t.n)]
-        sol, _ = solve_linear(fq, rows, rhs)
-        if sol is not None:
-            return APoly(fq, sol + [1])
+    for _ in range(t.n):
         pows.append(pows[-1] * x)
+    rows = [(0, [p.coeffs[i] for p in pows]) for i in range(t.n)]
+    return APoly(t.fq, nullspace(t.fq, rows, t.n + 1)[0])
 
 
 class RatFunc:

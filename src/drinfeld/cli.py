@@ -2,13 +2,15 @@
 
 Subcommands: analyze, endring, ideal-act, kernel-test, census,
 paper-examples. Exit code 0 on success, 1 on an assertion or
-verification failure, 2 on an input error.
+verification failure, 2 on an input error, 141 when the reader of the
+output closed it early.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 
@@ -37,6 +39,9 @@ from .serialize import (
     render_text,
 )
 from .worked_examples import run_worked_examples, summary_lines
+
+# the status a shell reports for a process ended by SIGPIPE (128 + 13)
+EXIT_BROKEN_PIPE = 141
 
 SCHEMA_VERSION = 1
 
@@ -103,6 +108,9 @@ def _emit(text: str, out: str | None) -> None:
                 fh.write("\n")
     else:
         print(text)
+        # a reader that went away shows up here, inside main, rather than
+        # when the interpreter flushes stdout on exit
+        sys.stdout.flush()
 
 
 def _emit_report(report: dict, args) -> None:
@@ -200,6 +208,12 @@ def main(argv=None) -> int:
             else:
                 _emit("\n".join(summary_lines(results)), args.out)
             return 1 if any(r["status"] == "FAIL" for r in results) else 0
+    except BrokenPipeError:
+        # the reader closed our output (`drinfeld ... | head`): not an input
+        # error. Point stdout at devnull, so that the flush at exit does not
+        # fail again, and exit as a process ended by SIGPIPE does.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError, TooLarge) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -432,9 +432,6 @@ class KElem:
             return self
         return KElem(t, tab.exp[la * tab.qpow[j % t.n] % tab.order])
 
-    def in_fq(self) -> bool:
-        return not any(self.coeffs[1:])
-
     def __bool__(self) -> bool:
         return any(self.coeffs)
 

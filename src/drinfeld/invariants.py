@@ -24,7 +24,7 @@ from .extfield import ExtensionField
 from .linalg import solve_linear
 from .modules import DrinfeldModule
 from .render import poly_in_x_text
-from .skew import SkewPoly
+from .skew import SkewPoly, coefficient_rows
 
 
 def _divisors(r: int) -> list[int]:
@@ -47,22 +47,12 @@ def minpoly_frobenius(module: DrinfeldModule) -> list[APoly]:
             for j in range(bounds[i] + 1):
                 cols.append(module.phi_t_power(j).shift(n * i))
         target = SkewPoly.tau_power(tower, n * s)
-        maxdeg = max([c.degree for c in cols] + [target.degree])
-        height = (maxdeg + 1) * tower.n
-
-        def flatten(sp: SkewPoly) -> list[int]:
-            out = [0] * height
-            for dg, coeff in enumerate(sp.coeffs):
-                base = dg * tower.n
-                for comp, v in enumerate(coeff.coeffs):
-                    out[base + comp] = v
-            return out
-
-        rows_t = [flatten(c) for c in cols]
-        rhs_full = flatten(target)
-        rows = [[rows_t[c][i] for c in range(len(cols))] for i in range(height)]
-        rhs = [fq.neg(v) for v in rhs_full]
-        sol, null = solve_linear(fq, rows, rhs)
+        rows = coefficient_rows(cols, max([c.degree for c in cols] + [target.degree]) + 1)
+        # right-hand side: minus the coefficients of pi^s = tau^(n s)
+        rhs = [0] * len(rows)
+        for m, v in enumerate(target.lc().coeffs):
+            rhs[n * s * tower.n + m] = fq.neg(v)
+        sol, null = solve_linear(fq, rows, rhs, len(cols))
         if sol is None:
             continue
         if null:

@@ -29,10 +29,10 @@ from .errors import (
     TooLarge,
 )
 from .extfield import ExtElem, ExtensionField
-from .lattices import ALattice, lattice_index
+from .lattices import ALattice
 from .linalg import TrailingEchelon, nullspace, solve_linear
 from .modules import DrinfeldModule
-from .skew import SkewPoly, commutator_system
+from .skew import SkewPoly, coefficient_rows, commutator_system
 
 
 def _flatten_skew(sp: SkewPoly, height_deg: int) -> list[int]:
@@ -68,22 +68,20 @@ def centralizer_basis(module: DrinfeldModule, s: int) -> list[SkewPoly]:
     cap = n * s
     ncols = (cap + 1) * n
 
-    # solution space of u phi_T - phi_T u = 0, deg u <= cap
-    rows = commutator_system(module.phi_t, cap)
-    sols = nullspace(fq, rows, ncols)
-
-    ech = TrailingEchelon(fq, ncols)
-    for v in sols:
-        ech.insert(v)
-    if ech.dim != len(sols):
+    # solution space of u phi_T - phi_T u = 0, deg u <= cap; the null
+    # vector of free column f is 1 at f, 0 at the other free columns and
+    # at every column past f: so its highest nonzero coordinate is f and
+    # the vectors, in order, are a reduced trailing echelon basis
+    sols = nullspace(fq, commutator_system(module.phi_t, cap), ncols)
+    pivots = [max(i for i, v in enumerate(vec) if v) for vec in sols]
+    if any(vec[p] != 1 for vec, p in zip(sols, pivots)) or pivots != sorted(set(pivots)):
         raise InternalError("centralizer solution space degenerated")
-    ordered = [ech.rows[p] for p in sorted(ech.rows)]
 
     basis = [SkewPoly.one(tower)]
     span = TrailingEchelon(fq, ncols)
     for j in range(cap // r + 1):
         span.insert(_flatten_skew(module.phi_t_power(j), cap))
-    for vec in ordered:
+    for vec in sols:
         res, piv = span.reduce(vec)
         if piv < 0:
             continue
@@ -127,13 +125,11 @@ def coords_in_skew_basis(
         top = (u.degree - b.degree) // r
         for a in range(top + 1):
             slots.append((j, a))
-            cols.append(_flatten_skew(module.phi_t_power(a) * b, u.degree))
+            cols.append(module.phi_t_power(a) * b)
     if not cols:
         return None
-    height = len(cols[0])
-    rows = [[cols[c][i] for c in range(len(cols))] for i in range(height)]
-    rhs = _flatten_skew(u, u.degree)
-    sol, _ = solve_linear(fq, rows, rhs)
+    rows = coefficient_rows(cols, u.degree + 1)
+    sol, _ = solve_linear(fq, rows, _flatten_skew(u, u.degree), len(cols))
     if sol is None:
         return None
     polys: list[dict[int, int]] = [dict() for _ in basis]
@@ -311,10 +307,6 @@ class AOrder:
     def ideal_lattice_to_pi(self, lat: ALattice) -> ALattice:
         rows, dens = self.basis_matrix
         return lat.transform(rows, dens)
-
-    def index_over(self, sub: AOrder) -> RatFunc:
-        """chi(self / sub) for a suborder, in power coordinates."""
-        return lattice_index(self.pi_lattice, sub.pi_lattice)
 
     def __eq__(self, other) -> bool:
         return (
@@ -495,20 +487,20 @@ class FracIdeal:
                 rho.append(row)
             degc = chi.degree
             nunk = s * degc
-            # condition: sum_j w_j * rho[j][k] = 0 mod chi, per k and coordinate
-            cols_sys = []
+            # condition: sum_j w_j * rho[j][k] = 0 mod chi, per k and
+            # coordinate: row ((k*s + m)*degc + i), column j*degc + a
+            rows_sys = [[0] * nunk for _ in range(s * s * degc)]
             for j in range(s):
                 for a in range(degc):
-                    colvec = []
                     ta = APoly(fq, [0] * a + [1])
+                    col = j * degc + a
                     for k in range(s):
                         for m in range(s):
                             entry = (rho[j][k][m] * ta) % chi
-                            colvec.extend([entry[i] for i in range(degc)])
-                    cols_sys.append(colvec)
-            height = len(cols_sys[0])
-            rows_sys = [[cols_sys[c][i] for c in range(nunk)] for i in range(height)]
-            kernel = nullspace(fq, rows_sys, nunk)
+                            base = (k * s + m) * degc
+                            for i, v in enumerate(entry.coeffs):
+                                rows_sys[base + i][col] = v
+            kernel = nullspace(fq, [(0, row) for row in rows_sys], nunk)
             gens = []
             for w in kernel:
                 wpolys = [APoly(fq, w[j * degc : (j + 1) * degc]) for j in range(s)]

@@ -268,20 +268,25 @@ def _rdivmod_logs(tab: _LogTables, n: int, rem: list, lb: list) -> tuple[list, l
     return quo, rem
 
 
-def commutator_system(f: SkewPoly, cap: int) -> list[list[int]]:
+def commutator_system(f: SkewPoly, cap: int) -> list[tuple[int, list[int]]]:
     """The F_q-matrix of u -> u f - f u on skew polynomials u of degree at
-    most cap, in flattened coordinates: entry (d*n + m, i*n + comp) is
-    coordinate m of the coefficient of tau^d in the image of c tau^i,
-    c = x^comp.
+    most cap, as sparse rows (lead, vals) for `linalg.solve_linear`: entry
+    (d*n + m, i*n + comp) is coordinate m of the coefficient of tau^d in
+    the image of c tau^i, c = x^comp.
 
     Column i*n + comp is read off coefficients: with f = sum g_j tau^j, the
     coefficient of tau^(i+j) in c tau^i f - f c tau^i is
-    c g_j^(q^i) - g_j c^(q^j).
+    c g_j^(q^i) - g_j c^(q^j). So the rows of degree d span the columns
+    i*n + comp with d - deg f <= i <= min(d, cap).
     """
     tower = f.tower
     n = tower.n
     g = f.coeffs
-    rows = [[0] * ((cap + 1) * n) for _ in range((cap + len(g)) * n)]
+    r = len(g) - 1
+    # block[d][(i - lo_d)*n + comp]: the coefficient of tau^d in the image
+    # of x^comp tau^i, for lo_d = max(0, d - r)
+    zero = tower.zero.coeffs
+    blocks = [[zero] * ((min(d, cap) - max(0, d - r) + 1) * n) for d in range(cap + r + 1)]
     tab = tower._tables
     if tab is None:
         monomials = [tower.elem([0] * comp + [1]) for comp in range(n)]
@@ -289,32 +294,59 @@ def commutator_system(f: SkewPoly, cap: int) -> list[list[int]]:
         for i in range(cap + 1):
             g_frob = [gj.frobq(i) for gj in g]
             for comp, c in enumerate(monomials):
-                col = i * n + comp
                 for j, gj in enumerate(g):
                     if gj:
                         entry = c * g_frob[j] - gj * monomials_frob[comp][j]
-                        base = (i + j) * n
-                        for m, v in enumerate(entry.coeffs):
-                            rows[base + m][col] = v
-        return rows
-    order, zech, qpow, exp = tab.order, tab.zech, tab.qpow, tab.exp
-    lg = [(j, y) for j, y in enumerate(_logs(tab, g)) if y is not None]
-    # logs of the monomials c = x^comp; below, a = log(c g_j^(q^i)) and
-    # b = log(-g_j c^(q^j))
-    lx = [tab.log[(0,) * comp + (1,) + (0,) * (n - 1 - comp)] for comp in range(n)]
-    for i in range(cap + 1):
-        qi = qpow[i % n]
-        for comp, lc in enumerate(lx):
-            col = i * n + comp
-            for j, y in lg:
-                a = (lc + y * qi) % order
-                b = (y + lc * qpow[j % n] + tab.neg) % order
-                s = zech[b - a]
-                if s is None:
-                    continue
-                base = (i + j) * n
-                for m, v in enumerate(exp[(a + s) % order]):
-                    rows[base + m][col] = v
+                        blocks[i + j][(i - max(0, i + j - r)) * n + comp] = entry.coeffs
+    else:
+        order, zech, qpow, exp = tab.order, tab.zech, tab.qpow, tab.exp
+        lg = [(j, y) for j, y in enumerate(_logs(tab, g)) if y is not None]
+        # logs of the monomials c = x^comp; below, a = log(c g_j^(q^i)) and
+        # b = log(-g_j c^(q^j))
+        lx = [tab.log[(0,) * comp + (1,) + (0,) * (n - 1 - comp)] for comp in range(n)]
+        for i in range(cap + 1):
+            qi = qpow[i % n]
+            for comp, lc in enumerate(lx):
+                for j, y in lg:
+                    a = (lc + y * qi) % order
+                    b = (y + lc * qpow[j % n] + tab.neg) % order
+                    s = zech[b - a]
+                    if s is not None:
+                        blocks[i + j][(i - max(0, i + j - r)) * n + comp] = exp[(a + s) % order]
+    rows = []
+    for d, block in enumerate(blocks):
+        lead = max(0, d - r) * n
+        rows += [(lead, list(row)) for row in zip(*block)]
+    return rows
+
+
+def coefficient_rows(cols: list[SkewPoly], height: int) -> list[tuple[int, list[int]]]:
+    """The F_q-matrix whose column c is the coefficient vector of cols[c],
+    each of degree below height, as sparse rows (lead, vals) for
+    `linalg.solve_linear`: row d*n + m holds coordinate m of the
+    coefficients of tau^d and spans the columns from the first to the last
+    one with a nonzero coefficient of tau^d.
+    """
+    tower = cols[0].tower
+    n = tower.n
+    zero = tower.zero.coeffs
+    first: list[int | None] = [None] * height
+    last = [0] * height
+    for c, f in enumerate(cols):
+        for d, coeff in enumerate(f.coeffs):
+            if coeff.coeffs != zero:
+                if first[d] is None:
+                    first[d] = c
+                last[d] = c
+    rows = []
+    for d, lead in enumerate(first):
+        if lead is None:
+            rows += [(0, []) for _ in range(n)]
+            continue
+        block = []
+        for f in cols[lead : last[d] + 1]:
+            block.append(f.coeffs[d].coeffs if d < len(f.coeffs) else zero)
+        rows += [(lead, list(row)) for row in zip(*block)]
     return rows
 
 

@@ -21,7 +21,7 @@ from drinfeld import (
     transport_ideal,
 )
 
-from conftest import get_tower, rand_apoly
+from conftest import gauss_jordan, get_tower, rand_apoly
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +211,6 @@ def _direct_annihilator(order, integral, u):
     phi_{T^a} * b_j multiplied out afresh; then re-spanned with chi E."""
     from drinfeld import ALattice
     from drinfeld.apoly import mat_identity
-    from drinfeld.linalg import nullspace
 
     module, fq, s = order.module, order.fq, order.s
     chi = integral.norm_poly()
@@ -225,7 +224,7 @@ def _direct_annihilator(order, integral, u):
                 rem = w.rdivmod(u)[1]
                 cols.append([v for dg in range(u.degree) for v in rem[dg].coeffs])
         rows = [list(r) for r in zip(*cols)]
-        for vec in nullspace(fq, rows, len(cols)):
+        for vec in gauss_jordan(fq, rows, [0] * len(rows))[1]:
             gens.append([APoly(fq, vec[j * deg : (j + 1) * deg]) for j in range(s)])
     elif u.degree == 0:
         gens = mat_identity(fq, s)

@@ -16,7 +16,15 @@ from drinfeld import SkewPoly
 from drinfeld.orders import _flatten_skew, centralizer_basis
 from drinfeld.skew import commutator_system
 
-from conftest import get_tower, rand_kelem, rand_module, rand_skew, ref_skew_mul
+from conftest import (
+    assert_commutator_band,
+    dense_rows,
+    get_tower,
+    rand_kelem,
+    rand_module,
+    rand_skew,
+    ref_skew_mul,
+)
 
 PAIRS = 400
 
@@ -58,7 +66,8 @@ def test_commutator_columns_match_skew_products(name):
         height = cap + module.rank
         n = tower.n
         assert len(rows) == (height + 1) * n
-        cols = [list(col) for col in zip(*rows)]
+        assert_commutator_band(rows, n, module.rank, cap)
+        cols = [list(col) for col in zip(*dense_rows(rows, (cap + 1) * n))]
         assert len(cols) == (cap + 1) * n
         phi = module.phi_t
         for i in range(cap + 1):

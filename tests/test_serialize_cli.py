@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import pathlib
@@ -137,6 +138,175 @@ def test_cli_field_spec_fuzz():
 
     run()
 
+
+
+# small fields for the input fuzzers, so that every request stays cheap:
+# F_2, F_3 and F_4 as F_2[x]/(x^2+x+1) and as F_2[y]/(y^2+y+1) (e = 2)
+SMALL_FIELDS = [
+    {"p": 2, "e": 1, "h": [0, 1], "n": 1, "g": [0, 1]},
+    {"p": 3, "e": 1, "h": [0, 1], "n": 1, "g": [1, 1]},
+    {"p": 2, "e": 1, "h": [0, 1], "n": 2, "g": [1, 1, 1]},
+    {"p": 2, "e": 2, "h": [1, 1, 1], "n": 1, "g": [[1, 1], [1, 0]]},
+]
+# phi_T = x + x tau + x tau^2 over F_4: End has rank 2
+F4_MODULE = {"field": SMALL_FIELDS[2], "phi_T": [[0, 1], [0, 1], [0, 1]]}
+
+
+def _junk(st):
+    return st.one_of(
+        st.none(),
+        st.booleans(),
+        st.text(max_size=2),
+        st.floats(allow_nan=False),
+        st.integers(-2, 9),
+        st.lists(st.integers(0, 2), max_size=3),
+        st.dictionaries(st.text(max_size=1), st.integers(0, 2), max_size=1),
+    )
+
+
+def _places(obj, path=()):
+    """Every position in a JSON value, as a path of keys and indices."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    for key, value in items:
+        yield from _places(value, path + (key,))
+
+
+def _mutated(draw, st, spec: dict) -> dict:
+    """The spec as it is, or, about half the time, with one change at a
+    random position: the value there deleted, or replaced by a value of
+    another type or an integer out of range."""
+    if draw(st.booleans()):
+        return spec
+    spec = copy.deepcopy(spec)
+    path = draw(st.sampled_from([p for p in _places(spec) if p]))
+    parent = spec
+    for key in path[:-1]:
+        parent = parent[key]
+    if draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = draw(_junk(st))
+    return spec
+
+
+def _element(st, field: dict):
+    """An element of k as the JSON coordinates over F_q of that field."""
+    p, e = field["p"], field["e"]
+    digit = st.integers(0, p - 1)
+    scalar = digit if e == 1 else st.lists(digit, min_size=e, max_size=e)
+    return st.lists(scalar, min_size=field["n"], max_size=field["n"])
+
+
+def _nonzero(coords) -> bool:
+    return any(d for c in coords for d in (c if isinstance(c, list) else [c]))
+
+
+def _run_fuzzed(monkeypatch, argv_for, spec, allowed=(0, 2)):
+    """Run one CLI request on a fuzzed spec: the exit code must be allowed,
+    exit 2 must print one line on stderr and nothing on stdout, exit 0
+    nothing on stderr, and no internal invariant may break on the way (an
+    InternalError would also exit 2)."""
+    from drinfeld import errors
+
+    broken = []
+    init = errors.InternalError.__init__
+
+    def spy(self, *args):
+        broken.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(errors.InternalError, "__init__", spy)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "spec.json"
+        path.write_text(json.dumps(spec))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv_for(str(path), tmp))
+    assert not broken, (spec, broken)
+    assert rc in allowed, (spec, rc, err.getvalue())
+    if rc == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        assert err.getvalue() == ""
+    return rc, out.getvalue()
+
+
+def test_cli_phi_t_fuzz(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def specs(draw):
+        field = draw(st.sampled_from(SMALL_FIELDS))
+        coord = _element(st, field)
+        phi = draw(st.lists(coord, min_size=1, max_size=3))
+        phi.append(draw(coord.filter(_nonzero)))
+        return _mutated(draw, st, {"field": field, "phi_T": phi})
+
+    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(specs(), st.sampled_from(["analyze", "endring"]))
+    def run(spec, command):
+        _run_fuzzed(monkeypatch, lambda path, tmp: [command, "--input", path], spec)
+
+    run()
+
+
+def test_cli_ideal_spec_fuzz(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def specs(draw):
+        # A-coordinate vectors in the End basis (of rank 2) of F4_MODULE
+        poly = st.lists(st.integers(0, 1), min_size=1, max_size=3)
+        gens = draw(st.lists(st.lists(poly, min_size=2, max_size=2), min_size=1, max_size=3))
+        return _mutated(draw, st, {"generators": gens})
+
+    @hypothesis.settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(specs(), st.sampled_from(["ideal-act", "kernel-test"]))
+    def run(ideal, command):
+        def argv(path, tmp):
+            mod = pathlib.Path(tmp) / "module.json"
+            mod.write_text(json.dumps(F4_MODULE))
+            return [command, "--input", str(mod), "--ideal", path]
+
+        _run_fuzzed(monkeypatch, argv, ideal)
+
+    run()
+
+
+def test_cli_census_spec_fuzz(monkeypatch):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @st.composite
+    def specs(draw):
+        field = draw(st.sampled_from(SMALL_FIELDS))
+        skip = draw(st.booleans())
+        # validated censuses stay at rank <= 2, where each takes well
+        # under a second on these fields
+        spec = {"field": field, "rank": draw(st.integers(1, 3 if skip else 2))}
+        if draw(st.booleans()):
+            spec["t"] = draw(_element(st, field))
+        return skip, _mutated(draw, st, spec)
+
+    @hypothesis.settings(max_examples=40, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(specs())
+    def run(case):
+        skip, spec = case
+        rc, out = _run_fuzzed(
+            monkeypatch,
+            lambda path, tmp: ["census", "--input", path] + (["--skip-validate"] if skip else []),
+            spec,
+            allowed=(0, 1, 2),
+        )
+        if rc == 1:
+            # exit 1 only from a failed verification
+            assert not skip and '"record":"violation"' in out, out
+
+    run()
 
 def test_cli_analyze(tmp_path, capsys):
     mod = _write(tmp_path, "mod.json", EX38_MODULE)
@@ -397,3 +567,31 @@ def test_cli_rejects_coerced_ideal_generator(tmp_path, capsys):
     assert captured.err == (
         f"input error: {ideal}: field 'generators': expected an integer in [0, 2), got 1.5\n"
     )
+
+
+def test_cli_closed_stdout_is_not_an_input_error(tmp_path):
+    """A reader that closes the output early (`drinfeld ... | head -0`)
+    gets neither an input error nor a traceback: exit 141, as for a process
+    ended by SIGPIPE, and nothing on stderr."""
+    import os
+    import subprocess
+    import sys
+
+    mod = _write(tmp_path, "mod.json", EX38_MODULE)
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    for _ in range(3):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "drinfeld", "endring", "--input", mod],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141, proc.stderr
+        assert proc.stderr == b""
