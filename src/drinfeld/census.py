@@ -219,7 +219,8 @@ def end_order_summary(end: AOrder) -> dict:
     # the multiplication table and the coordinates of 1 are built on
     # first use, with their checks (closed under multiplication, contains
     # 1); build them here, once per distinct order, because the conductor
-    # never reads them for an inseparable Frobenius field
+    # never reads them for a monogenic order (every rank-2 order) or an
+    # inseparable Frobenius field
     _ = end.table, end.one_coords
     index = lattice_index(end.pi_lattice, ALattice.identity(end.fq, end.s))
     out = {

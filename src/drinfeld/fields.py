@@ -234,9 +234,10 @@ class Fq:
         return f"Fq(p={self.p}, e={self.e})"
 
 
-@functools.lru_cache(maxsize=8)
+@functools.cache
 def base_field(p: int, e: int, h: tuple[int, ...]) -> Fq:
-    """F_p[y]/(h), built once per definition: its tables hold q^2 entries."""
+    """F_p[y]/(h), built once per definition and kept for the life of the
+    process: its tables hold q^2 entries."""
     return Fq(p, e, h)
 
 
@@ -264,10 +265,11 @@ class _LogTables:
         self.neg = 0 if fq.p == 2 else self.order // 2
 
 
-@functools.lru_cache(maxsize=8)
+@functools.cache
 def _log_tables(fq: Fq, g: tuple[int, ...]) -> _LogTables:
     """The tables of k = F_q[x]/(g), built once per definition (fq compares
-    by p and h, and g fixes n) by the polynomial path."""
+    by p and h, and g fixes n) by the polynomial path and kept for the life
+    of the process, so a field loaded again never rebuilds them."""
     return _LogTables(_primitive_powers(fq, g), fq)
 
 

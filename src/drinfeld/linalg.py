@@ -7,7 +7,7 @@ columns. The systems of k{tau} are banded this way (the commutator
 system of the centralizer, the columns phi_{T^j} tau^(n i) of m(x)),
 so a row stays a short list however many columns there are.
 
-`solve_linear` is the one elimination kernel. Forward elimination takes
+`solve_linear` solves such a system. Forward elimination takes
 the rows one at a time and reduces each against the pivot rows found so
 far, from its leading column on: a row meets only pivots inside its own
 span [lead, last], widened by the span of each pivot it meets, so the
@@ -20,6 +20,14 @@ row echelon form is unique, so the answer does not depend on the order
 of the rows. Row operations read the field's tables directly: for a
 multiplier c the row mul[c] is bound once, and a - c*b is
 add[a][mul[-c][b]], over the pivot row's nonzero entries only.
+
+Over F_2 (q = 2; no option selects it) the same two steps run on packed
+rows (Albrecht, Bard and Hart, "Algorithm 898", ACM TOMS 2010): a row is
+one Python int with column j at bit ncols - j and the right-hand side at
+bit 0. A row operation is one XOR over the whole row, and the leading
+column is read off int.bit_length(), so pivots are found by bit length.
+The packed format never leaves this module: callers pass (lead, vals)
+for every q, and both kernels return the same reduced row echelon answer.
 """
 
 from __future__ import annotations
@@ -37,6 +45,69 @@ def solve_linear(fq: Fq, rows, rhs: list[int], ncols: int):
     f, in increasing order of f, which is 1 at f and 0 at the other free
     columns: the reduced row echelon form read off column by column.
     """
+    if fq.q == 2:
+        return _solve_f2(rows, rhs, ncols)
+    return _solve_fq(fq, rows, rhs, ncols)
+
+
+# bytes of 0/1 scalars -> the ASCII digits int(..., 2) reads
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _solve_f2(rows, rhs: list[int], ncols: int):
+    """`solve_linear` over F_2 on packed rows: an int holds column j at bit
+    ncols - j and the right-hand side at bit 0, so a row operation is one
+    XOR and a row's leading column is read off its bit length."""
+    # piv[L]: the pivot row of bit length L (leading column ncols + 1 - L),
+    # 0 for none (so far); piv[1] stays 0, so a row reduced to its
+    # right-hand side stops there
+    piv = [0] * (ncols + 2)
+    consistent = True
+    for (lead, vals), b in zip(rows, rhs):
+        w = b
+        if vals:
+            w |= int(bytes(vals).translate(_DIGITS), 2) << (ncols + 1 - lead - len(vals))
+        while w:
+            top = w.bit_length()
+            p = piv[top]
+            if not p:
+                break
+            w ^= p
+        if w == 1:
+            consistent = False
+        elif w:
+            piv[top] = w
+    tops = [L for L in range(2, ncols + 2) if piv[L]]
+    pmask = sum(1 << (L - 1) for L in tops)
+    # back-substitution from the last pivot column down: a row takes the
+    # XOR of the pivot rows, already reduced, at its other pivot bits
+    for L in tops:
+        row = piv[L]
+        t = row & pmask ^ (1 << (L - 1))
+        while t:
+            low = t & -t
+            row ^= piv[low.bit_length()]
+            t ^= low
+        piv[L] = row
+    x = [0] * ncols
+    null = {f: [0] * ncols for f in range(ncols) if not piv[ncols + 1 - f]}
+    fmask = ((1 << (ncols + 1)) - 2) & ~pmask
+    for L in tops:
+        row = piv[L]
+        c = ncols + 1 - L
+        x[c] = row & 1
+        t = row & fmask
+        while t:
+            low = t & -t
+            null[ncols + 1 - low.bit_length()][c] = 1
+            t ^= low
+    for f, vec in null.items():
+        vec[f] = 1
+    return (x if consistent else None), list(null.values())
+
+
+def _solve_fq(fq: Fq, rows, rhs: list[int], ncols: int):
+    """`solve_linear` over any F_q, on the field's tables."""
     add, mul, neg = fq._add, fq._mul, fq._neg
     # the pivot row of column c is 1 at c, sup[c] = its other nonzero
     # entries (j, a_j), all with j <= top[c], and prhs[c] its right-hand

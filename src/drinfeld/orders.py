@@ -566,7 +566,7 @@ class FracIdeal:
         return f"FracIdeal(norm={self.norm().text()})"
 
 
-# -- Gorenstein testing through the trace dual --
+# -- Gorenstein testing: monogenic orders, then the trace dual --
 
 
 def trace_dual(order: AOrder) -> FracIdeal:
@@ -577,8 +577,24 @@ def trace_dual(order: AOrder) -> FracIdeal:
 def gorenstein_conductor(order: AOrder) -> APoly:
     """chi(order / C) for C = D * (order : D) with D the trace dual; the
     order is Gorenstein at ell exactly when ell does not divide this
-    index. Trace duality (I : J) = (J * I^dual)^dual gives
-    (order : D) = (D * D)^dual, so no colon is solved."""
+    index. InseparableExtension when the trace form degenerates.
+
+    A monogenic order A[w] is Gorenstein, its trace dual being
+    m_w'(w)^-1 A[w] (Euler's lemma), so the conductor is 1 without any
+    ideal arithmetic in two cases: rank s <= 2, where O = A + A w over the
+    PID A, and O = A[pi], whose lattice in power coordinates is the
+    identity. Other orders take `_dual_conductor`."""
+    if not order.ext.is_separable():
+        raise InseparableExtension("trace form degenerates; dual undefined")
+    if order.s <= 2 or order.pi_lattice == ALattice.identity(order.fq, order.s):
+        return APoly.one(order.fq)
+    return _dual_conductor(order)
+
+
+def _dual_conductor(order: AOrder) -> APoly:
+    """The Gorenstein conductor by ideal arithmetic: trace duality
+    (I : J) = (J * I^dual)^dual gives (order : D) = (D * D)^dual, so no
+    colon is solved."""
     dual = trace_dual(order)
     c = dual.mul(dual.mul(dual).dual())
     if not c.is_integral():

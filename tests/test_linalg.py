@@ -7,7 +7,10 @@ return exactly what dense Gauss-Jordan elimination (`conftest.gauss_jordan`,
 the solver it replaced) returns: the same particular solution and the same
 null basis, on random systems (dense, banded, with zero rows,
 inconsistent, without rows) and on the commutator and m(x) systems of
-every test tower. Properties are checked too, with products recomputed
+every test tower. Over F_2 `solve_linear` runs a second kernel on rows
+packed into ints; it is checked against the general kernel and the dense
+oracle on random banded F_2 systems and on commutator systems over F_16
+and F_256. Properties are checked too, with products recomputed
 through the per-scalar `Fq` API, which the row kernels of `linalg`
 bypass, and ranks against sympy.
 """
@@ -16,9 +19,9 @@ import random
 
 import pytest
 
-from drinfeld import Fq, invariants
+from drinfeld import Fq, invariants, linalg
 from drinfeld.invariants import minpoly_frobenius
-from drinfeld.linalg import TrailingEchelon, nullspace, solve_linear
+from drinfeld.linalg import TrailingEchelon, _solve_f2, _solve_fq, nullspace, solve_linear
 from drinfeld.orders import centralizer_basis
 from drinfeld.skew import commutator_system
 
@@ -302,3 +305,76 @@ def test_centralizer_solutions_are_reduced_trailing_echelon(name):
         assert [ech.rows[p] for p in sorted(ech.rows)] == sols
         if s == module.rank:
             assert len(centralizer_basis(module, s)) == s
+
+
+def _f2_banded_systems(rng, count):
+    """Random banded systems over F_2: all-zero rows, rows whose vals end
+    in zeros, leads that stop short of the last columns (which only the
+    bands reach, or nothing), and every third system made inconsistent."""
+    for idx in range(count):
+        ncols = rng.randrange(1, 40)
+        last_lead = rng.randrange(ncols)
+        rows, rhs = [], []
+        for _ in range(rng.randrange(1, 40)):
+            lead = rng.randrange(last_lead + 1)
+            width = rng.randrange(min(8, ncols - lead) + 1)
+            kind = rng.randrange(5)
+            vals = [0 if kind == 0 else rng.randrange(2) for _ in range(width)]
+            if kind == 1 and width:
+                k = rng.randrange(1, width + 1)
+                vals[width - k :] = [0] * k
+            rows.append((lead, vals))
+            rhs.append(rng.randrange(2))
+        if idx % 3 == 0:
+            # the sum of two rows with the other right-hand side
+            a, b = rng.randrange(len(rows)), rng.randrange(len(rows))
+            full = dense_rows([rows[a], rows[b]], ncols)
+            rows.append((0, [u ^ v for u, v in zip(*full)]))
+            rhs.append(rhs[a] ^ rhs[b] ^ 1)
+        yield rows, rhs, ncols
+
+
+def test_packed_f2_kernel_matches_general_kernel_and_oracle():
+    fq = FIELDS["F2"]
+    rng = random.Random("packed-f2")
+    seen = {"inconsistent": 0, "zero row": 0, "trailing zero": 0, "free tail": 0}
+    for rows, rhs, ncols in _f2_banded_systems(rng, 600):
+        got = _solve_f2(rows, rhs, ncols)
+        assert got == _solve_fq(fq, rows, rhs, ncols)
+        assert got == gauss_jordan(fq, dense_rows(rows, ncols), rhs)
+        assert solve_linear(fq, rows, rhs, ncols) == got
+        seen["inconsistent"] += got[0] is None
+        seen["zero row"] += any(not any(vals) for _, vals in rows)
+        seen["trailing zero"] += any(vals and not vals[-1] for _, vals in rows)
+        seen["free tail"] += max(lead for lead, _ in rows) < ncols - 1
+    assert all(seen.values()), seen
+
+
+@pytest.mark.parametrize("name", ["f16", "f256"])
+def test_packed_f2_kernel_matches_general_kernel_on_commutator_systems(name):
+    tower = get_tower(name)
+    n = tower.n
+    rng = random.Random(f"packed-commutator-{name}")
+    for _ in range(4):
+        module = rand_module(rng, tower, max_rank=3)
+        cap = n * module.rank
+        rows = commutator_system(module.phi_t, cap)
+        ncols = (cap + 1) * n
+        for rhs in ([0] * len(rows), [rng.randrange(2) for _ in rows]):
+            assert _solve_f2(rows, rhs, ncols) == _solve_fq(tower.fq, rows, rhs, ncols)
+
+
+def test_solve_linear_packs_rows_only_over_f2(monkeypatch):
+    calls = []
+
+    def spy(rows, rhs, ncols):
+        calls.append(ncols)
+        return _solve_f2(rows, rhs, ncols)
+
+    monkeypatch.setattr(linalg, "_solve_f2", spy)
+    rows = [(0, [1, 1]), (1, [1, 0])]
+    for name in ("F2", "F4", "F3"):
+        assert solve_linear(FIELDS[name], rows, [1, 0], 3) == (
+            gauss_jordan(FIELDS[name], dense_rows(rows, 3), [1, 0])
+        )
+    assert calls == [3]

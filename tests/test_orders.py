@@ -29,7 +29,7 @@ from drinfeld import (
     trace_dual,
 )
 from drinfeld.apoly import mat_det, mat_identity
-from drinfeld.orders import _norm_form, _norm_target
+from drinfeld.orders import _dual_conductor, _norm_form, _norm_target
 
 from conftest import get_tower, rand_apoly
 
@@ -193,7 +193,8 @@ def test_gorenstein_requires_prime(ex38):
 
 def test_minimal_order_gorenstein_on_every_separable_profile():
     # the minimal order is monogenic, so its trace dual is principal
-    # whenever the trace form is usable at all
+    # whenever the trace form is usable at all; `gorenstein_conductor`
+    # answers this without ideal arithmetic, the colon oracle computes it
     checked = 0
     for name in ("f2", "f3", "f4"):
         tower = get_tower(name)
@@ -208,6 +209,7 @@ def test_minimal_order_gorenstein_on_every_separable_profile():
                         trace_dual(minimal)
                     continue
                 assert is_gorenstein(minimal)
+                assert _colon_conductor(minimal) == gorenstein_conductor(minimal)
                 checked += 1
     assert checked > 10
 
@@ -315,6 +317,35 @@ def test_gorenstein_conductor_matches_colon_oracle(name, separable, inseparable)
                 assert gorenstein_conductor(end) == _colon_conductor(end)
                 counts[0] += 1
     assert counts == [separable, inseparable]
+
+
+def _minimal_orders_of_rank(name, rank, count):
+    """A[pi] of `count` random modules of the given rank over a test tower
+    whose Frobenius field has degree `rank` and is separable."""
+    tower = get_tower(name)
+    rng = random.Random(f"minimal-{name}-{rank}")
+    out = []
+    while len(out) < count:
+        coeffs = [[rng.randrange(tower.q) for _ in range(tower.n)] for _ in range(rank)]
+        phi = DrinfeldModule.from_coeffs(tower, coeffs + [[1]])
+        prof = phi.profile()
+        if prof.s == rank:
+            minimal = minimal_frobenius_order(prof, phi)
+            if minimal.ext.is_separable():
+                out.append(minimal)
+    return out
+
+
+@pytest.mark.parametrize("name", ["f8", "f16", "f27"])
+@pytest.mark.parametrize("rank", [3, 4])
+def test_minimal_order_of_higher_rank_matches_colon_oracle(name, rank):
+    """A[pi] of rank 3 and 4 takes the monogenic shortcut; the colon oracle
+    and the trace-dual path agree that it is Gorenstein."""
+    one = APoly.one(get_tower(name).fq)
+    for minimal in _minimal_orders_of_rank(name, rank, 2):
+        assert minimal.pi_lattice == ALattice.identity(minimal.fq, rank)
+        assert gorenstein_conductor(minimal) == one
+        assert _colon_conductor(minimal) == _dual_conductor(minimal) == one
 
 
 # rank-3 modules whose End ring is not Gorenstein, with its conductor

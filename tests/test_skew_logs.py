@@ -134,13 +134,19 @@ def test_zech_table_is_loaded_with_the_tables_not_by_the_parser():
     known = get_tower("f81")
     tower = field_from_json(field_to_json(known))
     assert "_tables" not in tower.__dict__
-    # shared through the per-definition cache; `known` may have loaded its
-    # tables before other fields pushed them out of that bounded cache, so
-    # identity is checked against a second parse and contents against known
-    again = field_from_json(field_to_json(known))
-    assert "_tables" not in again.__dict__
-    assert tower._tables.zech is again._tables.zech
-    assert tower._tables.zech == known._tables.zech
+    # shared through the per-definition cache, which keeps every field
+    assert tower._tables.zech is known._tables.zech
+
+
+def test_tables_survive_loading_nine_other_towers():
+    """A process that has loaded many fields still shares the tables of the
+    first one: loading it again builds nothing."""
+    names = ("f2", "f3", "f4", "f8", "f9", "f16", "f16e2", "f27", "f81")
+    first = field_from_json(field_to_json(get_tower("f729")))
+    tables = first._tables
+    for name in names:
+        assert field_from_json(field_to_json(get_tower(name)))._tables is not None
+    assert field_from_json(field_to_json(get_tower("f729")))._tables is tables
 
 
 def test_negative_power_raises():
