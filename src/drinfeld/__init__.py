@@ -30,6 +30,7 @@ from .apoly import (
     poly_gcd,
     prime_divisors,
     roots_in_k,
+    squarefree_decomposition,
 )
 from .lattices import ALattice, lattice_index
 from .extfield import ExtElem, ExtensionField
@@ -51,6 +52,8 @@ from .orders import (
     FracIdeal,
     centralizer_basis,
     coords_in_skew_basis,
+    end_index_bound,
+    end_pi_lattice,
     endomorphism_ring,
     gorenstein_conductor,
     ideals_of_norm_degree,
@@ -118,6 +121,8 @@ __all__ = [
     "characteristic_roots",
     "coords_in_skew_basis",
     "end_comparison",
+    "end_index_bound",
+    "end_pi_lattice",
     "endomorphism_ring",
     "enumerate_modules",
     "find_isomorphism",
@@ -147,6 +152,7 @@ __all__ = [
     "same_isogeny_class",
     "skew_realization",
     "solve_ramification_invariants",
+    "squarefree_decomposition",
     "summary_lines",
     "trace_dual",
     "transport_ideal",

@@ -16,10 +16,9 @@ from dataclasses import dataclass
 from .apoly import APoly
 from .errors import EmptyIdeal, InternalError
 from .lattices import ALattice
-from .linalg import nullspace
 from .modules import DrinfeldModule
-from .orders import AOrder, FracIdeal, endomorphism_ring
-from .skew import SkewPoly, coefficient_rows, rgcd
+from .orders import AOrder, FracIdeal, endomorphism_ring, right_divisible_combinations
+from .skew import SkewPoly, rgcd
 
 
 def skew_realization(order: AOrder, coords: list[APoly]) -> SkewPoly:
@@ -92,8 +91,8 @@ def annihilator_ideal(order: AOrder, integral: FracIdeal, u: SkewPoly) -> FracId
     finite-dimensional; the result is re-spanned with chi E.
     """
     module = order.module
-    if module is None:
-        raise InternalError("order carries no module")
+    if module is None or order.skew_basis is None:
+        raise InternalError("order carries no skew realization")
     fq = order.fq
     s = order.s
     if u.degree == 0:
@@ -101,21 +100,7 @@ def annihilator_ideal(order: AOrder, integral: FracIdeal, u: SkewPoly) -> FracId
         return order.unit_ideal()
     chi = integral.norm_poly()
     degc = chi.degree
-    gens: list[list[APoly]] = []
-    if degc > 0:
-        cols = []
-        for j in range(s):
-            # rem(phi_{T^(a+1)} b_j) = rem(phi_T rem(phi_{T^a} b_j)): left
-            # multiples of u stay in k{tau} u, so each division is of
-            # degree below deg u + r
-            rem = order.skew_term(j, 0).rdivmod(u)[1]
-            for a in range(degc):
-                if a:
-                    rem = (module.phi_t * rem).rdivmod(u)[1]
-                cols.append(rem)
-        kernel = nullspace(fq, coefficient_rows(cols, u.degree), len(cols))
-        for vec in kernel:
-            gens.append([APoly(fq, vec[j * degc : (j + 1) * degc]) for j in range(s)])
+    gens = right_divisible_combinations(module, order.skew_basis, u, degc) if degc > 0 else []
     zero = APoly.zero(fq)
     one = APoly.one(fq)
     for j in range(s):

@@ -256,6 +256,42 @@ def poly_gcd(a: APoly, b: APoly) -> APoly:
     return a.monic()
 
 
+def squarefree_decomposition(f: APoly) -> list[tuple[APoly, int]]:
+    """The pairs (g, i), ascending in i, of a nonzero f = c * prod g^i with
+    every g monic, squarefree, of positive degree and coprime to the
+    others (Yun's algorithm, as `gf_sqf_list` runs it in characteristic p).
+
+    h = f / gcd(f, f') is the product of the primes whose multiplicity is
+    prime to p; peeling gcds of h with the cofactor sorts them by
+    multiplicity. What is left is a p-th power: its p-th root, a
+    coefficient-wise c^(q/p) on the powers x^(p*i), goes round again with
+    every multiplicity scaled by p."""
+    if not f:
+        raise ValueError("squarefree decomposition of the zero polynomial")
+    fq = f.fq
+    out = []
+    scale = 1
+    f = f.monic()
+    while f.degree > 0:
+        df = f.derivative()
+        if df:
+            g = poly_gcd(f, df)
+            h = f.exact_div(g)
+            i = 1
+            while h.degree > 0:
+                common = poly_gcd(g, h)
+                part = h.exact_div(common)
+                if part.degree > 0:
+                    out.append((part, i * scale))
+                g, h, i = g.exact_div(common), common, i + 1
+            f = g
+        # f is now a p-th power (its derivative vanishes)
+        root = fq.q // fq.p
+        f = APoly(fq, [fq.pow(c, root) for c in f.coeffs[:: fq.p]])
+        scale *= fq.p
+    return sorted(out, key=lambda gi: gi[1])
+
+
 def monic_polys(fq: Fq, degree: int):
     """All monic polynomials of the given degree, in lexicographic order."""
     for tail in itertools.product(range(fq.q), repeat=degree):

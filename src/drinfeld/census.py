@@ -16,10 +16,18 @@ minimal polynomial of the Frobenius.
 One pass serves the whole census: the partition is built once per root,
 and its groups feed both the class records and the validators. The
 endomorphism-ring summaries come from the isogeny class
-(`IsogenyClass.end`): the index over A[pi], whose pi-lattice is the
-identity, and the Gorenstein conductor are computed once per distinct
-End order, not once per isomorphism class. On top of the
-partition the census validates the two classification statements:
+(`IsogenyClass.end`). Every End lies between A[pi] and the maximal
+order, so each member's End is read off A[pi] by right divisibility
+(`orders.end_pi_lattice`): with f = prod g_i^(i//2) for the squarefree
+decomposition disc(A[pi]) = prod g_i^i, computed once per isogeny class,
+End = f^-1 {w in A[pi] : phi_f right-divides w}. An inseparable m(x),
+whose discriminant is 0, falls back to the centralizer
+(`orders.endomorphism_ring`), and so does the validator's base module,
+whose ideals act through the centralizer's skew basis. The index over
+A[pi], whose pi-lattice is the identity, and the Gorenstein conductor
+are computed once per distinct End order, not once per isomorphism
+class. On top of the partition the census validates the two
+classification statements:
 
 * the minimal order occurs as an endomorphism ring in a commutative
   isogeny class exactly when the class is ordinary or the ground field
@@ -34,7 +42,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .action import act
 from .apoly import APoly, minimal_poly_over_fq
@@ -45,10 +53,13 @@ from .modules import DrinfeldModule
 from .orders import (
     AOrder,
     FracIdeal,
+    end_index_bound,
+    end_pi_lattice,
     endomorphism_ring,
     gorenstein_conductor,
     ideals_of_norm_degree,
     lin_equiv,
+    order_from_pi_lattice,
 )
 from .skew import SkewPoly
 
@@ -129,6 +140,8 @@ class IsoClass:
     key: tuple
     rep: DrinfeldModule
     size: int = 0
+    # the summary of rep's End order, once `IsogenyClass.end` has read it
+    end_summary: dict | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -136,19 +149,43 @@ class IsogenyClass:
     m_text: str
     profile_summary: dict
     iso_classes: list[IsoClass] = field(default_factory=list)
-    # End order -> its summary; members with equal End rings share one
-    order_summaries: dict[AOrder, dict] = field(default_factory=dict, init=False, repr=False)
+    # pi-lattice of an End order -> the order and its summary; members
+    # with equal End rings share one
+    end_orders: dict[ALattice, tuple[AOrder, dict]] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    @cached_property
+    def index_bound(self) -> APoly | None:
+        """f with f End(phi) <= A[pi] for every member (`end_index_bound`):
+        it depends on m(x) alone. None when m(x) is inseparable."""
+        return end_index_bound(self.iso_classes[0].rep.profile().extension_field())
 
     def end(self, entry: IsoClass) -> dict:
         """Endomorphism-ring record of a member's representative."""
         if not self.profile_summary["commutative"]:
             return {"commutative": False}
-        order = endomorphism_ring(entry.rep)
-        summary = self.order_summaries.get(order)
-        if summary is None:
-            summary = end_order_summary(order)
-            self.order_summaries[order] = summary
-        return summary
+        if entry.end_summary is None:
+            entry.end_summary = self._end_summary(entry.rep)
+        return entry.end_summary
+
+    def _end_summary(self, rep: DrinfeldModule) -> dict:
+        """The summary of End(rep), taken by right divisibility over A[pi]
+        (`end_pi_lattice`), or from the centralizer when m(x) is
+        inseparable; each distinct order is built and summarised once."""
+        f = self.index_bound
+        if f is None:
+            order = endomorphism_ring(rep)
+            lat = order.pi_lattice
+        else:
+            order, lat = None, end_pi_lattice(rep, f)
+        known = self.end_orders.get(lat)
+        if known is None:
+            if order is None:
+                ext = rep.profile().extension_field()
+                order = order_from_pi_lattice(ext, lat, module=rep, tag="End")
+            known = self.end_orders[lat] = (order, end_order_summary(order))
+        return known[1]
 
 
 def census_isomorphism_classes(
@@ -216,11 +253,12 @@ def end_order_summary(end: AOrder) -> dict:
     """Endomorphism-ring record of a commutative End order over the
     minimal order A[pi] of its isogeny class, whose pi-lattice is the
     identity: A[pi] has the power basis."""
-    # the multiplication table and the coordinates of 1 are built on
-    # first use, with their checks (closed under multiplication, contains
-    # 1); build them here, once per distinct order, because the conductor
-    # never reads them for a monogenic order (every rank-2 order) or an
-    # inseparable Frobenius field
+    # the census takes End as a pi-lattice (right divisibility over A[pi]),
+    # and building the multiplication table and the coordinates of 1 is
+    # the only check that this lattice is a ring containing 1: each raises
+    # InternalError otherwise. So they are built here, once per distinct
+    # order, although the conductor never reads them for a monogenic order
+    # (every rank-2 order) or an inseparable Frobenius field
     _ = end.table, end.one_coords
     index = lattice_index(end.pi_lattice, ALattice.identity(end.fq, end.s))
     out = {

@@ -3,7 +3,8 @@
 Two coordinate systems coexist, with a tested change of basis:
 
 * skew realizations in k{tau}, where endomorphism rings are extracted
-  as centralizers and where the ideal action operates;
+  as centralizers, or read off A[pi] by right divisibility
+  (`end_pi_lattice`), and where the ideal action operates;
 * power-basis coordinates in F[x]/(m(x)), where ideal arithmetic,
   indices, trace duals and all equality tests live.
 
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-from .apoly import APoly, RatFunc, mat_det, mat_identity, mat_solve
+from .apoly import APoly, RatFunc, mat_det, mat_identity, mat_solve, squarefree_decomposition
 from .errors import (
     EmptyIdeal,
     InseparableExtension,
@@ -365,6 +366,73 @@ def build_endomorphism_ring(module: DrinfeldModule) -> AOrder:
     for j in range(s):
         basis_ext.append(ExtElem(ext, [adj_t[i][j] for i in range(s)], det))
     return AOrder(ext, basis_ext, module=module, skew_basis=basis_skew, tag="End")
+
+
+def right_divisible_combinations(
+    module: DrinfeldModule, starts: list[SkewPoly], u: SkewPoly, deg: int
+) -> list[list[APoly]]:
+    """An F_q-basis of the vectors (c_j) with deg c_j < deg for which u
+    right-divides sum_j phi_{c_j} * starts[j], each c_j an APoly.
+
+    Right-divisibility by u is F_q-linear, so the system has one column
+    per c_j coefficient: rem(phi_{T^a} * starts[j], u). Left multiples of
+    u stay in k{tau} u, so rem(phi_{T^(a+1)} b) = rem(phi_T rem(phi_{T^a}
+    b)) and each division is of degree below deg u + r."""
+    fq = module.tower.fq
+    cols = []
+    for b in starts:
+        rem = b.rdivmod(u)[1]
+        for a in range(deg):
+            if a:
+                rem = (module.phi_t * rem).rdivmod(u)[1]
+            cols.append(rem)
+    kernel = nullspace(fq, coefficient_rows(cols, u.degree), len(cols))
+    return [[APoly(fq, vec[j * deg : (j + 1) * deg]) for j in range(len(starts))] for vec in kernel]
+
+
+def end_index_bound(ext: ExtensionField) -> APoly | None:
+    """An f in A with f * End(phi) <= A[pi] for every module phi whose
+    Frobenius field is ext, or None when m(x) is inseparable.
+
+    A[pi] <= End(phi) <= O, the maximal order, and disc(A[pi]) =
+    det(Tr pi^(i+j)) = [O : A[pi]]^2 disc(O). So for disc = prod g_i^i
+    (`squarefree_decomposition`) the index divides f = prod g_i^(i//2),
+    and f kills End(phi) / A[pi]. No prime of A is factored out."""
+    if not ext.is_separable():
+        return None
+    s = ext.s
+    disc = mat_det([[ext.power_sum(i + j) for j in range(s)] for i in range(s)])
+    f = APoly.one(ext.fq)
+    for g, i in squarefree_decomposition(disc):
+        if i > 1:
+            f = f * g ** (i // 2)
+    return f
+
+
+def end_pi_lattice(module: DrinfeldModule, f: APoly) -> ALattice:
+    """The pi-lattice of End(phi) by right divisibility over A[pi], for a
+    commutative End(phi) and f as `end_index_bound` gives it.
+
+    End(phi) = f^-1 {w in A[pi] : phi_f right-divides w}: w = e phi_f for
+    e in End(phi), and conversely w = e phi_f commuting with phi_T makes e
+    commute with it (k{tau} has no zero divisors). f A[pi] satisfies the
+    condition, so it is solved modulo f: w = sum c_j(T) pi^j with
+    deg c_j < deg f (`right_divisible_combinations`), re-spanned with
+    f A[pi] over the denominator f (Garai and Papikian's divisibility
+    test for rank 2, "Computing endomorphism rings and Frobenius matrices
+    of Drinfeld modules", J. Number Theory 2022)."""
+    s = module.profile().s
+    if s != module.rank:
+        raise NonCommutativeEndomorphisms(f"[Ftilde:F] = {s} < rank {module.rank}")
+    fq = module.tower.fq
+    if f.degree <= 0:
+        return ALattice.identity(fq, s)
+    pis = [SkewPoly.tau_power(module.tower, module.n * j) for j in range(s)]
+    gens = right_divisible_combinations(module, pis, module(f), f.degree)
+    zero = APoly.zero(fq)
+    for j in range(s):
+        gens.append([f if i == j else zero for i in range(s)])
+    return ALattice.from_generators(fq, s, gens, f)
 
 
 def minimal_frobenius_order(profile, module: DrinfeldModule) -> AOrder:

@@ -150,6 +150,20 @@ GOLDEN_CENSUS_DIGESTS = {
         ["--skip-validate"],
         "7e612846970f7fac9d4a9dba47fa47f497d623f619baddec4909391425ad2293",
     ),
+    # recorded with End from the centralizer, before right divisibility
+    # over A[pi]
+    "f9-rank2-validated": (
+        {"p": 3, "e": 1, "h": [0, 1], "n": 2, "g": [2, 1, 1]},
+        2,
+        [],
+        "8434294b7c81d0349e8cc6b5222ef7622f48f97c1093e036a2bb8ea262900387",
+    ),
+    "f27-rank2": (
+        {"p": 3, "e": 1, "h": [0, 1], "n": 3, "g": [1, 2, 0, 1]},
+        2,
+        ["--skip-validate"],
+        "a5d0404044fee6bd8c5e2fefba671dd2cc20062dee3488b6fbf7ca3676d88c16",
+    ),
 }
 
 # sha256 of `endring` reports, recorded with KElem-by-KElem skew products:
@@ -297,23 +311,29 @@ def test_class_representatives_take_the_root_prime(monkeypatch):
     assert calls == []
 
 
-def test_census_builds_each_multiplication_table_once_per_order():
-    # End orders that hit the per-order cache never build their table; the
-    # summarised ones all do, the inseparable one of F_4 included
+def test_census_builds_each_multiplication_table_once_per_order(monkeypatch):
+    # members with equal End rings share one order: it is built and its
+    # table made once, and the other members build no order at all; the
+    # summarised orders all have their tables, the inseparable one of F_4
+    # (taken from the centralizer) included
+    import drinfeld.census as census
+
+    built = []
+    real = census.order_from_pi_lattice
+    monkeypatch.setattr(
+        census, "order_from_pi_lattice", lambda *a, **k: built.append(real(*a, **k)) or built[-1]
+    )
     hits = summarised = inseparable = 0
     for _, grp in _commutative_groups("f4", 2):
         for entry in grp.iso_classes:
             grp.end(entry)
-        for entry in grp.iso_classes:
-            order = endomorphism_ring(entry.rep)
-            key = next(k for k in grp.order_summaries if k == order)
-            if key is not order:
-                hits += 1
-                assert "table" not in vars(order)
-        for order in grp.order_summaries:
+        hits += len(grp.iso_classes) - len(grp.end_orders)
+        for order, _ in grp.end_orders.values():
             summarised += 1
             assert "table" in vars(order) and "one_coords" in vars(order)
             inseparable += not order.ext.is_separable()
+    assert len(built) == summarised - inseparable
+    assert all("table" in vars(order) for order in built)
     assert hits > 0 and summarised > 0 and inseparable == 1
 
 

@@ -1,12 +1,20 @@
 """The one F_q-polynomial layer: Ben-Or irreducibility, trial-division
-factoring and the F_q tables, against sympy and a brute-force oracle."""
+factoring, squarefree decomposition and the F_q tables, against sympy and
+a brute-force oracle."""
 
 import itertools
 import random
 
 import pytest
 
-from drinfeld import APoly, TooLarge, first_irreducible, prime_divisors
+from drinfeld import (
+    APoly,
+    TooLarge,
+    first_irreducible,
+    poly_gcd,
+    prime_divisors,
+    squarefree_decomposition,
+)
 from drinfeld.apoly import monic_polys
 from drinfeld.fields import Fq, base_field
 
@@ -80,6 +88,84 @@ def test_prime_divisors_order_and_multiplicity():
     f = x**3 * (x + one) ** 2 * APoly(fq, (1, 1, 1)) * APoly(fq, (1, 0, 1, 1))
     assert prime_divisors(f) == [x, x + one, APoly(fq, (1, 1, 1)), APoly(fq, (1, 0, 1, 1))]
     assert prime_divisors(one) == prime_divisors(APoly.zero(fq)) == []
+
+
+def _sqf_pairs(f: APoly) -> set[tuple[tuple[int, ...], int]]:
+    return {(g.coeffs, i) for g, i in squarefree_decomposition(f)}
+
+
+def _sympy_sqf_pairs(f: APoly) -> set[tuple[tuple[int, ...], int]]:
+    galois = pytest.importorskip("sympy.polys.galoistools")
+    from sympy.polys.domains import ZZ
+
+    p = f.fq.p
+    _, parts = galois.gf_sqf_list(ZZ.map(list(reversed(f.coeffs))), p, ZZ)
+    return {(tuple(int(c) % p for c in reversed(g)), i) for g, i in parts}
+
+
+@pytest.mark.parametrize("p, max_degree", [(2, 8), (3, 5), (5, 4)])
+def test_squarefree_decomposition_matches_sympy(p, max_degree):
+    pytest.importorskip("sympy")
+    fq = base_field(p, 1, (0, 1))
+    for f in _monic(fq, max_degree):
+        assert _sqf_pairs(f) == _sympy_sqf_pairs(f), f
+        # a unit multiple has the same parts
+        assert _sqf_pairs(f.scale(p - 1)) == _sqf_pairs(f)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_squarefree_decomposition_of_pth_powers_matches_sympy(p):
+    # f' = 0 for a p-th power: the parts come from its p-th root, with
+    # every multiplicity scaled by p, and p-th powers of p-th powers nest
+    pytest.importorskip("sympy")
+    fq = base_field(p, 1, (0, 1))
+    rng = random.Random(p)
+    x = APoly.var(fq)
+    cases = [x**p, (x + APoly.one(fq)) ** (p * p), x ** (p + 1)]
+    for _ in range(40):
+        a, b, c = (
+            APoly(fq, [rng.randrange(p) for _ in range(rng.randrange(0, 4))] + [1])
+            for _ in range(3)
+        )
+        cases += [a**p, a * b**p, (a * b) ** p * c, a ** (p * p) * b**p * c**2]
+    assert sum(not f.derivative() for f in cases) > 40
+    for f in cases:
+        assert _sqf_pairs(f) == _sympy_sqf_pairs(f), f
+    # the discriminant a^2 of x^2 + a x + b in characteristic 2
+    if p == 2:
+        a = APoly(fq, (1, 1, 0, 1)) * x
+        assert not (a * a).derivative()
+        assert _sqf_pairs(a * a) == {(a.coeffs, 2)}
+
+
+def test_squarefree_decomposition_over_f4_multiplies_back():
+    # q = 4 (the base field of the f16e2 tower): p-th roots take c -> c^2
+    # on F_4, not the identity
+    fq = base_field(2, 2, (1, 1, 1))
+    rng = random.Random(11)
+    for _ in range(150):
+        f = APoly(fq, [rng.randrange(1, fq.q)])
+        for _ in range(rng.randrange(1, 4)):
+            g = APoly(fq, [rng.randrange(fq.q) for _ in range(rng.randrange(1, 3))] + [1])
+            f = f * g ** rng.choice((1, 2, 3, 4, 5, 6, 8))
+        parts = squarefree_decomposition(f)
+        prod = APoly.one(fq)
+        for g, i in parts:
+            assert g.is_monic() and g.degree > 0
+            assert poly_gcd(g, g.derivative()).degree == 0  # squarefree
+            prod = prod * g**i
+        assert prod == f.monic()
+        mults = [i for _, i in parts]
+        assert mults == sorted(set(mults))
+        for (g, _), (h, _) in itertools.combinations(parts, 2):
+            assert poly_gcd(g, h).degree == 0
+
+
+def test_squarefree_decomposition_of_constants_and_zero():
+    fq = base_field(3, 1, (0, 1))
+    assert squarefree_decomposition(APoly.const(fq, 2)) == []
+    with pytest.raises(ValueError):
+        squarefree_decomposition(APoly.zero(fq))
 
 
 def test_prime_divisors_refuse_beyond_desk_scale():
