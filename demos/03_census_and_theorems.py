@@ -40,7 +40,7 @@ def main() -> None:
                 f"    A[pi] occurs as an endomorphism ring: {occurrence['occurs']} "
                 f"(expected {occurrence['expected']})"
             )
-            action = validate_ideal_class_action(grp, tower)
+            action = validate_ideal_class_action(grp)
             if "skipped" in action:
                 print(f"    action check skipped: {action['skipped']}")
                 continue

@@ -34,7 +34,7 @@ from .apoly import (
 )
 from .lattices import ALattice, lattice_index
 from .extfield import ExtElem, ExtensionField
-from .skew import SkewPoly, rgcd, rgcd_bezout, rgcd_certificates
+from .skew import SkewPoly, rgcd, rgcd_bezout
 from .modules import (
     DrinfeldModule,
     find_isomorphism,
@@ -60,7 +60,6 @@ from .orders import (
     integral_ideals,
     is_gorenstein,
     is_gorenstein_at,
-    is_principal,
     lin_equiv,
     minimal_frobenius_order,
     order_from_pi_lattice,
@@ -134,7 +133,6 @@ __all__ = [
     "is_gorenstein_at",
     "is_isogeny",
     "is_kernel_ideal",
-    "is_principal",
     "lattice_index",
     "lin_equiv",
     "minimal_frobenius_order",
@@ -146,7 +144,6 @@ __all__ = [
     "prime_divisors",
     "rgcd",
     "rgcd_bezout",
-    "rgcd_certificates",
     "roots_in_k",
     "run_worked_examples",
     "same_isogeny_class",

@@ -73,7 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "census":
             p.add_argument("--max-norm-deg", type=int, default=6, dest="max_norm_deg")
             p.add_argument("--lin-equiv-bound", type=int, default=2, dest="lin_equiv_bound")
-            p.add_argument("--seed", type=int, default=0, help="echoed into the census header")
             p.add_argument("--skip-validate", action="store_true")
         else:
             p.add_argument("--format", choices=("json", "text"), default="json")
@@ -145,7 +144,8 @@ def _run_census(args) -> int:
             "field": field_to_json(tower),
             "rank": rank,
             "t": kelem_to_json(tower, t),
-            "seed": args.seed,
+            # schema 1 keeps the field; a census draws no random numbers
+            "seed": 0,
         }
         lines.append(dumps_canonical(header))
         groups = census_isomorphism_classes(tower, rank, t)
@@ -158,7 +158,6 @@ def _run_census(args) -> int:
                     rep_a = validate_minimal_order_occurrence(grp)
                     rep_b = validate_ideal_class_action(
                         grp,
-                        tower,
                         max_norm_ceiling=args.max_norm_deg,
                         lin_equiv_bound=args.lin_equiv_bound,
                     )

@@ -44,11 +44,6 @@ class ExtensionField:
     def elem(self, nums, den: APoly | None = None) -> ExtElem:
         return ExtElem(self, list(nums), den)
 
-    def from_scalar(self, a: APoly) -> ExtElem:
-        nums = [APoly.zero(self.fq)] * self.s
-        nums[0] = a
-        return ExtElem(self, nums)
-
     def reduce_vec(self, vec: list[APoly]) -> list[APoly]:
         """Reduce an x-polynomial of any degree modulo m (exact, m monic)."""
         out = list(vec)
@@ -194,26 +189,6 @@ class ExtElem:
             if v:
                 acc = acc + v * self.ext.power_sum(i)
         return RatFunc(acc, self.den)
-
-    def minimal_polynomial(self) -> list[RatFunc]:
-        """Monic minimal polynomial over F, little-endian coefficients."""
-        ext = self.ext
-        fq = ext.fq
-        one = RatFunc(APoly.one(fq))
-        pows = [ext.one()]
-        while True:
-            d = len(pows)
-            nxt = pows[-1] * self
-            # solve sum c_j pows[j] = -nxt over F by clearing denominators
-            den_all = nxt.den
-            for p in pows:
-                den_all = den_all * p.den
-            rows = [[p.nums[i] * den_all.exact_div(p.den) for p in pows] for i in range(ext.s)]
-            rhs = [[-(nxt.nums[i] * den_all.exact_div(nxt.den))] for i in range(ext.s)]
-            det, sol = mat_solve(rows, rhs)
-            if sol is not None:
-                return [RatFunc(row[0], det) for row in sol] + [one]
-            pows.append(nxt)
 
     def __bool__(self) -> bool:
         return any(self.nums)

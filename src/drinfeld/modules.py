@@ -69,11 +69,6 @@ class DrinfeldModule:
         return out
 
     @cached_property
-    def frobenius(self) -> SkewPoly:
-        """pi = tau^n, central in k{tau}."""
-        return SkewPoly.tau_power(self.tower, self.n)
-
-    @cached_property
     def height(self) -> int:
         """tau-valuation of the image of the characteristic prime over d."""
         img = self(self.char_prime)

@@ -8,12 +8,12 @@ Two coordinate systems coexist, with a tested change of basis:
 * power-basis coordinates in F[x]/(m(x)), where ideal arithmetic,
   indices, trace duals and all equality tests live.
 
-An order carries an A-basis (as ExtElems; for endomorphism rings also
-as skew polynomials, with the first basis element equal to 1), its
-multiplication table over A, and the canonical HNF lattice of the basis
-in power coordinates. Fractional ideals store HNF lattices in the
-coordinates of their ambient order's basis, so the ambient order itself
-is always the identity lattice.
+An order carries its A-basis as one matrix over one denominator in
+power coordinates (for endomorphism rings also as skew polynomials,
+with the first basis element equal to 1), its multiplication table over
+A, and the canonical HNF lattice of the basis. Fractional ideals store
+HNF lattices in the coordinates of their ambient order's basis, so the
+ambient order itself is always the identity lattice.
 """
 
 from __future__ import annotations
@@ -149,12 +149,14 @@ def coords_in_skew_basis(
 
 class AOrder:
     """An A-order in the Frobenius field, with basis and multiplication
-    table over A."""
+    table over A. Basis element j is cols[j] / den in power coordinates;
+    `basis_matrix` holds the same matrix as rows over den."""
 
     def __init__(
         self,
         ext: ExtensionField,
-        basis_ext: list[ExtElem],
+        cols,
+        den: APoly,
         module: DrinfeldModule | None = None,
         skew_basis: list[SkewPoly] | None = None,
         tag: str = "order",
@@ -162,19 +164,19 @@ class AOrder:
         self.ext = ext
         self.fq = ext.fq
         self.s = ext.s
-        self.basis_ext = list(basis_ext)
+        rows = [list(row) for row in zip(*cols)]
+        self.basis_matrix = (rows, den)
         self.module = module
         self.skew_basis = list(skew_basis) if skew_basis is not None else None
         self.tag = tag
-        rows, dens = self.basis_matrix
-        self.pi_lattice = ALattice.from_generators(self.fq, self.s, zip(*rows), dens)
+        self.pi_lattice = ALattice.from_generators(self.fq, self.s, zip(*rows), den)
         # phi_{T^a} * skew_basis[j], grown on demand (`skew_term`)
         self._skew_terms = [[b] for b in self.skew_basis] if self.skew_basis else None
 
     # -- coordinates --
 
     def coords_of(self, x: ExtElem) -> list[RatFunc] | None:
-        """Coordinates of x with respect to basis_ext (None never occurs
+        """Coordinates of x with respect to the basis (None never occurs
         for a true F-basis; kept for symmetry)."""
         det, adj = self.basis_adjugate
         if adj is None:
@@ -260,16 +262,10 @@ class AOrder:
         return FracIdeal(self, ALattice.identity(self.fq, self.s))
 
     @cached_property
-    def basis_matrix(self) -> tuple[list[list[APoly]], APoly]:
-        """Rows of the basis-to-power-coordinates matrix plus denominator."""
-        dens = APoly.one(self.fq)
-        for b in self.basis_ext:
-            dens = dens * b.den
-        scales = [dens.exact_div(b.den) for b in self.basis_ext]
-        rows = [
-            [b.nums[i] * c for b, c in zip(self.basis_ext, scales)] for i in range(self.s)
-        ]
-        return rows, dens
+    def basis_ext(self) -> list[ExtElem]:
+        """The basis as reduced elements of the Frobenius field."""
+        rows, den = self.basis_matrix
+        return [ExtElem(self.ext, list(col), den) for col in zip(*rows)]
 
     @cached_property
     def basis_adjugate(self) -> tuple[APoly, list[list[APoly]] | None]:
@@ -362,10 +358,7 @@ def build_endomorphism_ring(module: DrinfeldModule) -> AOrder:
     det, adj_t = mat_solve(p_t, mat_identity(fq, s))
     if not det:
         raise InternalError("pi powers are not an F-basis")
-    basis_ext = []
-    for j in range(s):
-        basis_ext.append(ExtElem(ext, [adj_t[i][j] for i in range(s)], det))
-    return AOrder(ext, basis_ext, module=module, skew_basis=basis_skew, tag="End")
+    return AOrder(ext, zip(*adj_t), det, module=module, skew_basis=basis_skew, tag="End")
 
 
 def right_divisible_combinations(
@@ -438,16 +431,15 @@ def end_pi_lattice(module: DrinfeldModule, f: APoly) -> ALattice:
 def minimal_frobenius_order(profile, module: DrinfeldModule) -> AOrder:
     """A[pi] = A[x]/(m(x)) in its power basis; skew basis tau^(n*i)."""
     ext = profile.extension_field()
-    basis_ext = [ext.gen() ** i for i in range(ext.s)]
     skew = [SkewPoly.tau_power(module.tower, module.n * i) for i in range(ext.s)]
-    return AOrder(ext, basis_ext, module=module, skew_basis=skew, tag="A[pi]")
+    one = APoly.one(ext.fq)
+    return AOrder(ext, mat_identity(ext.fq, ext.s), one, module=module, skew_basis=skew, tag="A[pi]")
 
 
 def order_from_pi_lattice(
     ext: ExtensionField, lat: ALattice, module: DrinfeldModule | None = None, tag: str = "order"
 ) -> AOrder:
-    basis_ext = [ExtElem(ext, list(col), lat.den) for col in lat.cols]
-    return AOrder(ext, basis_ext, module=module, tag=tag)
+    return AOrder(ext, lat.cols, lat.den, module=module, tag=tag)
 
 
 class FracIdeal:
@@ -887,7 +879,3 @@ def _weakly_equivalent(ideal: FracIdeal, other: FracIdeal, quot: FracIdeal) -> b
     """Whether (ideal : other)(other : ideal) contains 1, given
     quot = (ideal : other)."""
     return quot.mul(other.colon(ideal)).contains_one()
-
-
-def is_principal(ideal: FracIdeal, bound_deg: int = 2):
-    return lin_equiv(ideal, ideal.order.unit_ideal(), bound_deg)

@@ -158,9 +158,6 @@ class SkewPoly:
             rem.pop()
         return SkewPoly(t, quo), SkewPoly(t, rem)
 
-    def right_divides(self, other: SkewPoly) -> bool:
-        return not other.rdivmod(self)[1]
-
     def monic(self) -> SkewPoly:
         """Normalize by a left unit so the leading coefficient is one."""
         if not self.coeffs:
@@ -380,25 +377,3 @@ def rgcd_bezout(f: SkewPoly, g: SkewPoly) -> tuple[SkewPoly, SkewPoly, SkewPoly]
     c = r0.lc().inv()
     return r0.left_scale(c), a0.left_scale(c), b0.left_scale(c)
 
-
-def rgcd_certificates(polys: list[SkewPoly]) -> tuple[SkewPoly, list[SkewPoly]]:
-    """Monic right gcd d of the list plus certificates c_i with
-    sum c_i * f_i = d."""
-    if not any(polys):
-        raise EmptyIdeal("right gcd of the zero ideal")
-    t = polys[0].tower
-    g = SkewPoly.zero(t)
-    certs = [SkewPoly.zero(t)] * len(polys)
-    for idx, f in enumerate(polys):
-        if not f:
-            continue
-        if not g:
-            g = f
-            certs[idx] = SkewPoly.one(t)
-            continue
-        d, a, b = rgcd_bezout(g, f)
-        certs = [a * c for c in certs]
-        certs[idx] = certs[idx] + b
-        g = d
-    c = g.lc().inv()
-    return g.left_scale(c), [cr.left_scale(c) for cr in certs]

@@ -282,14 +282,6 @@ def test_trace_newton_vs_matrix_trace():
         assert elem.trace() == RatFunc(diag, elem.den)
 
 
-def test_minimal_polynomial_of_generator_recovers_modulus():
-    ext = ex38_field()
-    mp = ext.gen().minimal_polynomial()
-    assert len(mp) == ext.s + 1
-    for got, want in zip(mp, ext.mod):
-        assert got == RatFunc(want)
-
-
 def test_norm_multiplicative_against_determinant():
     ext = ex38_field()
     pi = ext.gen()

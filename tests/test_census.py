@@ -266,7 +266,7 @@ def test_ideal_class_action_bijective_on_f4_ordinary():
     f4 = get_tower("f4")
     groups = census_isomorphism_classes(f4, 2, f4.zero)
     grp = groups["x^2+(T+1)*x+T^2"]
-    report = validate_ideal_class_action(grp, f4)
+    report = validate_ideal_class_action(grp)
     assert report["bijective"] and report["saturated"]
     assert report["ideal_classes"] == report["iso_classes"] == 2
 
@@ -351,5 +351,5 @@ def test_validator_enumerates_each_norm_level_once(monkeypatch):
         return real(order, level)
 
     monkeypatch.setattr(census, "ideals_of_norm_degree", spy)
-    report = validate_ideal_class_action(grp, f4)
+    report = validate_ideal_class_action(grp)
     assert levels == list(range(report["max_norm_deg"] + 1))

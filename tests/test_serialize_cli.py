@@ -459,14 +459,14 @@ def test_cli_parser_is_shared_and_parses_independently(tmp_path, capsys):
 
     assert build_parser() is build_parser()
     a = build_parser().parse_args(
-        ["census", "--input", "c.json", "--skip-validate", "--seed", "3"]
+        ["census", "--input", "c.json", "--skip-validate", "--max-norm-deg", "3"]
     )
     b = build_parser().parse_args(["analyze", "--input", "m.json", "--format", "text"])
     c = build_parser().parse_args(["census", "--input", "d.json"])
-    assert (a.command, a.input, a.skip_validate, a.seed) == ("census", "c.json", True, 3)
+    assert (a.command, a.input, a.skip_validate, a.max_norm_deg) == ("census", "c.json", True, 3)
     assert (b.command, b.input, b.format) == ("analyze", "m.json", "text")
     assert not hasattr(b, "skip_validate") and not hasattr(a, "format")
-    assert (c.input, c.skip_validate, c.seed) == ("d.json", False, 0)
+    assert (c.input, c.skip_validate, c.max_norm_deg) == ("d.json", False, 6)
 
     # the text format of one call does not carry over into the next
     mod = _write(tmp_path, "mod.json", EX38_MODULE)
@@ -488,7 +488,8 @@ def test_cli_jobs_validation(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [["analyze", "--seed", "9"], ["census", "--format", "text"]]
+    "argv",
+    [["analyze", "--seed", "9"], ["census", "--format", "text"], ["census", "--seed", "3"]],
 )
 def test_cli_rejects_flags_the_subcommand_ignores(tmp_path, capsys, argv):
     mod = _write(tmp_path, "mod.json", EX38_MODULE)
