@@ -25,21 +25,22 @@ class APoly:
     __slots__ = ("fq", "coeffs")
 
     def __init__(self, fq: Fq, coeffs=()):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
+        c = tuple(coeffs)
+        n = len(c)
+        while n and c[n - 1] == 0:
+            n -= 1
         self.fq = fq
-        self.coeffs = tuple(c)
+        self.coeffs = c[:n] if n < len(c) else c
 
     # -- constructors --
 
     @staticmethod
     def zero(fq: Fq) -> APoly:
-        return APoly(fq, ())
+        return _poly(fq, ())
 
     @staticmethod
     def one(fq: Fq) -> APoly:
-        return APoly(fq, (1,))
+        return _poly(fq, (1,))
 
     @staticmethod
     def const(fq: Fq, c: int) -> APoly:
@@ -67,40 +68,59 @@ class APoly:
         return self.lc() == 1
 
     # -- arithmetic --
+    #
+    # The kernels read the F_q tables a row at a time (a + b is
+    # add[a][b], c * b is mul[c][b]) and call no F_q method per
+    # coefficient. Results whose top coefficient is known to be nonzero
+    # skip the trailing-zero strip.
 
     def __add__(self, other: APoly) -> APoly:
         fq = self.fq
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, v in enumerate(b):
-            out[i] = fq.add(out[i], v)
-        return APoly(fq, out)
+        head = tuple(map(list.__getitem__, map(fq._add.__getitem__, a), b))
+        if len(a) > len(b):
+            return _poly(fq, head + a[len(b) :])
+        return APoly(fq, head)
 
     def __neg__(self) -> APoly:
-        return APoly(self.fq, [self.fq.neg(v) for v in self.coeffs])
+        return _poly(self.fq, tuple(map(self.fq._neg.__getitem__, self.coeffs)))
 
     def __sub__(self, other: APoly) -> APoly:
-        return self + (-other)
+        fq = self.fq
+        a, b = self.coeffs, other.coeffs
+        neg = fq._neg.__getitem__
+        head = tuple(map(list.__getitem__, map(fq._add.__getitem__, a), map(neg, b)))
+        if len(a) > len(b):
+            return _poly(fq, head + a[len(b) :])
+        if len(a) < len(b):
+            return _poly(fq, head + tuple(map(neg, b[len(a) :])))
+        return APoly(fq, head)
 
     def __mul__(self, other: APoly) -> APoly:
         fq = self.fq
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return APoly(fq, ())
+            return _poly(fq, ())
+        if len(a) > len(b):
+            a, b = b, a
+        add, mul = fq._add, fq._mul
         out = [0] * (len(a) + len(b) - 1)
         for i, ai in enumerate(a):
             if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        out[i + j] = fq.add(out[i + j], fq.mul(ai, bj))
-        return APoly(fq, out)
+                row = mul[ai]
+                for j, bj in enumerate(b, i):
+                    out[j] = add[out[j]][row[bj]]
+        # the top coefficient is the product of two nonzero leading ones
+        return _poly(fq, tuple(out))
 
     def scale(self, c: int) -> APoly:
         if c == 0:
-            return APoly(self.fq, ())
-        return APoly(self.fq, [self.fq.mul(c, v) for v in self.coeffs])
+            return _poly(self.fq, ())
+        if c == 1:
+            return self
+        return _poly(self.fq, tuple(map(self.fq._mul[c].__getitem__, self.coeffs)))
 
     def shift(self, j: int) -> APoly:
         """Multiply by T^j."""
@@ -112,19 +132,26 @@ class APoly:
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
         fq = self.fq
+        b = other.coeffs
+        d = len(b) - 1
+        if len(self.coeffs) <= d:
+            return _poly(fq, ()), self
+        add, mul, neg = fq._add, fq._mul, fq._neg
         rem = list(self.coeffs)
-        d = other.degree
-        quo = [0] * max(0, len(rem) - d)
-        lead_inv = fq.inv(other.lc())
+        quo = [0] * (len(rem) - d)
+        lead_inv = mul[fq._inv[b[-1]]]
+        low = b[:-1]  # the top term of c * b cancels rem[i]
         for i in range(len(rem) - 1, d - 1, -1):
             c = rem[i]
             if c:
-                c = fq.mul(c, lead_inv)
+                c = lead_inv[c]
                 quo[i - d] = c
-                for j, bj in enumerate(other.coeffs):
+                row = mul[neg[c]]
+                for j, bj in enumerate(low, i - d):
                     if bj:
-                        rem[i - d + j] = fq.sub(rem[i - d + j], fq.mul(c, bj))
-        return APoly(fq, quo), APoly(fq, rem)
+                        rem[j] = add[rem[j]][row[bj]]
+        # the first quotient term is lc(self) / lc(other), nonzero
+        return _poly(fq, tuple(quo)), APoly(fq, rem[:d])
 
     def __floordiv__(self, other: APoly) -> APoly:
         return divmod(self, other)[0]
@@ -171,7 +198,7 @@ class APoly:
     def monic(self) -> APoly:
         if not self:
             return self
-        return self.scale(self.fq.inv(self.lc()))
+        return self.scale(self.fq._inv[self.coeffs[-1]])
 
     def derivative(self) -> APoly:
         # i mod p lies in the prime field, whose elements encode as 0..p-1
@@ -247,6 +274,14 @@ class APoly:
 
     def __repr__(self) -> str:
         return self.text()
+
+
+def _poly(fq: Fq, coeffs: tuple) -> APoly:
+    """An APoly on a coefficient tuple that has no trailing zero."""
+    p = object.__new__(APoly)
+    p.fq = fq
+    p.coeffs = coeffs
+    return p
 
 
 def poly_gcd(a: APoly, b: APoly) -> APoly:
@@ -369,8 +404,11 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: APoly, den: APoly | None = None):
-        if den is None:
-            den = APoly.one(num.fq)
+        if den is None or den.coeffs == (1,):
+            # a denominator of 1 is already reduced and monic
+            self.num = num
+            self.den = APoly.one(num.fq) if den is None else den
+            return
         if not den:
             raise ZeroDivisionError("zero denominator")
         if num:

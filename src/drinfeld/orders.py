@@ -784,9 +784,22 @@ def _box_values(fq, bound_deg: int, s: int) -> tuple:
 def _norm_hits(form: dict[tuple[int, ...], APoly], values: tuple, want: APoly):
     """Coefficient vectors c over `values` (see _box_values) whose form(c)
     is a unit times the monic `want`, in lexicographic order of their
-    digits and one per F_q^x line: the first nonzero digit is 1."""
+    digits and one per F_q^x line: the first nonzero digit is 1.
+
+    The form restricted to a prefix of c is sum_k part_k * c^k in the last
+    coordinate c, and the degree of each term depends on deg c alone.
+    Before form(c) is built, a sieve settles its degree from the terms
+    tied at the top degree: their leading coefficients sum to
+    S = sum lc(part_k) * lc(c)^k, one F_q sum. A lone top term at
+    want.degree passes; a tie at want.degree passes only if S != 0 (the
+    tie does not cancel), a tie above it only if S = 0 (it cancels and
+    may land lower); every other c has the wrong degree. The sieve drops
+    only candidates of the wrong degree, so the hits and their order are
+    those of building form(c) for every vector."""
     s = len(next(iter(form)))
-    zero = APoly.zero(want.fq)
+    fq = want.fq
+    add, mul = fq._add, fq._mul
+    zero = APoly.zero(fq)
     terms = [(exps, coef) for exps, coef in form.items() if coef]
     degrees = range(-1, max(c.degree for c, _, _ in values) + 1)
     for prefix in itertools.product(values, repeat=s - 1):
@@ -800,15 +813,33 @@ def _norm_hits(form: dict[tuple[int, ...], APoly], values: tuple, want: APoly):
                 if e:
                     coef = coef * pw[e]
             part[exps[-1]] = part[exps[-1]] + coef
-        # the degree of part[k] * c^k depends on deg c alone; a unique
-        # top term fixes deg form(c), and a tie can only lower it
-        fits = {}
+        # per deg c: the terms (k, lc(part_k)) tied at the top degree and
+        # whether their sum S must vanish; no entry means the wrong degree
+        sieve = {}
         for dc in degrees:
-            tops = [p.degree + k * dc for k, p in enumerate(part) if p and (dc >= 0 or not k)]
-            top = max(tops, default=-1)
-            fits[dc] = top == want.degree or (top > want.degree and tops.count(top) > 1)
+            top, tied = -1, []
+            for k, p in enumerate(part):
+                if p and (dc >= 0 or not k):
+                    d = p.degree + k * dc
+                    if d > top:
+                        top, tied = d, []
+                    if d == top:
+                        tied.append((k, p.coeffs[-1]))
+            if top == want.degree:
+                sieve[dc] = (tied, False)
+            elif top > want.degree and len(tied) > 1:
+                sieve[dc] = (tied, True)
         for c, pw, v in values:
-            if not lead and v != 1 or not fits[c.degree]:
+            if not lead and v != 1:
+                continue
+            rule = sieve.get(c.degree)
+            if rule is None:
+                continue
+            tied, cancel = rule
+            lc_sum = 0
+            for k, lk in tied:
+                lc_sum = add[lc_sum][mul[lk][pw[k].coeffs[-1]]]
+            if (lc_sum == 0) != cancel:
                 continue
             val = part[0]
             for k in range(1, s + 1):
@@ -839,6 +870,10 @@ def lin_equiv(ideal: FracIdeal, other: FracIdeal, bound_deg: int = 2):
     have N(u) equal to N(ideal) / N(other) up to a unit. Hits are closed
     under F_q^x scaling, so one vector per line is tried, and the first
     hit in lexicographic order of the whole box is the one returned.
+    The norm is built only for candidates whose leading terms give it the
+    target's degree: a tie of top terms at that degree must not cancel,
+    a tie above it must (see _norm_hits). The size guard compares
+    q^(s(bound_deg+1)) with its limit without building the power.
 
     A witness proves weak equivalence as well, so (other : ideal) and
     the product (ideal : other)(other : ideal) are computed only when
@@ -850,8 +885,7 @@ def lin_equiv(ideal: FracIdeal, other: FracIdeal, bound_deg: int = 2):
     quot = ideal.colon(other)
     s = order.s
     fq = order.fq
-    count = fq.q ** (s * (bound_deg + 1))
-    if count > 5 * 10**5:
+    if _exceeds(fq.q, s * (bound_deg + 1), 5 * 10**5):
         if not _weakly_equivalent(ideal, other, quot):
             return "no", None
         raise TooLarge("linear-equivalence search space beyond desk scale")
@@ -873,6 +907,17 @@ def lin_equiv(ideal: FracIdeal, other: FracIdeal, bound_deg: int = 2):
     if not _weakly_equivalent(ideal, other, quot):
         return "no", None
     return "unknown", None
+
+
+def _exceeds(q: int, e: int, limit: int) -> bool:
+    """Whether q^e > limit, multiplying up only until the limit is passed:
+    a huge search bound must not build the whole power."""
+    v = 1
+    for _ in range(e):
+        if v > limit:
+            return True
+        v *= q
+    return v > limit
 
 
 def _weakly_equivalent(ideal: FracIdeal, other: FracIdeal, quot: FracIdeal) -> bool:

@@ -353,3 +353,135 @@ def test_is_separable_reads_the_derivative():
         assert not ExtensionField([T(fq)] + [zero] * (p - 1) + [one]).is_separable()
         assert ExtensionField([T(fq), one] + [zero] * (p - 2) + [one]).is_separable()
         assert ExtensionField([T(fq)] + [zero] * p + [one]).is_separable()
+
+
+# -- the table kernels over non-prime F_q, against schoolbook F_q sums --
+
+# F_4 = F_2[y]/(y^2+y+1), F_8 = F_2[y]/(y^3+y+1), F_9 = F_3[y]/(y^2+1)
+NONPRIME_FIELDS = {"f4": (2, 2, (1, 1, 1)), "f8": (2, 3, (1, 1, 0, 1)), "f9": (3, 2, (1, 0, 1))}
+
+
+def _trim(c) -> tuple:
+    c = list(c)
+    while c and c[-1] == 0:
+        c.pop()
+    return tuple(c)
+
+
+def _ref_add(fq, a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    op = fq.add if sign > 0 else fq.sub
+    return _trim(op(x, y) for x, y in zip(a, b))
+
+
+def _ref_mul(fq, a, b):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] = fq.add(out[i + j], fq.mul(x, y))
+    return _trim(out)
+
+
+def _ref_divmod(fq, a, b):
+    rem, d = list(a), len(b) - 1
+    quo = [0] * max(0, len(a) - d)
+    inv = fq.inv(b[-1])
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = fq.mul(rem[i], inv)
+        quo[i - d] = c
+        for j, y in enumerate(b):
+            rem[i - d + j] = fq.sub(rem[i - d + j], fq.mul(c, y))
+    return _trim(quo), _trim(rem)
+
+
+def _ref_gcd(fq, a, b):
+    while b:
+        a, b = b, _ref_divmod(fq, a, b)[1]
+    return _trim(fq.mul(fq.inv(a[-1]), x) for x in a)
+
+
+def _assert_canonical(p: APoly) -> None:
+    assert isinstance(p.coeffs, tuple)
+    assert not p.coeffs or p.coeffs[-1] != 0
+
+
+def _with_top_of(rng, fq, a: APoly, sign: int) -> APoly:
+    """A polynomial whose top terms cancel against a's in a + sign * b."""
+    keep = rng.randrange(1, len(a.coeffs) + 1)
+    low = [rng.randrange(fq.q) for _ in range(len(a.coeffs) - keep)]
+    top = a.coeffs[-keep:] if sign < 0 else tuple(fq.neg(v) for v in a.coeffs[-keep:])
+    return APoly(fq, low + list(top))
+
+
+@pytest.mark.parametrize("name", sorted(NONPRIME_FIELDS))
+def test_kernels_match_schoolbook_over_nonprime_fq(name):
+    from drinfeld.fields import base_field
+
+    fq = base_field(*NONPRIME_FIELDS[name])
+    rng = random.Random(name)
+    cancelled = 0
+    for _ in range(150):
+        a = rand_nonzero_apoly(rng, fq, 6)
+        pairs = [(a, rand_apoly(rng, fq, 6))]
+        # equal and unequal lengths whose top terms cancel in the sum or difference
+        pairs += [(a, _with_top_of(rng, fq, a, -1)), (a, _with_top_of(rng, fq, a, 1))]
+        for x, y in pairs:
+            for got, want in (
+                (x + y, _ref_add(fq, x.coeffs, y.coeffs)),
+                (y + x, _ref_add(fq, x.coeffs, y.coeffs)),
+                (x - y, _ref_add(fq, x.coeffs, y.coeffs, -1)),
+                (y - x, _ref_add(fq, y.coeffs, x.coeffs, -1)),
+                (-x, _ref_add(fq, (), x.coeffs, -1)),
+                (x * y, _ref_mul(fq, x.coeffs, y.coeffs)),
+                (y * x, _ref_mul(fq, x.coeffs, y.coeffs)),
+            ):
+                _assert_canonical(got)
+                assert got.coeffs == want
+            cancelled += len((x - y).coeffs) < len(x.coeffs) == len(y.coeffs)
+        c = rng.randrange(fq.q)
+        got = a.scale(c)
+        _assert_canonical(got)
+        assert got.coeffs == _trim(fq.mul(c, v) for v in a.coeffs)
+        got = a.monic()
+        _assert_canonical(got)
+        assert got.coeffs == _trim(fq.mul(fq.inv(a.lc()), v) for v in a.coeffs)
+        b = rand_nonzero_apoly(rng, fq, 4)
+        for num in (a, a * b, rand_apoly(rng, fq, 3)):
+            quo, rem = divmod(num, b)
+            _assert_canonical(quo)
+            _assert_canonical(rem)
+            assert (quo.coeffs, rem.coeffs) == _ref_divmod(fq, num.coeffs, b.coeffs)
+    assert cancelled > 50
+
+
+@pytest.mark.parametrize("name", sorted(NONPRIME_FIELDS))
+def test_ratfunc_reduces_over_nonprime_fq(name):
+    from drinfeld.fields import base_field
+
+    fq = base_field(*NONPRIME_FIELDS[name])
+    rng = random.Random(name)
+    for _ in range(80):
+        num = rand_apoly(rng, fq, 5)
+        # unit denominators: 1 (no gcd is taken) and the other constants
+        for c in range(1, fq.q):
+            r = RatFunc(num, APoly(fq, (c,)))
+            _assert_canonical(r.num)
+            assert r.den.coeffs == (1,)
+            assert r.num.coeffs == _trim(fq.mul(fq.inv(c), v) for v in num.coeffs)
+        assert RatFunc(num) == RatFunc(num, APoly.one(fq))
+        # a non-unit denominator with a common factor
+        den = rand_nonzero_apoly(rng, fq, 3) * APoly(fq, (rng.randrange(fq.q), 1))
+        common = rand_nonzero_apoly(rng, fq, 2)
+        r = RatFunc(num * common, den * common)
+        _assert_canonical(r.num)
+        _assert_canonical(r.den)
+        assert r.den.lc() == 1
+        if num:
+            assert _ref_gcd(fq, r.num.coeffs, r.den.coeffs) == (1,)
+        else:
+            assert r.den.coeffs == (1,)
+        # r equals num / den: num * r.den = den * r.num
+        assert _ref_mul(fq, num.coeffs, r.den.coeffs) == _ref_mul(fq, den.coeffs, r.num.coeffs)

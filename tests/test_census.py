@@ -164,6 +164,14 @@ GOLDEN_CENSUS_DIGESTS = {
         ["--skip-validate"],
         "a5d0404044fee6bd8c5e2fefba671dd2cc20062dee3488b6fbf7ca3676d88c16",
     ),
+    # recorded before the table-row APoly kernels and the sieve of the
+    # lin_equiv box search; about 10 s
+    "f27-rank2-validated": (
+        {"p": 3, "e": 1, "h": [0, 1], "n": 3, "g": [1, 2, 0, 1]},
+        2,
+        [],
+        "96162886e03cfbc5691f723f75f3bb59be57acdbbfec5f70b20d48b66d8ac4ca",
+    ),
 }
 
 # sha256 of `endring` reports, recorded with KElem-by-KElem skew products:

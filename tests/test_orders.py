@@ -28,7 +28,15 @@ from drinfeld import (
     trace_dual,
 )
 from drinfeld.apoly import mat_det, mat_identity
-from drinfeld.orders import _dual_conductor, _norm_form, _norm_target
+from drinfeld.fields import base_field
+from drinfeld.orders import (
+    _box_values,
+    _dual_conductor,
+    _exceeds,
+    _norm_form,
+    _norm_hits,
+    _norm_target,
+)
 
 from conftest import get_tower, rand_apoly
 
@@ -588,6 +596,150 @@ def test_norm_form_is_the_determinant(name):
                 coef = coef * ci**e
             value = value + coef
         assert value == mat_det([order.mul_coords(u, e) for e in mat_identity(fq, s)])
+
+
+def _norm_hits_unsieved(form, values, want):
+    """_norm_hits as it ran before the leading-coefficient sieve, kept as
+    the reference: form(c) is built for every candidate whose degree is
+    not ruled out by deg c alone."""
+    s = len(next(iter(form)))
+    zero = APoly.zero(want.fq)
+    terms = [(exps, coef) for exps, coef in form.items() if coef]
+    degrees = range(-1, max(c.degree for c, _, _ in values) + 1)
+    for prefix in itertools.product(values, repeat=s - 1):
+        lead = next((v for _, _, v in prefix if v), 0)
+        if lead > 1:
+            continue
+        part = [zero] * (s + 1)
+        for exps, coef in terms:
+            for (_, pw, _), e in zip(prefix, exps):
+                if e:
+                    coef = coef * pw[e]
+            part[exps[-1]] = part[exps[-1]] + coef
+        fits = {}
+        for dc in degrees:
+            tops = [p.degree + k * dc for k, p in enumerate(part) if p and (dc >= 0 or not k)]
+            top = max(tops, default=-1)
+            fits[dc] = top == want.degree or (top > want.degree and tops.count(top) > 1)
+        for c, pw, v in values:
+            if not lead and v != 1 or not fits[c.degree]:
+                continue
+            val = part[0]
+            for k in range(1, s + 1):
+                if part[k]:
+                    val = val + part[k] * pw[k]
+            if val.degree == want.degree and val.monic() == want:
+                yield [p for p, _, _ in prefix] + [c]
+
+
+def _tie_kinds(form, values, want) -> set:
+    """The kinds of tie among the top terms part_k * c^k of form(c) over
+    the box, each as (where the tie sits relative to want.degree, whether
+    the tied terms cancel), read off the full products."""
+    s = len(next(iter(form)))
+    zero = APoly.zero(want.fq)
+    kinds = set()
+    for prefix in itertools.product(values, repeat=s - 1):
+        part = [zero] * (s + 1)
+        for exps, coef in form.items():
+            for (_, pw, _), e in zip(prefix, exps):
+                coef = coef * pw[e]
+            part[exps[-1]] = part[exps[-1]] + coef
+        for _, pw, _ in values:
+            prods = [p * q for p, q in zip(part, pw) if p * q]
+            top = max((t.degree for t in prods), default=-1)
+            tied = [t for t in prods if t.degree == top]
+            if len(tied) > 1 and top >= want.degree:
+                total = sum(tied, zero)
+                kinds.add(("at" if top == want.degree else "above", total.degree < top))
+    return kinds
+
+
+def _random_form(rng, fq, s, max_deg):
+    """A degree-s form in s variables whose coefficients have random
+    degrees up to max_deg, so that top terms tie often."""
+    return {
+        tuple(sigma.count(i) for i in range(s)): rand_apoly(rng, fq, max_deg)
+        for sigma in itertools.combinations_with_replacement(range(s), s)
+    }
+
+
+def _want_from(rng, form, values):
+    """form(c).monic() at a random c of the box, so there is a hit, or a
+    random monic polynomial when form(c) = 0."""
+    fq = values[0][0].fq
+    c = [rng.choice(values) for _ in range(len(next(iter(form))))]
+    val = APoly.zero(fq)
+    for exps, coef in form.items():
+        for (_, pw, _), e in zip(c, exps):
+            coef = coef * pw[e]
+        val = val + coef
+    if not val:
+        return (rand_apoly(rng, fq, 3) + APoly.var(fq) ** 4).monic()
+    return val.monic()
+
+
+# F_2, F_3 and F_4 = F_2[y]/(y^2+y+1), with box bounds small enough that
+# the unsieved loop walks the whole box quickly
+SIEVE_CASES = {
+    ("f2", 2): ((2, 1, (0, 1)), 2),
+    ("f2", 3): ((2, 1, (0, 1)), 1),
+    ("f3", 2): ((3, 1, (0, 1)), 1),
+    ("f3", 3): ((3, 1, (0, 1)), 0),
+    ("f4", 2): ((2, 2, (1, 1, 1)), 1),
+    ("f4", 3): ((2, 2, (1, 1, 1)), 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SIEVE_CASES))
+def test_norm_hits_sieve_matches_the_unsieved_loop(case):
+    # same hits in the same order, over forms whose top terms tie at
+    # want.degree and above it, both cancelling and not
+    field, bound = SIEVE_CASES[case]
+    fq, s = base_field(*field), case[1]
+    values = _box_values(fq, bound, s)
+    rng = random.Random(repr(case))
+    kinds = set()
+    hits = 0
+    for _ in range(25):
+        form = _random_form(rng, fq, s, 3)
+        if not any(form.values()):
+            continue
+        want = _want_from(rng, form, values)
+        got = list(_norm_hits(form, values, want))
+        assert got == list(_norm_hits_unsieved(form, values, want))
+        kinds |= _tie_kinds(form, values, want)
+        hits += len(got)
+    assert kinds == {("at", True), ("at", False), ("above", True), ("above", False)}
+    assert hits > 0
+
+
+def test_norm_hits_sieve_matches_the_unsieved_loop_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=120, derandomize=True, deadline=None, database=None)
+    @hypothesis.given(st.sampled_from(sorted(SIEVE_CASES)), st.integers(0, 2**32), st.integers(0, 4))
+    def check(case, seed, max_deg):
+        field, bound = SIEVE_CASES[case]
+        fq, s = base_field(*field), case[1]
+        values = _box_values(fq, bound, s)
+        rng = random.Random(seed)
+        form = _random_form(rng, fq, s, max_deg)
+        hypothesis.assume(any(form.values()))
+        want = _want_from(rng, form, values)
+        assert list(_norm_hits(form, values, want)) == list(
+            _norm_hits_unsieved(form, values, want)
+        )
+
+    check()
+
+
+def test_exceeds_matches_the_power():
+    for q in (2, 3, 4, 9, 16, 729):
+        for e in range(25):
+            for limit in (0, 1, q - 1, q, 5 * 10**5, q**e, q**e - 1):
+                assert _exceeds(q, e, limit) == (q**e > limit), (q, e, limit)
 
 
 def test_norm_target_clears_the_colon_denominator():

@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 import tempfile
+import time
 
 import pytest
 
@@ -533,6 +534,23 @@ def test_cli_census_rejects_negative_bounds(tmp_path, capsys, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: {flag} must be at least 0\n"
+
+
+def test_cli_census_huge_lin_equiv_bound_exits_as_fast_as_a_large_one(tmp_path, capsys):
+    # the size guard decides q^(s(bound+1)) > limit without building the
+    # power: 10^9 stops as soon as 10^6 does, at the first weakly
+    # equivalent pair of the validated F_9 rank-2 census
+    spec = {"field": {"p": 3, "e": 1, "h": [0, 1], "n": 2, "g": [2, 1, 1]}, "rank": 2, "t": [2, 0]}
+    inp = _write(tmp_path, "census.json", spec)
+    times = {}
+    for bound in (10**6, 10**9):
+        start = time.process_time()
+        assert main(["census", "--input", inp, "--lin-equiv-bound", str(bound)]) == 2
+        times[bound] = time.process_time() - start
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: linear-equivalence search space beyond desk scale\n"
+    assert times[10**9] < 3 * times[10**6] + 0.5, times
 
 
 @pytest.mark.parametrize(
