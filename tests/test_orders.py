@@ -646,7 +646,7 @@ def _tie_kinds(form, values, want) -> set:
                 coef = coef * pw[e]
             part[exps[-1]] = part[exps[-1]] + coef
         for _, pw, _ in values:
-            prods = [p * q for p, q in zip(part, pw) if p * q]
+            prods = [t for t in map(APoly.__mul__, part, pw) if t]
             top = max((t.degree for t in prods), default=-1)
             tied = [t for t in prods if t.degree == top]
             if len(tied) > 1 and top >= want.degree:
