@@ -57,7 +57,6 @@ from .orders import (
     endomorphism_ring,
     gorenstein_conductor,
     ideals_of_norm_degree,
-    integral_ideals,
     is_gorenstein,
     is_gorenstein_at,
     lin_equiv,
@@ -70,7 +69,6 @@ from .action import (
     act,
     annihilator_ideal,
     end_comparison,
-    is_kernel_ideal,
     skew_realization,
     transport_ideal,
 )
@@ -128,11 +126,9 @@ __all__ = [
     "first_irreducible",
     "gorenstein_conductor",
     "ideals_of_norm_degree",
-    "integral_ideals",
     "is_gorenstein",
     "is_gorenstein_at",
     "is_isogeny",
-    "is_kernel_ideal",
     "lattice_index",
     "lin_equiv",
     "minimal_frobenius_order",

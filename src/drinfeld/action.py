@@ -111,11 +111,6 @@ def annihilator_ideal(order: AOrder, integral: FracIdeal, u: SkewPoly) -> FracId
     return FracIdeal(order, lat)
 
 
-def is_kernel_ideal(phi: DrinfeldModule, ideal: FracIdeal) -> tuple[bool, list[APoly] | None]:
-    res = act(phi, ideal)
-    return res.is_kernel, res.witness
-
-
 def end_comparison(result: IdealActionResult) -> dict:
     """Compare O_I with End of the acted module, in power coordinates.
 

@@ -675,22 +675,77 @@ def is_gorenstein(order: AOrder) -> bool:
 # -- bounded enumeration and linear equivalence --
 
 
-def integral_ideals(order: AOrder, max_norm_deg: int):
-    """Every integral ideal I with deg chi(order/I) <= max_norm_deg,
-    exactly once, in a deterministic order: by norm degree, each degree
-    as `ideals_of_norm_degree` lists it."""
-    for total in range(max_norm_deg + 1):
-        yield from ideals_of_norm_degree(order, total)
-
-
 def ideals_of_norm_degree(order: AOrder, total: int):
-    """Every integral ideal I with deg chi(order/I) = total, exactly once:
-    the HNF lattices whose diagonal degrees sum to total and that are
-    closed under the order. The size guard is checked per diagonal shape,
-    before that shape is enumerated."""
+    """Every integral ideal I with deg chi(order/I) = total, exactly once,
+    as HNF lattices: by diagonal degrees (deg d_0, ..., deg d_(s-1)) with
+    deg d_0 ascending, then by the digits (coefficients from T^0 up) of
+    d_0, ..., d_(s-1), then of the entries right of the diagonal, each
+    padded to the degree of its row's diagonal entry.
+
+    A rank-2 order with basis (1, w) takes the closed form of
+    `_quadratic_ideals`; any other order walks every HNF matrix and keeps
+    those closed under the order (`_hnf_filter_ideals`). The size guard
+    bounds the largest diagonal shape, q^(s * total) candidates, and is
+    checked once before the first ideal."""
+    fq = order.fq
+    s = order.s
+    if _exceeds(fq.q, s * total, 10**6):
+        raise TooLarge("ideal enumeration beyond desk scale")
+    if s == 2 and order.one_coords == [APoly.one(fq), APoly.zero(fq)]:
+        yield from _quadratic_ideals(order, total)
+    else:
+        yield from _hnf_filter_ideals(order, total)
+
+
+def _quadratic_ideals(order: AOrder, total: int):
+    """The integral ideals of norm degree total of a rank-2 order A + A w,
+    in closed form and in the sequence of `_hnf_filter_ideals`.
+
+    An HNF lattice I with columns (d0, 0) and (b, d1), deg b < deg d0, is
+    an ideal exactly when it is closed under w.
+    * w * d0 = d0 w lies in I only if d1 | d0, and then
+      d0 w - (d0 / d1)(b + d1 w) = -(d0 / d1) b must lie in d0 A, so d1 | b.
+      Hence I = a * (c A + (b' + w) A) with monic a = d1 and c = d0 / a,
+      b' = b / a, 2 deg a + deg c = total and deg b' < deg c; and then
+      w * a c = c * a (b' + w) - b' * a c does lie in I.
+    * With w^2 = w2[0] + w2[1] w (`AOrder.table`),
+      w * a (b' + w) - (b' + w2[1]) * a (b' + w) = a (w2[0] - (b' + w2[1]) b'),
+      which lies in I, that is in a c A, exactly when
+      c | w2[0] - (b' + w2[1]) b' = m_w(-b'), m_w the minimal polynomial
+      of w.
+    This is the description of the ideals of a quadratic order in Cohen,
+    "A Course in Computational Algebraic Number Theory", GTM 138, sec. 5.2.
+    A rejected candidate costs one remainder and builds no lattice; each
+    shape is sorted into the digit order of the HNF walk."""
+    fq = order.fq
+    one = APoly.one(fq)
+    zero = APoly.zero(fq)
+    w2 = order.table[1][1]
+    for deg_a in range(total // 2, -1, -1):
+        deg_c = total - 2 * deg_a
+        # m_w(-b') for every b' of degree < deg c: one product each
+        norms = [(bp, w2[0] - (bp + w2[1]) * bp) for bp in _polys_below_degree(fq, deg_c)]
+        shape = []
+        for c in _monic_of_degree(fq, deg_c):
+            bps = [bp for bp, m in norms if not m % c]
+            for a in _monic_of_degree(fq, deg_a):
+                d0 = a * c
+                for bp in bps:
+                    b = a * bp
+                    shape.append(((d0.coeffs, a.coeffs, b.coeffs), d0, b, a))
+        # digit tuples carry no trailing zero and 0 is the least digit, so
+        # they compare as their zero-padded digits do
+        shape.sort(key=lambda entry: entry[0])
+        for _, d0, b, a in shape:
+            yield FracIdeal(order, ALattice(fq, 2, ((d0, zero), (b, a)), one))
+
+
+def _hnf_filter_ideals(order: AOrder, total: int):
+    """The integral ideals of norm degree total, in the sequence that
+    `ideals_of_norm_degree` states: every HNF matrix whose diagonal
+    degrees sum to total, kept when it is closed under the order."""
     s = order.s
     fq = order.fq
-    q = fq.q
     one = APoly.one(fq)
     zero = APoly.zero(fq)
     # multiplying by 1 maps every lattice to itself
@@ -700,9 +755,6 @@ def ideals_of_norm_degree(order: AOrder, total: int):
         for i in range(s):
             for j in range(i + 1, s):
                 offslots.append((i, j, diag_degs[i]))
-        work = q ** (sum(diag_degs) + sum(sl[2] for sl in offslots))
-        if work > 10**6:
-            raise TooLarge("ideal enumeration beyond desk scale")
         diag_iters = [list(_monic_of_degree(fq, d)) for d in diag_degs]
         off_iters = [list(_polys_below_degree(fq, d)) for (_, _, d) in offslots]
         for diag in itertools.product(*diag_iters):
@@ -799,20 +851,9 @@ def _norm_hits(form: dict[tuple[int, ...], APoly], values: tuple, want: APoly):
     s = len(next(iter(form)))
     fq = want.fq
     add, mul = fq._add, fq._mul
-    zero = APoly.zero(fq)
     terms = [(exps, coef) for exps, coef in form.items() if coef]
     degrees = range(-1, max(c.degree for c, _, _ in values) + 1)
-    for prefix in itertools.product(values, repeat=s - 1):
-        lead = next((v for _, _, v in prefix if v), 0)
-        if lead > 1:
-            continue
-        # the form restricted to this prefix, a polynomial in the last c
-        part = [zero] * (s + 1)
-        for exps, coef in terms:
-            for (_, pw, _), e in zip(prefix, exps):
-                if e:
-                    coef = coef * pw[e]
-            part[exps[-1]] = part[exps[-1]] + coef
+    for prefix, lead, part in _restricted_forms(terms, values, s, s - 1, 0):
         # per deg c: the terms (k, lc(part_k)) tied at the top degree and
         # whether their sum S must vanish; no entry means the wrong degree
         sieve = {}
@@ -846,7 +887,49 @@ def _norm_hits(form: dict[tuple[int, ...], APoly], values: tuple, want: APoly):
                 if part[k]:
                     val = val + part[k] * pw[k]
             if val.degree == want.degree and val.monic() == want:
-                yield [p for p, _, _ in prefix] + [c]
+                yield prefix + [c]
+
+
+def _restricted_forms(terms: list, values: tuple, s: int, depth: int, lead: int):
+    """(prefix, lead, part) for every prefix (c_1, ..., c_depth) over
+    `values` whose first nonzero digit, continuing `lead` (0 while every
+    earlier coordinate is zero), is at most 1, in lexicographic order of
+    digits: lead is the prefix's first nonzero digit (or 0) and part[k]
+    the coefficient of c^k in the form restricted to the prefix, a
+    polynomial in the last coordinate c, with k = 0, ..., s.
+
+    The terms are (exps, coef) of a form of degree s, exps over the
+    coordinates from c_1 on.
+    The form is folded one coordinate at a time: c_1 is substituted once
+    and the folded terms serve every later coordinate."""
+    zero = APoly.zero(values[0][0].fq)
+    if depth == 0:
+        # s = 1: the empty prefix
+        part = [zero] * (s + 1)
+        for exps, coef in terms:
+            part[exps[0]] = part[exps[0]] + coef
+        yield [], lead, part
+        return
+    for c, pw, v in values:
+        if not lead and v > 1:
+            continue
+        if depth == 1:
+            part = [zero] * (s + 1)
+            for exps, coef in terms:
+                if exps[0]:
+                    coef = coef * pw[exps[0]]
+                part[exps[1]] = part[exps[1]] + coef
+            yield [c], lead or v, part
+            continue
+        folded: dict[tuple[int, ...], APoly] = {}
+        for exps, coef in terms:
+            if exps[0]:
+                coef = coef * pw[exps[0]]
+            rest = exps[1:]
+            folded[rest] = folded[rest] + coef if rest in folded else coef
+        rest_terms = [(exps, coef) for exps, coef in folded.items() if coef]
+        for prefix, lead_p, part in _restricted_forms(rest_terms, values, s, depth - 1, lead or v):
+            yield [c] + prefix, lead_p, part
 
 
 def _norm_target(target: RatFunc, den: APoly, s: int) -> APoly | None:

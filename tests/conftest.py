@@ -12,7 +12,9 @@ from drinfeld import (
     FieldTower,
     Fq,
     SkewPoly,
+    act,
     first_irreducible,
+    ideals_of_norm_degree,
 )
 
 _TOWER_CACHE: dict[str, FieldTower] = {}
@@ -211,3 +213,18 @@ CENSUS_SPECS = [
     ("f3", 2),
     ("f3", 3),
 ]
+
+
+def integral_ideals(order, max_norm_deg: int):
+    """Every integral ideal I with deg chi(order/I) <= max_norm_deg,
+    exactly once: by norm degree, each degree as `ideals_of_norm_degree`
+    lists it."""
+    for total in range(max_norm_deg + 1):
+        yield from ideals_of_norm_degree(order, total)
+
+
+def is_kernel_ideal(phi: DrinfeldModule, ideal) -> tuple:
+    """The kernel verdict of `act` on an integral ideal, with its
+    witness (None for a kernel ideal)."""
+    res = act(phi, ideal)
+    return res.is_kernel, res.witness

@@ -21,7 +21,6 @@ from drinfeld import (
     enumerate_modules,
     find_isomorphism,
     gorenstein_conductor,
-    integral_ideals,
     lattice_index,
     rgcd_bezout,
     validate_ideal_class_action,
@@ -33,6 +32,7 @@ from drinfeld.worked_examples import run_worked_examples
 from conftest import (
     CENSUS_SPECS,
     get_tower,
+    integral_ideals,
     rand_apoly,
     rand_module,
     rand_nonzero_apoly,

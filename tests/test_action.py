@@ -14,14 +14,12 @@ from drinfeld import (
     end_comparison,
     endomorphism_ring,
     find_isomorphism,
-    integral_ideals,
-    is_kernel_ideal,
     same_isogeny_class,
     skew_realization,
     transport_ideal,
 )
 
-from conftest import gauss_jordan, get_tower, rand_apoly
+from conftest import gauss_jordan, get_tower, integral_ideals, is_kernel_ideal, rand_apoly
 
 
 @pytest.fixture(scope="module")

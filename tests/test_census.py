@@ -14,7 +14,6 @@ from drinfeld import (
     characteristic_roots,
     endomorphism_ring,
     enumerate_modules,
-    integral_ideals,
     same_isogeny_class,
     twist_orbit_key,
     validate_ideal_class_action,
@@ -23,7 +22,7 @@ from drinfeld import (
 from drinfeld.cli import main
 from drinfeld.serialize import dumps_canonical
 
-from conftest import get_tower, rand_module
+from conftest import get_tower, integral_ideals, rand_module
 
 
 def test_characteristic_roots_cover_divisor_degrees():

@@ -5,8 +5,10 @@ import pytest
 
 from drinfeld import (
     ALattice,
+    AOrder,
     APoly,
     DrinfeldModule,
+    FieldTower,
     FracIdeal,
     InseparableExtension,
     InternalError,
@@ -14,11 +16,12 @@ from drinfeld import (
     RatFunc,
     SkewPoly,
     TooLarge,
+    census_isomorphism_classes,
+    characteristic_roots,
     coords_in_skew_basis,
     endomorphism_ring,
     gorenstein_conductor,
     ideals_of_norm_degree,
-    integral_ideals,
     is_gorenstein,
     is_gorenstein_at,
     lattice_index,
@@ -33,12 +36,13 @@ from drinfeld.orders import (
     _box_values,
     _dual_conductor,
     _exceeds,
+    _hnf_filter_ideals,
     _norm_form,
     _norm_hits,
     _norm_target,
 )
 
-from conftest import get_tower, rand_apoly
+from conftest import get_tower, integral_ideals, rand_apoly
 
 
 @pytest.fixture(scope="module")
@@ -832,3 +836,106 @@ def test_multiplication_table_is_built_on_first_use(ex38):
     not_closed = order_from_pi_lattice(end.ext, ALattice.from_generators(end.fq, 3, cols))
     with pytest.raises(InternalError):
         not_closed.table
+
+
+def _validated_rank2_orders(name, roots=None):
+    """End(phi) of the minimal member of every isogeny class whose ideal
+    action `validate_ideal_class_action` checks, in the rank-2 census of a
+    tower over every characteristic root (or the roots at the given
+    indices): the orders the validator walks."""
+    tower = get_tower(name)
+    chosen = characteristic_roots(tower)
+    if roots is not None:
+        chosen = [chosen[i] for i in roots]
+    orders = []
+    for _, t in chosen:
+        groups = census_isomorphism_classes(tower, 2, t)
+        for m in sorted(groups):
+            group = groups[m]
+            summary = group.profile_summary
+            if not summary["commutative"] or not (summary["ordinary"] or summary["d"] == summary["n"]):
+                continue
+            base = next(e.rep for e in group.iso_classes if group.end(e)["is_minimal"])
+            orders.append(endomorphism_ring(base))
+    return orders
+
+
+@pytest.mark.parametrize(
+    "name, roots, count, top",
+    [("f9", None, 75, 3), ("f16", None, 36, 3), ("f27", None, 180, 3), ("f16e2", (0, -1), 63, 2)],
+)
+def test_rank2_closed_form_matches_the_hnf_filter(name, roots, count, top):
+    # the same lattices in the same order as the HNF filter, on every
+    # order the validator walks in odd characteristic and characteristic
+    # 2, and over the non-prime F_4 (digits in its integer encoding) on a
+    # degree-1 and a degree-2 root
+    orders = _validated_rank2_orders(name, roots)
+    assert len(orders) == count
+    fq = orders[0].fq
+    ideals = 0
+    for order in orders:
+        assert order.one_coords == [APoly.one(fq), APoly.zero(fq)]
+        for d in range(top + 1):
+            got = [J.lattice for J in ideals_of_norm_degree(order, d)]
+            assert got == [J.lattice for J in _hnf_filter_ideals(order, d)], (order, d)
+            ideals += len(got)
+    assert ideals > count * (top + 1)
+
+
+def _swapped_basis_order(order):
+    """The order of a rank-2 `order` with basis (w, 1) for its basis
+    (1, w), built from the same power coordinates: 1 is not its first
+    basis vector."""
+    rows, den = order.basis_matrix
+    cols = [[rows[i][1] for i in range(2)], [rows[i][0] for i in range(2)]]
+    return AOrder(order.ext, cols, den)
+
+
+def test_rank2_order_without_leading_one_takes_the_hnf_filter():
+    # basis (pi, 1): the HNF filter runs, and its ideals are the closed
+    # form's ideals of the basis (1, pi), as pi-lattices
+    order = _case_order("f9-two-classes")
+    swapped = _swapped_basis_order(order)
+    fq = order.fq
+    assert swapped == order
+    assert swapped.one_coords == [APoly.zero(fq), APoly.one(fq)]
+    for d in range(4):
+        got = [swapped.ideal_lattice_to_pi(J.lattice) for J in ideals_of_norm_degree(swapped, d)]
+        want = [order.ideal_lattice_to_pi(J.lattice) for J in ideals_of_norm_degree(order, d)]
+        assert len(got) == len(set(got)) and set(got) == set(want), d
+        assert got == [swapped.ideal_lattice_to_pi(J.lattice) for J in _hnf_filter_ideals(swapped, d)]
+
+
+def test_ideal_size_guard_fires_before_the_first_ideal():
+    # q = 5, rank 2: level 4 is 5^8 candidates, within the guard; level 5
+    # raises before any shape is walked, on the closed form and the filter
+    tower = FieldTower(5, 1, [0, 1], 2, [2, 1, 1])
+    t = tower.gen()
+    phi = DrinfeldModule(tower, SkewPoly(tower, [t, tower.one, tower.one]))
+    order = minimal_frobenius_order(phi.profile(), phi)
+    assert order.s == 2 and order.fq.q == 5
+    for o in (order, _swapped_basis_order(order)):
+        assert next(ideals_of_norm_degree(o, 4)).norm_poly().degree == 4
+        with pytest.raises(TooLarge):
+            next(ideals_of_norm_degree(o, 5))
+
+
+@pytest.mark.parametrize(
+    "field, bound, s",
+    [((2, 1, (0, 1)), 0, 4), ((3, 1, (0, 1)), 0, 4), ((2, 1, (0, 1)), 1, 4), ((3, 1, (0, 1)), 2, 1)],
+)
+def test_norm_hits_fold_matches_the_unsieved_loop_at_ranks_one_and_four(field, bound, s):
+    # s = 4 folds three prefix coordinates one at a time; s = 1 has none
+    fq = base_field(*field)
+    values = _box_values(fq, bound, s)
+    rng = random.Random(repr((field, bound, s)))
+    hits = 0
+    for _ in range(12):
+        form = _random_form(rng, fq, s, 2)
+        if not any(form.values()):
+            continue
+        want = _want_from(rng, form, values)
+        got = list(_norm_hits(form, values, want))
+        assert got == list(_norm_hits_unsieved(form, values, want))
+        hits += len(got)
+    assert hits > 0
