@@ -18,7 +18,7 @@ from .errors import EmptyIdeal, InternalError
 from .lattices import ALattice
 from .modules import DrinfeldModule
 from .orders import AOrder, FracIdeal, endomorphism_ring, right_divisible_combinations
-from .skew import SkewPoly, rgcd
+from .skew import SkewPoly, fq_combination, rgcd
 
 
 def skew_realization(order: AOrder, coords: list[APoly]) -> SkewPoly:
@@ -28,12 +28,13 @@ def skew_realization(order: AOrder, coords: list[APoly]) -> SkewPoly:
     if order.skew_basis is None or order.module is None:
         raise InternalError("order carries no skew realization")
     tower = order.module.tower
-    acc = SkewPoly.zero(tower)
-    for j, c in enumerate(coords):
-        for a, v in enumerate(c.coeffs):
-            if v:
-                acc = acc + order.skew_term(j, a).left_scale(tower.embed_fq(v))
-    return acc
+    terms = [
+        (v, order.skew_term(j, a))
+        for j, c in enumerate(coords)
+        for a, v in enumerate(c.coeffs)
+        if v
+    ]
+    return SkewPoly(tower, fq_combination(tower, terms))
 
 
 @dataclass

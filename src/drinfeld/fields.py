@@ -273,6 +273,13 @@ def _log_tables(fq: Fq, g: tuple[int, ...]) -> _LogTables:
     return _LogTables(_primitive_powers(fq, g), fq)
 
 
+@functools.cache
+def _is_irreducible(fq: Fq, g: tuple[int, ...]) -> bool:
+    """Ben-Or's verdict on the modulus g over F_q, decided once per
+    definition: every request that loads a field builds its tower again."""
+    return APoly(fq, g).is_irreducible()
+
+
 class FieldTower:
     """The chain F_p <= F_q = F_p[y]/(h) <= k = F_q[x]/(g)."""
 
@@ -292,7 +299,7 @@ class FieldTower:
         if sum(self.q**d for d in range(1, min(n // 2, 20) + 1)) > 10**6:
             raise TooLarge(f"k of degree {n} over F_{self.q} is beyond desk scale")
         self._modulus = APoly(self.fq, g)
-        if not self._modulus.is_irreducible():
+        if not _is_irreducible(self.fq, g):
             raise ValueError("g is reducible over F_q")
         self.g = g
         self.zero = KElem(self, (0,) * n)

@@ -1,17 +1,24 @@
 """Frobenius invariants of a Drinfeld module.
 
 The minimal polynomial m(x) of pi = tau^n over F is found by
-degree-bounded linear algebra over F_q: for each candidate degree s'
-dividing the rank (ascending), solve
+degree-bounded linear algebra over F_q. For a degree s' dividing the rank
+r, the system
 
-    pi^{s'} + sum_{i<s'} phi_{c_i} pi^i = 0
+    pi^{s'} + sum_{i<s'} phi_{c_i} pi^i = 0,  deg c_i <= ceil((s'-i) n / r),
 
-for polynomials c_i in A with deg c_i <= ceil((s'-i) n / r); the first
-solvable degree wins, which certifies minimality without a separate
-factorization. The same object read as a polynomial in T over F_q[pi]
-has T-degree [Ftilde : K], and comparing ceil(n/(H d)) with
-[Ftilde : K]/d decides whether the minimal order A[pi] is locally
-maximal at pi.
+has the phi_{T^j} tau^{n i} as columns. It is solved for s' = r first. If
+the true degree s is smaller, m itself is a nonzero solution of the
+homogeneous degree-r system, because its coefficient bounds
+ceil((s-i) n / r) are at most ceil((r-i) n / r). So a unique solution
+certifies s = r, and it is m(x): one solve when End is commutative, with
+no separate factorization. Only a non-unique answer goes on to the proper
+divisors of r in ascending order, where the first solvable degree wins.
+
+The same object read as a polynomial in T over F_q[pi] has T-degree
+[Ftilde : K], and comparing ceil(n/(H d)) with [Ftilde : K]/d decides
+whether the minimal order A[pi] is locally maximal at pi. The profile
+checks m(pi) = 0 on its own, from the powers phi_{T^j} and not from the
+solver's rows.
 """
 
 from __future__ import annotations
@@ -24,11 +31,39 @@ from .extfield import ExtensionField
 from .linalg import solve_linear
 from .modules import DrinfeldModule
 from .render import poly_in_x_text
-from .skew import SkewPoly, coefficient_rows
+from .skew import coefficient_rows, fq_combination
 
 
-def _divisors(r: int) -> list[int]:
-    return [d for d in range(1, r + 1) if r % d == 0]
+def _annihilator(module: DrinfeldModule, s: int):
+    """The solution of pi^s + sum_{i<s} phi_{c_i} pi^i = 0 in polynomials
+    c_i with deg c_i <= ceil((s-i) n / r), as (c_0, ..., c_{s-1}, 1) or
+    None when there is none, and the nullspace basis of the system."""
+    tower = module.tower
+    fq = tower.fq
+    n, r = module.n, module.rank
+    bounds = [-((-(s - i) * n) // r) for i in range(s)]
+    cols = []
+    shifts = []
+    for i in range(s):
+        for j in range(bounds[i] + 1):
+            cols.append(module.phi_t_power(j))
+            shifts.append(n * i)
+    # r * bounds[i] + n * i >= n * s, so the columns reach the degree of pi^s
+    height = max(f.degree + m for f, m in zip(cols, shifts)) + 1
+    rows = coefficient_rows(cols, height, shifts)
+    # right-hand side: minus the coefficients of pi^s = tau^(n s)
+    rhs = [0] * len(rows)
+    rhs[n * s * tower.n] = fq.neg(1)
+    sol, null = solve_linear(fq, rows, rhs, len(cols))
+    if sol is None:
+        return None, null
+    coeffs = []
+    pos = 0
+    for b in bounds:
+        coeffs.append(APoly(fq, sol[pos : pos + b + 1]))
+        pos += b + 1
+    coeffs.append(APoly.one(fq))
+    return coeffs, null
 
 
 def minpoly_frobenius(module: DrinfeldModule) -> list[APoly]:
@@ -37,35 +72,21 @@ def minpoly_frobenius(module: DrinfeldModule) -> list[APoly]:
     Works for any module; commutativity of the endomorphism ring is not
     required.
     """
-    tower = module.tower
-    fq = tower.fq
-    n, r = module.n, module.rank
-    for s in _divisors(r):
-        bounds = [-((-(s - i) * n) // r) for i in range(s)]
-        cols: list[SkewPoly] = []
-        for i in range(s):
-            for j in range(bounds[i] + 1):
-                cols.append(module.phi_t_power(j).shift(n * i))
-        target = SkewPoly.tau_power(tower, n * s)
-        rows = coefficient_rows(cols, max([c.degree for c in cols] + [target.degree]) + 1)
-        # right-hand side: minus the coefficients of pi^s = tau^(n s)
-        rhs = [0] * len(rows)
-        for m, v in enumerate(target.lc().coeffs):
-            rhs[n * s * tower.n + m] = fq.neg(v)
-        sol, null = solve_linear(fq, rows, rhs, len(cols))
-        if sol is None:
-            continue
-        if null:
-            raise InternalError("minimal polynomial solution is not unique")
-        coeffs = []
-        pos = 0
-        for i in range(s):
-            c = sol[pos : pos + bounds[i] + 1]
-            pos += bounds[i] + 1
-            coeffs.append(APoly(fq, c))
-        coeffs.append(APoly.one(fq))
+    r = module.rank
+    coeffs, null = _annihilator(module, r)
+    if coeffs is None:
+        # x^(r-s) m(x) solves the degree-r system whenever m does
+        raise InternalError("no annihilating polynomial found up to degree r")
+    if not null:
         return coeffs
-    raise InternalError("no annihilating polynomial found up to degree r")
+    for s in range(1, r):
+        if r % s == 0:
+            coeffs, null = _annihilator(module, s)
+            if coeffs is not None:
+                break
+    if coeffs is None or null:
+        raise InternalError("minimal polynomial solution is not unique")
+    return coeffs
 
 
 def transpose_bivariate(coeffs: list[APoly]) -> list[APoly]:
@@ -133,11 +154,14 @@ class FrobeniusProfile:
 
     def _validate(self) -> None:
         mod = self.module
-        # m(pi) = 0 in k{tau}
-        acc = SkewPoly.zero(mod.tower)
-        for i, c in enumerate(self.min_poly):
-            acc = acc + mod(c).shift(mod.n * i)
-        if acc:
+        # m(pi) = sum_(i, j) c_ij phi_{T^j} tau^(n i) = 0 in k{tau}
+        terms = [
+            (v, mod.phi_t_power(j).shift(mod.n * i))
+            for i, c in enumerate(self.min_poly)
+            for j, v in enumerate(c.coeffs)
+            if v
+        ]
+        if any(fq_combination(mod.tower, terms)):
             raise InternalError("minimal polynomial does not annihilate pi")
         if self.r % self.s:
             raise InternalError("[Ftilde:F] does not divide the rank")

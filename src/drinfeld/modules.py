@@ -5,6 +5,8 @@ constant coefficient t generates the A-characteristic: the minimal
 polynomial of t over F_q is the characteristic prime, of degree d
 dividing n. The height is read off the tau-valuation of the image of
 that prime, which is the procedure the worked examples follow.
+phi_a is the F_q-combination sum_j a_j phi_{T^j} of the cached powers of
+phi_T (`skew.fq_combination`), read lazily for the height.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import cached_property
 from .apoly import APoly, minimal_poly_over_fq
 from .errors import ContextError, InternalError
 from .fields import FieldTower, KElem
-from .skew import SkewPoly
+from .skew import SkewPoly, fq_combination
 
 
 class DrinfeldModule:
@@ -60,19 +62,23 @@ class DrinfeldModule:
             self._phi_t_powers.append(self._phi_t_powers[-1] * self.phi_t)
         return self._phi_t_powers[j]
 
+    def _image_terms(self, a: APoly) -> list[tuple[int, SkewPoly]]:
+        """The pairs (a_j, phi_{T^j}) whose F_q-combination is phi_a."""
+        fq = self.tower.fq
+        if a.fq is not fq and a.fq != fq:
+            raise ContextError("polynomial over a different F_q than the module")
+        return [(c, self.phi_t_power(j)) for j, c in enumerate(a.coeffs) if c]
+
     def __call__(self, a: APoly) -> SkewPoly:
         """The image of a under the ring homomorphism A -> k{tau}."""
-        out = SkewPoly.zero(self.tower)
-        for j, c in enumerate(a.coeffs):
-            if c:
-                out = out + self.phi_t_power(j).left_scale(self.tower.embed_fq(c))
-        return out
+        return SkewPoly(self.tower, fq_combination(self.tower, self._image_terms(a)))
 
     @cached_property
     def height(self) -> int:
-        """tau-valuation of the image of the characteristic prime over d."""
-        img = self(self.char_prime)
-        v = img.tau_valuation()
+        """tau-valuation of the image of the characteristic prime over d:
+        its coefficients are read from tau^0 up to the first nonzero one."""
+        coeffs = fq_combination(self.tower, self._image_terms(self.char_prime))
+        v = next((i for i, c in enumerate(coeffs) if c), -1)
         if v < 0 or v % self.d:
             raise InternalError("tau-valuation of phi_p is not a multiple of d")
         return v // self.d

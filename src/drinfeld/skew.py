@@ -13,9 +13,14 @@ converted once, a term a_i * b_j^(q^i) is (log a_i + log b_j * q^i) mod
 (q^n - 1), and sums go through the Zech table. Zero coefficients are None
 there. Larger towers multiply and divide KElem by KElem, with the same
 results.
+
+F_q-linear combinations sum v * S (phi_a, skew realizations, m(pi)) read
+the F_q tables on coefficient coordinates instead (`fq_combination`).
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 from .errors import ContextError, EmptyIdeal
 from .fields import FieldTower, KElem, _LogTables
@@ -198,6 +203,37 @@ class SkewPoly:
         return self.text()
 
 
+def fq_combination(tower: FieldTower, terms) -> Iterator[KElem]:
+    """The coefficients of sum v * S over the pairs (v, S) of terms, for
+    F_q scalars v (integer encodings) and S in k{tau}, computed as they are
+    read from tau^0 up to the largest degree of an S with v nonzero. Each is
+    summed coordinate-wise through the F_q tables, v * c as mul[v] on the
+    coordinates of c: no product in k."""
+    fq = tower.fq
+    add, mul = fq._add, fq._mul
+    zero = tower.zero.coeffs
+    # longest first: at degree d the terms that reach it form a prefix
+    scaled = sorted(
+        ((None if v == 1 else mul[v], f.coeffs) for v, f in terms if v),
+        key=lambda term: -len(term[1]),
+    )
+    for d in range(len(scaled[0][1]) if scaled else 0):
+        acc = zero
+        for row, cs in scaled:
+            if d >= len(cs):
+                break
+            c = cs[d].coeffs
+            if c == zero:
+                continue
+            if row is not None:
+                c = map(row.__getitem__, c)
+            if acc is zero:
+                acc = tuple(c)
+            else:
+                acc = tuple(map(list.__getitem__, map(add.__getitem__, acc), c))
+        yield KElem(tower, acc)
+
+
 def _logs(tab: _LogTables, coeffs) -> list[int | None]:
     """The logarithms of KElem coefficients, None for zero."""
     get = tab.log.get
@@ -317,20 +353,25 @@ def commutator_system(f: SkewPoly, cap: int) -> list[tuple[int, list[int]]]:
     return rows
 
 
-def coefficient_rows(cols: list[SkewPoly], height: int) -> list[tuple[int, list[int]]]:
+def coefficient_rows(
+    cols: list[SkewPoly], height: int, shifts: list[int] | None = None
+) -> list[tuple[int, list[int]]]:
     """The F_q-matrix whose column c is the coefficient vector of cols[c],
-    each of degree below height, as sparse rows (lead, vals) for
-    `linalg.solve_linear`: row d*n + m holds coordinate m of the
-    coefficients of tau^d and spans the columns from the first to the last
-    one with a nonzero coefficient of tau^d.
+    times tau^shifts[c] on the right when shifts are given, each of degree
+    below height, as sparse rows (lead, vals) for `linalg.solve_linear`:
+    row d*n + m holds coordinate m of the coefficients of tau^d and spans
+    the columns from the first to the last one with a nonzero coefficient
+    of tau^d.
     """
     tower = cols[0].tower
     n = tower.n
     zero = tower.zero.coeffs
+    if shifts is None:
+        shifts = [0] * len(cols)
     first: list[int | None] = [None] * height
     last = [0] * height
-    for c, f in enumerate(cols):
-        for d, coeff in enumerate(f.coeffs):
+    for c, (f, m) in enumerate(zip(cols, shifts)):
+        for d, coeff in enumerate(f.coeffs, m):
             if coeff.coeffs != zero:
                 if first[d] is None:
                     first[d] = c
@@ -341,8 +382,9 @@ def coefficient_rows(cols: list[SkewPoly], height: int) -> list[tuple[int, list[
             rows += [(0, []) for _ in range(n)]
             continue
         block = []
-        for f in cols[lead : last[d] + 1]:
-            block.append(f.coeffs[d].coeffs if d < len(f.coeffs) else zero)
+        for c in range(lead, last[d] + 1):
+            f, i = cols[c].coeffs, d - shifts[c]
+            block.append(f[i].coeffs if 0 <= i < len(f) else zero)
         rows += [(lead, list(row)) for row in zip(*block)]
     return rows
 

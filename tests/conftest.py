@@ -110,6 +110,53 @@ def ref_skew_mul(f: SkewPoly, g: SkewPoly) -> SkewPoly:
     return SkewPoly(t, out)
 
 
+def ref_fq_combination(tower: FieldTower, terms) -> SkewPoly:
+    """sum v * S over the pairs (v, S) of terms as SkewPoly sums, one
+    left_scale by the embedded scalar per term: how phi_a and skew
+    realizations were evaluated before `skew.fq_combination`."""
+    out = SkewPoly.zero(tower)
+    for v, f in terms:
+        if v:
+            out = out + f.left_scale(tower.embed_fq(v))
+    return out
+
+
+def ref_image(phi: DrinfeldModule, a: APoly) -> SkewPoly:
+    """phi_a = sum_j a_j phi_{T^j} by `ref_fq_combination`."""
+    return ref_fq_combination(phi.tower, [(c, phi.phi_t_power(j)) for j, c in enumerate(a.coeffs)])
+
+
+def ladder_minpoly(phi: DrinfeldModule) -> list[APoly]:
+    """m(x) by the ascending ladder over the divisors s of the rank, each
+    system built from the SkewPoly columns phi_{T^j} tau^(n i): the first
+    solvable degree wins, and it must solve uniquely. This is how
+    `minpoly_frobenius` found m(x) before it solved the degree-r system
+    first."""
+    from drinfeld.linalg import solve_linear
+    from drinfeld.skew import coefficient_rows
+
+    tower, fq = phi.tower, phi.tower.fq
+    n, r = phi.n, phi.rank
+    for s in (d for d in range(1, r + 1) if r % d == 0):
+        bounds = [-((-(s - i) * n) // r) for i in range(s)]
+        cols = [
+            phi.phi_t_power(j) * SkewPoly.tau_power(tower, n * i)
+            for i in range(s)
+            for j in range(bounds[i] + 1)
+        ]
+        target = SkewPoly.tau_power(tower, n * s)
+        rows = coefficient_rows(cols, max(c.degree for c in cols + [target]) + 1)
+        rhs = [0] * len(rows)
+        rhs[n * s * tower.n] = fq.neg(1)
+        sol, null = solve_linear(fq, rows, rhs, len(cols))
+        if sol is None:
+            continue
+        assert not null, "minimal polynomial solution is not unique"
+        starts = [sum(b + 1 for b in bounds[:i]) for i in range(s)]
+        return [APoly(fq, sol[p : p + b + 1]) for p, b in zip(starts, bounds)] + [APoly.one(fq)]
+    raise AssertionError("no annihilating polynomial found up to degree r")
+
+
 def gauss_jordan(fq, rows: list[list[int]], rhs: list[int]):
     """Dense Gauss-Jordan elimination over F_q, the solver `linalg` used
     before its sparse forward-elimination kernel: it clears each pivot

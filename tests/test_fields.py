@@ -88,6 +88,16 @@ def test_reducible_polynomials_rejected():
         FieldTower(4, 1, [0, 1], 2, [1, 1, 1])  # p = 4 is not prime
 
 
+def test_reducible_modulus_rejected_after_its_verdict_is_cached():
+    from drinfeld.fields import _is_irreducible
+
+    for _ in range(2):
+        with pytest.raises(ValueError, match="reducible"):
+            FieldTower(3, 1, [0, 1], 2, [2, 0, 1])  # x^2-1 = (x-1)(x+1)
+    assert FieldTower(3, 1, [0, 1], 2, [2, 1, 1]).g == (2, 1, 1)
+    assert _is_irreducible.cache_info().hits >= 1
+
+
 def test_table_guard():
     with pytest.raises(TooLarge):
         FieldTower(1009, 1, [0, 1], 1, [0, 1])

@@ -12,22 +12,34 @@ from drinfeld import (
     transpose_bivariate,
 )
 
+from drinfeld.skew import coefficient_rows
+
 from conftest import get_tower, rand_module
 
 
 @pytest.mark.parametrize("name", ["f9", "f16e2", "f729"])
 def test_frobenius_columns_shift_equals_product(name):
-    # minpoly_frobenius builds its columns phi_{T^j} tau^(n i) by moving
-    # coefficients up, with j <= n and i <= rank
+    # minpoly_frobenius reads its columns phi_{T^j} tau^(n i) off the
+    # cached powers phi_{T^j} with a shift of n i, and m(pi) is checked on
+    # powers moved up by shift; j <= n and i <= rank
     tower = get_tower(name)
     rng = random.Random(name)
     assert SkewPoly.zero(tower).shift(tower.n) == SkewPoly.zero(tower)
     for _ in range(3):
         phi = rand_module(rng, tower)
+        cols, shifts, products = [], [], []
         for i in range(phi.rank + 1):
             tau = SkewPoly.tau_power(tower, phi.n * i)
             for j in range(phi.n + 1):
-                assert phi.phi_t_power(j).shift(phi.n * i) == phi.phi_t_power(j) * tau
+                product = phi.phi_t_power(j) * tau
+                assert phi.phi_t_power(j).shift(phi.n * i) == product
+                cols.append(phi.phi_t_power(j))
+                shifts.append(phi.n * i)
+                products.append(product)
+        height = max(f.degree for f in products) + 1
+        for col, m, product in zip(cols, shifts, products):
+            assert coefficient_rows([col], height, [m]) == coefficient_rows([product], height)
+        assert coefficient_rows(cols, height, shifts) == coefficient_rows(products, height)
 
 
 def test_supersingular_minpoly():

@@ -4,6 +4,7 @@ import pytest
 
 from drinfeld import (
     APoly,
+    ContextError,
     DrinfeldModule,
     SkewPoly,
     find_isomorphism,
@@ -166,6 +167,16 @@ def test_same_isogeny_class():
     assert not same_isogeny_class(supersingular, ordinary)
     assert supersingular.profile().min_poly_text() == "x^2+T"
     assert ordinary.profile().min_poly_text() == "x^2+x+T"
+
+
+def test_image_over_another_fq_is_rejected(rank3_example):
+    # F_16 over F_2 against T + 2 over F_3: the encodings are not reduced
+    # mod 2 behind the caller's back
+    other = get_tower("f9").fq
+    with pytest.raises(ContextError):
+        rank3_example(APoly(other, [2, 1]))
+    with pytest.raises(ContextError):
+        rank3_example(APoly.var(get_tower("f16e2").fq))
 
 
 def test_rank_zero_rejected():
