@@ -81,7 +81,15 @@ from .census import (
     validate_ideal_class_action,
     validate_minimal_order_occurrence,
 )
-from .worked_examples import run_worked_examples, summary_lines
+
+
+def __getattr__(name: str):
+    # the worked examples load on first use: only `paper-examples` runs them
+    if name in ("run_worked_examples", "summary_lines"):
+        from . import worked_examples
+        return getattr(worked_examples, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"
 

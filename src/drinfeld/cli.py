@@ -38,7 +38,6 @@ from .serialize import (
     module_from_json,
     render_text,
 )
-from .worked_examples import run_worked_examples, summary_lines
 
 # the status a shell reports for a process ended by SIGPIPE (128 + 13)
 EXIT_BROKEN_PIPE = 141
@@ -201,6 +200,8 @@ def main(argv=None) -> int:
         if args.command == "census":
             return _run_census(args)
         if args.command == "paper-examples":
+            from .worked_examples import run_worked_examples, summary_lines
+
             results = run_worked_examples()
             if args.format == "json":
                 _emit(json.dumps(results, indent=2), args.out)

@@ -28,6 +28,12 @@ bit 0. A row operation is one XOR over the whole row, and the leading
 column is read off int.bit_length(), so pivots are found by bit length.
 The packed format never leaves this module: callers pass (lead, vals)
 for every q, and both kernels return the same reduced row echelon answer.
+
+`echelon` stops after the forward elimination of a homogeneous system:
+it gives the free columns, and the null vector of a free column f on
+request, by back-substitution from f down over the pivot rows as they
+are (on packed rows, pivot column c takes the parity of its row against
+the vector so far), so a caller builds only the null vectors it needs.
 """
 
 from __future__ import annotations
@@ -50,17 +56,52 @@ def solve_linear(fq: Fq, rows, rhs: list[int], ncols: int):
     return _solve_fq(fq, rows, rhs, ncols)
 
 
-# bytes of 0/1 scalars -> the ASCII digits int(..., 2) reads
+def echelon(fq: Fq, rows, ncols: int):
+    """(free columns, null_vector) of the homogeneous system given by
+    sparse rows (lead, vals) on ncols columns, after one forward
+    elimination: the free columns increase, and null_vector(f) is the
+    vector of free column f in `solve_linear`'s null basis."""
+    zeros = [0] * len(rows)
+    if fq.q == 2:
+        piv = _forward_f2(rows, zeros, ncols)[0]
+
+        def null_vector(f: int) -> list[int]:
+            x = 1 << (ncols - f)
+            for L in range(ncols + 2 - f, ncols + 2):
+                if piv[L] and (piv[L] & x).bit_count() & 1:
+                    x |= 1 << (L - 1)
+            return list(format(x >> 1, f"0{ncols}b").encode().translate(_BITS))
+
+        return [f for f in range(ncols) if not piv[ncols + 1 - f]], null_vector
+    add, mul, neg = fq._add, fq._mul, fq._neg
+    sup = _forward_fq(fq, rows, zeros, ncols)[0]
+
+    def null_vector(f: int) -> list[int]:
+        x = [0] * ncols
+        x[f] = 1
+        for c in range(f - 1, -1, -1):
+            if sup[c] is not None:
+                acc = 0
+                for j, a in sup[c]:
+                    acc = add[acc][mul[a][x[j]]]
+                x[c] = neg[acc]
+        return x
+
+    return [c for c in range(ncols) if sup[c] is None], null_vector
+
+
+# bytes of 0/1 scalars -> the ASCII digits int(..., 2) reads, and back
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _solve_f2(rows, rhs: list[int], ncols: int):
-    """`solve_linear` over F_2 on packed rows: an int holds column j at bit
-    ncols - j and the right-hand side at bit 0, so a row operation is one
-    XOR and a row's leading column is read off its bit length."""
-    # piv[L]: the pivot row of bit length L (leading column ncols + 1 - L),
-    # 0 for none (so far); piv[1] stays 0, so a row reduced to its
-    # right-hand side stops there
+def _forward_f2(rows, rhs: list[int], ncols: int):
+    """Forward elimination over F_2 on packed rows: an int holds column j
+    at bit ncols - j and the right-hand side at bit 0, so a row operation
+    is one XOR and a row's leading column is read off its bit length.
+    Returns (piv, consistent): piv[L] is the pivot row of bit length L
+    (leading column ncols + 1 - L), 0 for none. piv[1] stays 0, so a row
+    reduced to its right-hand side stops there."""
     piv = [0] * (ncols + 2)
     consistent = True
     for (lead, vals), b in zip(rows, rhs):
@@ -77,6 +118,12 @@ def _solve_f2(rows, rhs: list[int], ncols: int):
             consistent = False
         elif w:
             piv[top] = w
+    return piv, consistent
+
+
+def _solve_f2(rows, rhs: list[int], ncols: int):
+    """`solve_linear` over F_2 on packed rows (`_forward_f2`)."""
+    piv, consistent = _forward_f2(rows, rhs, ncols)
     tops = [L for L in range(2, ncols + 2) if piv[L]]
     pmask = sum(1 << (L - 1) for L in tops)
     # back-substitution from the last pivot column down: a row takes the
@@ -106,12 +153,12 @@ def _solve_f2(rows, rhs: list[int], ncols: int):
     return (x if consistent else None), list(null.values())
 
 
-def _solve_fq(fq: Fq, rows, rhs: list[int], ncols: int):
-    """`solve_linear` over any F_q, on the field's tables."""
+def _forward_fq(fq: Fq, rows, rhs: list[int], ncols: int):
+    """Forward elimination over any F_q, on the field's tables. Returns
+    (sup, prhs, consistent): the pivot row of column c is 1 at c, sup[c]
+    its other nonzero entries (j, a_j), c < j <= top[c], and prhs[c] its
+    right-hand side; sup[c] is None for a free column."""
     add, mul, neg = fq._add, fq._mul, fq._neg
-    # the pivot row of column c is 1 at c, sup[c] = its other nonzero
-    # entries (j, a_j), all with j <= top[c], and prhs[c] its right-hand
-    # side; None marks a column without a pivot (so far)
     sup: list = [None] * ncols
     top = [0] * ncols
     prhs = [0] * ncols
@@ -145,7 +192,13 @@ def _solve_fq(fq: Fq, rows, rhs: list[int], ncols: int):
             if b:
                 consistent = False
         w[lead : last + 1] = [0] * (last + 1 - lead)
+    return sup, prhs, consistent
 
+
+def _solve_fq(fq: Fq, rows, rhs: list[int], ncols: int):
+    """`solve_linear` over any F_q (`_forward_fq`)."""
+    add, mul, neg = fq._add, fq._mul, fq._neg
+    sup, prhs, consistent = _forward_fq(fq, rows, rhs, ncols)
     free = [c for c in range(ncols) if sup[c] is None]
     nf = len(free)
     # first[c]: the index in free of the first free column >= c
@@ -197,67 +250,3 @@ def nullspace(fq: Fq, rows, ncols: int) -> list[list[int]]:
     """Basis of the kernel of the matrix given by sparse rows (lead, vals)
     on ncols columns."""
     return solve_linear(fq, rows, [0] * len(rows), ncols)[1]
-
-
-class TrailingEchelon:
-    """An echelon F_q-subspace whose pivots sit at the *highest* nonzero
-    coordinate of each vector; each row is 1 at its pivot.
-
-    With coordinates ordered by increasing tau-degree this makes the pivot
-    position of a vector reflect its degree, which is what the degree
-    ledger of the endomorphism-ring extraction needs.
-    """
-
-    def __init__(self, fq: Fq, length: int):
-        self.fq = fq
-        self.length = length
-        self.rows: dict[int, list[int]] = {}
-
-    def reduce(self, vec) -> tuple[list[int], int]:
-        """Residue of vec modulo the current space and its pivot (-1 if
-        the residue is zero): coordinates are cleared from the top down
-        until the highest nonzero one is not a pivot of the space."""
-        add, mul, neg = self.fq._add, self.fq._mul, self.fq._neg
-        rows = self.rows
-        out = list(vec)
-        for piv in range(len(out) - 1, -1, -1):
-            c = out[piv]
-            if not c:
-                continue
-            row = rows.get(piv)
-            if row is None:
-                return out, piv
-            mc = mul[neg[c]]
-            for i in range(piv):
-                v = row[i]
-                if v:
-                    out[i] = add[out[i]][mc[v]]
-            out[piv] = 0
-        return out, -1
-
-    def insert(self, vec) -> int:
-        """Adjoin vec; returns its pivot index, or -1 if already contained."""
-        add, mul, neg = self.fq._add, self.fq._mul, self.fq._neg
-        res, piv = self.reduce(vec)
-        if piv < 0:
-            return -1
-        if res[piv] != 1:
-            mi = mul[self.fq.inv(res[piv])]
-            res = [mi[v] for v in res]
-        support = [(i, v) for i, v in enumerate(res[:piv]) if v]
-        for other in self.rows.values():
-            c = other[piv]
-            if c:
-                mc = mul[neg[c]]
-                for i, v in support:
-                    other[i] = add[other[i]][mc[v]]
-                other[piv] = 0
-        self.rows[piv] = res
-        return piv
-
-    def contains(self, vec) -> bool:
-        return self.reduce(vec)[1] < 0
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)

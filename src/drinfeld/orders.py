@@ -31,101 +31,118 @@ from .errors import (
 )
 from .extfield import ExtElem, ExtensionField
 from .lattices import ALattice
-from .linalg import TrailingEchelon, nullspace, solve_linear
+from .linalg import echelon, nullspace, solve_linear
 from .modules import DrinfeldModule
 from .skew import SkewPoly, coefficient_rows, commutator_system
 
 
 def _flatten_skew(sp: SkewPoly, height_deg: int) -> list[int]:
-    n = sp.tower.n
-    out = [0] * ((height_deg + 1) * n)
-    for dg, coeff in enumerate(sp.coeffs):
-        base = dg * n
-        for comp, v in enumerate(coeff.coeffs):
-            out[base + comp] = v
-    return out
+    """The F_q coordinates of sp from tau^0 up, to degree height_deg."""
+    out = [v for c in sp.coeffs for v in c.coeffs]
+    return out + [0] * ((height_deg + 1) * sp.tower.n - len(out))
 
 
-def _unflatten_skew(module: DrinfeldModule, vec: list[int]) -> SkewPoly:
-    tower = module.tower
-    n = tower.n
-    coeffs = []
-    for dg in range(len(vec) // n):
-        coeffs.append(tower.elem(vec[dg * n : (dg + 1) * n]))
-    return SkewPoly(tower, coeffs)
+def centralizer_basis(module: DrinfeldModule, s: int):
+    """The A-basis b_0 = 1, ..., b_(s-1) of the centralizer of phi_T in
+    k{tau}, as the lists [phi_{T^a} b_j for a = 0, 1, ...] of its
+    A-multiples of degree at most the cap n*s, and the A-coordinates of
+    pi^i = tau^(n i) in it, one list of s APoly per i < s.
 
-
-def centralizer_basis(module: DrinfeldModule, s: int) -> list[SkewPoly]:
-    """A-basis of the centralizer of phi_T in k{tau}, first element 1.
-
-    Works degree by degree up to the cap n*s and keeps a dimension
-    ledger: at every degree the F_q-dimension of the solution space must
-    match the dimension predicted by phi_{T^j}-multiples of the basis
-    found so far. A mismatch is a hard error, never a silent truncation.
+    One elimination of the commutator system (`echelon`) gives the free
+    columns of V, the centralizer below the cap; an element of V is fixed
+    by its values there. W, the span of the A-multiples of the basis so
+    far, is echelonized on those values by their tops (highest nonzero
+    free coordinate), each row carrying its combination of A-multiples.
+    The null vector of free column f joins the basis, unchanged, exactly
+    when f, taken in increasing order, is not a top of W (README, "End in
+    one elimination"), so only the joining ones are built. Reducing pi^i
+    in W gives its coordinates, and the ledger dim W = dim V certifies
+    the basis: a mismatch is a hard error, never a silent truncation.
     """
     tower = module.tower
     fq = tower.fq
+    add, mul, neg = fq._add, fq._mul, fq._neg
     n, r = module.n, module.rank
     cap = n * s
-    ncols = (cap + 1) * n
+    free, null_vector = echelon(fq, commutator_system(module.phi_t, cap), (cap + 1) * n)
+    nf = len(free)
+    at = [divmod(f, n) for f in free]  # (degree, coordinate) of each free column
+    rows: dict[int, list] = {}  # top -> sparse row (index, value), 1 at top
+    slots: list[tuple[int, int]] = []  # (j, a) of phi_{T^a} b_j, past nf
+    terms: list[list[SkewPoly]] = []
 
-    # solution space of u phi_T - phi_T u = 0, deg u <= cap; the null
-    # vector of free column f is 1 at f, 0 at the other free columns and
-    # at every column past f: so its highest nonzero coordinate is f and
-    # the vectors, in order, are a reduced trailing echelon basis
-    sols = nullspace(fq, commutator_system(module.phi_t, cap), ncols)
-    pivots = [max(i for i, v in enumerate(vec) if v) for vec in sols]
-    if any(vec[p] != 1 for vec, p in zip(sols, pivots)) or pivots != sorted(set(pivots)):
-        raise InternalError("centralizer solution space degenerated")
+    def reduce(u: SkewPoly, slot: int) -> tuple[list[int], int]:
+        """u's free values, 1 at slot past them, reduced modulo W to a top W lacks (or -1)."""
+        cs = u.coeffs
+        vec = [cs[d].coeffs[m] if d < len(cs) else 0 for d, m in at]
+        vec += [0] * slot + [1] + [0] * (nf - slot)
+        for i in range(nf - 1, -1, -1):
+            c = vec[i]
+            if c:
+                row = rows.get(i)
+                if row is None:
+                    return vec, i
+                mc = mul[neg[c]]
+                for k, v in row:
+                    vec[k] = add[vec[k]][mc[v]]
+        return vec, -1
 
-    basis = [SkewPoly.one(tower)]
-    span = TrailingEchelon(fq, ncols)
-    for j in range(cap // r + 1):
-        span.insert(_flatten_skew(module.phi_t_power(j), cap))
-    for vec in sols:
-        res, piv = span.reduce(vec)
-        if piv < 0:
+    def adjoin(b: SkewPoly) -> None:
+        mults = [b]
+        for a in range((cap - b.degree) // r + 1):
+            if a:
+                mults.append(module.phi_t * mults[-1] if terms else module.phi_t_power(a))
+            vec, top = reduce(mults[a], len(slots))
+            if top >= 0:
+                mi = mul[fq.inv(vec[top])]
+                rows[top] = [(k, mi[v]) for k, v in enumerate(vec) if v]
+                slots.append((len(terms), a))
+        terms.append(mults)
+
+    adjoin(SkewPoly.one(tower))
+    for i, f in enumerate(free):
+        if i in rows:
             continue
-        if res[piv] != 1:
-            mi = fq._mul[fq.inv(res[piv])]
-            res = [mi[v] for v in res]
-        b = _unflatten_skew(module, res)
-        basis.append(b)
-        if len(basis) > s:
+        vec = null_vector(f)
+        if vec[f] != 1 or any(vec[f + 1 :]) or any(vec[g] for g in free[:i]):
+            raise InternalError("centralizer solution space degenerated")
+        if len(terms) == s:
             raise InternalError("more basis elements than the predicted rank")
-        for j in range((cap - b.degree) // r + 1):
-            span.insert(_flatten_skew(module.phi_t_power(j) * b, cap))
-    if len(basis) != s:
-        raise InternalError(
-            f"extracted {len(basis)} basis elements, expected {s}; degree cap too small"
-        )
-    if span.dim != len(sols):
+        adjoin(SkewPoly(tower, [tower.elem(vec[d * n : d * n + n]) for d in range(cap + 1)]))
+    if len(terms) != s:
+        raise InternalError(f"extracted {len(terms)} basis elements, expected {s}; cap too small")
+    if len(rows) != nf:
         raise InternalError("degree ledger mismatch in centralizer extraction")
-    return basis
+    pi_coords = []
+    for i in range(s):
+        # pi^i - sum c * slots reduces to 0, leaving -c past nf (slot nf: spare)
+        vec, top = reduce(SkewPoly.tau_power(tower, n * i), nf)
+        if top >= 0:
+            raise InternalError("pi power is not in the extracted basis span")
+        polys = [[0] * len(t) for t in terms]
+        for (j, a), v in zip(slots, vec[nf:]):
+            polys[j][a] = neg[v]
+        pi_coords.append([APoly(fq, c) for c in polys])
+    return terms, pi_coords
 
 
 def coords_in_skew_basis(
     module: DrinfeldModule, basis: list[SkewPoly], u: SkewPoly
 ) -> list[APoly] | None:
-    """A-coordinates of u in an extracted basis, or None if u is not in
-    its A-span. Degree-bounded: valid because the extraction ledger
-    certifies that coordinates respect degrees up to the cap."""
-    tower = module.tower
-    fq = tower.fq
-    r = module.rank
-    cap = module.n * len(basis)
+    """A-coordinates of u in the skew basis of an order (`AOrder.skew_basis`),
+    or None if u is not in its A-span, by one solve on the phi_{T^a} b_j
+    of degree at most deg u: for End, coordinates respect degrees up to
+    the cap that its build certifies. The build itself reads the
+    coordinates of pi^i off its own echelon; this serves other elements."""
+    fq = module.tower.fq
     if not u:
         return [APoly.zero(fq) for _ in basis]
-    if u.degree > cap:
+    if u.degree > module.n * len(basis):
         raise InternalError("membership test beyond the verified degree cap")
-    cols = []
-    slots = []  # (basis index, T-power)
+    cols, owner = [], []  # owner: the basis index of each column
     for j, b in enumerate(basis):
-        if b.degree > u.degree:
-            continue
-        top = (u.degree - b.degree) // r
-        for a in range(top + 1):
-            slots.append((j, a))
+        for a in range((u.degree - b.degree) // module.rank + 1):
+            owner.append(j)
             cols.append(module.phi_t_power(a) * b)
     if not cols:
         return None
@@ -133,18 +150,10 @@ def coords_in_skew_basis(
     sol, _ = solve_linear(fq, rows, _flatten_skew(u, u.degree), len(cols))
     if sol is None:
         return None
-    polys: list[dict[int, int]] = [dict() for _ in basis]
-    for (j, a), v in zip(slots, sol):
-        if v:
-            polys[j][a] = v
-    result = []
-    for j in range(len(basis)):
-        if polys[j]:
-            deg = max(polys[j])
-            result.append(APoly(fq, [polys[j].get(i, 0) for i in range(deg + 1)]))
-        else:
-            result.append(APoly.zero(fq))
-    return result
+    polys: list[list[int]] = [[] for _ in basis]
+    for j, v in zip(owner, sol):
+        polys[j].append(v)
+    return [APoly(fq, c) for c in polys]
 
 
 class AOrder:
@@ -158,7 +167,7 @@ class AOrder:
         cols,
         den: APoly,
         module: DrinfeldModule | None = None,
-        skew_basis: list[SkewPoly] | None = None,
+        skew_terms: list[list[SkewPoly]] | None = None,
         tag: str = "order",
     ):
         self.ext = ext
@@ -167,11 +176,11 @@ class AOrder:
         rows = [list(row) for row in zip(*cols)]
         self.basis_matrix = (rows, den)
         self.module = module
-        self.skew_basis = list(skew_basis) if skew_basis is not None else None
+        self.skew_basis = [t[0] for t in skew_terms] if skew_terms else None
         self.tag = tag
         self.pi_lattice = ALattice.from_generators(self.fq, self.s, zip(*rows), den)
-        # phi_{T^a} * skew_basis[j], grown on demand (`skew_term`)
-        self._skew_terms = [[b] for b in self.skew_basis] if self.skew_basis else None
+        # phi_{T^a} * skew_basis[j] for a = 0, 1, ... (`skew_term`)
+        self._skew_terms = [list(t) for t in skew_terms] if skew_terms else None
 
     # -- coordinates --
 
@@ -337,28 +346,21 @@ def build_endomorphism_ring(module: DrinfeldModule) -> AOrder:
             f"[Ftilde:F] = {prof.s} < rank {module.rank}"
         )
     s = prof.s
-    basis_skew = centralizer_basis(module, s)
-    for b in basis_skew:
-        if b * module.phi_t != module.phi_t * b:
+    terms, p_rows = centralizer_basis(module, s)
+    basis_skew = [t[0] for t in terms]
+    for b, t in zip(basis_skew, terms):
+        # t[1] = phi_T * b, when the cap kept it
+        if b * module.phi_t != (t[1] if len(t) > 1 else module.phi_t * b):
             raise InternalError("extracted element does not commute with phi_T")
     for i in range(s):
         for j in range(i + 1, s):
             if basis_skew[i] * basis_skew[j] != basis_skew[j] * basis_skew[i]:
                 raise InternalError("endomorphism basis is not commutative")
-    ext = prof.extension_field()
-    fq = module.tower.fq
-    n = module.n
-    p_rows = []
-    for i in range(s):
-        coords = coords_in_skew_basis(module, basis_skew, SkewPoly.tau_power(module.tower, n * i))
-        if coords is None:
-            raise InternalError("pi power is not in the extracted basis span")
-        p_rows.append(coords)
     p_t = [[p_rows[j][i] for j in range(s)] for i in range(s)]
-    det, adj_t = mat_solve(p_t, mat_identity(fq, s))
+    det, adj_t = mat_solve(p_t, mat_identity(module.tower.fq, s))
     if not det:
         raise InternalError("pi powers are not an F-basis")
-    return AOrder(ext, zip(*adj_t), det, module=module, skew_basis=basis_skew, tag="End")
+    return AOrder(prof.extension_field(), zip(*adj_t), det, module=module, skew_terms=terms, tag="End")
 
 
 def right_divisible_combinations(
@@ -431,9 +433,9 @@ def end_pi_lattice(module: DrinfeldModule, f: APoly) -> ALattice:
 def minimal_frobenius_order(profile, module: DrinfeldModule) -> AOrder:
     """A[pi] = A[x]/(m(x)) in its power basis; skew basis tau^(n*i)."""
     ext = profile.extension_field()
-    skew = [SkewPoly.tau_power(module.tower, module.n * i) for i in range(ext.s)]
+    skew = [[SkewPoly.tau_power(module.tower, module.n * i)] for i in range(ext.s)]
     one = APoly.one(ext.fq)
-    return AOrder(ext, mat_identity(ext.fq, ext.s), one, module=module, skew_basis=skew, tag="A[pi]")
+    return AOrder(ext, mat_identity(ext.fq, ext.s), one, module=module, skew_terms=skew, tag="A[pi]")
 
 
 def order_from_pi_lattice(

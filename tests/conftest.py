@@ -157,6 +157,110 @@ def ladder_minpoly(phi: DrinfeldModule) -> list[APoly]:
     raise AssertionError("no annihilating polynomial found up to degree r")
 
 
+class TrailingEchelon:
+    """An echelon F_q-subspace whose pivots sit at the *highest* nonzero
+    coordinate of each vector; each row is 1 at its pivot.
+
+    With coordinates ordered by increasing tau-degree this makes the pivot
+    position of a vector reflect its degree, which is what the degree
+    ledger of `ref_end_ring` needs.
+    """
+
+    def __init__(self, fq, length: int):
+        self.fq = fq
+        self.length = length
+        self.rows: dict[int, list[int]] = {}
+
+    def reduce(self, vec) -> tuple[list[int], int]:
+        """Residue of vec modulo the current space and its pivot (-1 if
+        the residue is zero): coordinates are cleared from the top down
+        until the highest nonzero one is not a pivot of the space."""
+        add, mul, neg = self.fq._add, self.fq._mul, self.fq._neg
+        rows = self.rows
+        out = list(vec)
+        for piv in range(len(out) - 1, -1, -1):
+            c = out[piv]
+            if not c:
+                continue
+            row = rows.get(piv)
+            if row is None:
+                return out, piv
+            mc = mul[neg[c]]
+            for i in range(piv):
+                v = row[i]
+                if v:
+                    out[i] = add[out[i]][mc[v]]
+            out[piv] = 0
+        return out, -1
+
+    def insert(self, vec) -> int:
+        """Adjoin vec; returns its pivot index, or -1 if already contained."""
+        add, mul, neg = self.fq._add, self.fq._mul, self.fq._neg
+        res, piv = self.reduce(vec)
+        if piv < 0:
+            return -1
+        if res[piv] != 1:
+            mi = mul[self.fq.inv(res[piv])]
+            res = [mi[v] for v in res]
+        support = [(i, v) for i, v in enumerate(res[:piv]) if v]
+        for other in self.rows.values():
+            c = other[piv]
+            if c:
+                mc = mul[neg[c]]
+                for i, v in support:
+                    other[i] = add[other[i]][mc[v]]
+                other[piv] = 0
+        self.rows[piv] = res
+        return piv
+
+    def contains(self, vec) -> bool:
+        return self.reduce(vec)[1] < 0
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+
+def ref_end_ring(phi: DrinfeldModule):
+    """(skew basis, basis matrix) of End(phi) by the full-vector greedy the
+    End build used before it read its basis off the free columns of one
+    elimination: every null vector of the commutator system is reduced in
+    a `TrailingEchelon` over all (cap + 1) * n coordinates, and the
+    coordinates of pi^i are solved by `coords_in_skew_basis`."""
+    from drinfeld.apoly import mat_identity, mat_solve
+    from drinfeld.linalg import nullspace
+    from drinfeld.orders import _flatten_skew, coords_in_skew_basis
+    from drinfeld.skew import commutator_system
+
+    tower, fq = phi.tower, phi.tower.fq
+    n, r, s = phi.n, phi.rank, phi.profile().s
+    assert s == r, "End is not commutative"
+    cap = n * s
+    ncols = (cap + 1) * n
+    sols = nullspace(fq, commutator_system(phi.phi_t, cap), ncols)
+    basis = [SkewPoly.one(tower)]
+    span = TrailingEchelon(fq, ncols)
+    for j in range(cap // r + 1):
+        span.insert(_flatten_skew(phi.phi_t_power(j), cap))
+    for vec in sols:
+        res, piv = span.reduce(vec)
+        if piv < 0:
+            continue
+        if res[piv] != 1:
+            mi = fq._mul[fq.inv(res[piv])]
+            res = [mi[v] for v in res]
+        b = SkewPoly(tower, [tower.elem(res[d * n : d * n + n]) for d in range(cap + 1)])
+        basis.append(b)
+        for j in range((cap - b.degree) // r + 1):
+            span.insert(_flatten_skew(phi.phi_t_power(j) * b, cap))
+    assert len(basis) == s and span.dim == len(sols)
+    p_rows = [coords_in_skew_basis(phi, basis, SkewPoly.tau_power(tower, n * i)) for i in range(s)]
+    p_t = [[p_rows[j][i] for j in range(s)] for i in range(s)]
+    det, adj_t = mat_solve(p_t, mat_identity(fq, s))
+    assert det
+    return basis, ([list(row) for row in adj_t], det)
+
+
 def gauss_jordan(fq, rows: list[list[int]], rhs: list[int]):
     """Dense Gauss-Jordan elimination over F_q, the solver `linalg` used
     before its sparse forward-elimination kernel: it clears each pivot

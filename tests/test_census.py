@@ -206,6 +206,70 @@ GOLDEN_ENDRING_DIGESTS = {
         },
         "4f7a6f952ee8bfec7d87446e70035a51cc4c8cbf2b858050df73bf80ee580033",
     ),
+    # recorded with the full-vector greedy End build, before the basis was
+    # read off the free columns of one elimination; the benchmark's queries
+    # leave out rank-4 and rank-5 endring. End != A[pi], basis tau-degrees
+    # 0, 6, 12, 14
+    "f64-rank4": (
+        {
+            "field": {"p": 2, "e": 1, "h": [0, 1], "n": 6, "g": [1, 0, 0, 0, 0, 1, 1]},
+            "phi_T": [
+                [1, 1, 1, 1, 0, 1],
+                [0, 0, 0, 1, 0, 1],
+                [1, 1, 1, 1, 0, 1],
+                [0, 0, 1, 1, 0, 0],
+                [1, 1, 1, 0, 1, 0],
+            ],
+        },
+        "067cc75a4e0ea57f6908b40afc62c2bb0c34ff58fcaa24021e318b8654557727",
+    ),
+    "f64-rank5": (
+        {
+            "field": {"p": 2, "e": 1, "h": [0, 1], "n": 6, "g": [1, 0, 0, 0, 0, 1, 1]},
+            "phi_T": [
+                [0, 0, 1, 0, 0, 0],
+                [0, 1, 1, 0, 0, 1],
+                [0, 0, 0, 1, 1, 0],
+                [1, 0, 0, 0, 1, 1],
+                [1, 0, 0, 0, 1, 0],
+                [0, 0, 0, 0, 1, 1],
+            ],
+        },
+        "16a974b11dfa85235879c2535d577d2b8ee1784bf978cd26cd86275484e90c0b",
+    ),
+    # r = 3 divides n = 6, End != A[pi], basis tau-degrees 0, 6, 9
+    "f729-rank3": (
+        {
+            "field": {"p": 3, "e": 1, "h": [0, 1], "n": 6, "g": [1, 0, 0, 0, 1, 1, 1]},
+            "phi_T": [
+                [2, 1, 2, 1, 2, 2],
+                [1, 2, 0, 0, 0, 1],
+                [1, 2, 1, 1, 0, 2],
+                [1, 2, 2, 1, 1, 2],
+            ],
+        },
+        "a8621b8c45d4664e32f59439aba262b51220267513ebf18cac463c599bafc0c5",
+    ),
+}
+
+# sha256 of `ideal-act` reports (module, ideal), recorded with the
+# full-vector greedy End build: the benchmark's queries act only over
+# F_81. End != A[pi] (basis tau-degrees 0, 8, 10) and the generator
+# (T + 1) b_0 + b_1 + T b_2 reaches T * b_2
+GOLDEN_IDEAL_ACT_DIGESTS = {
+    "f256-rank3": (
+        {
+            "field": {"p": 2, "e": 1, "h": [0, 1], "n": 8, "g": [1, 0, 0, 0, 1, 1, 0, 1, 1]},
+            "phi_T": [
+                [0, 0, 1, 0, 0, 0, 1, 1],
+                [0, 0, 0, 0, 1, 1, 1, 0],
+                [1, 1, 1, 1, 0, 0, 1, 0],
+                [0, 1, 1, 1, 0, 1, 0, 1],
+            ],
+        },
+        {"generators": [[[1, 1], [1], [0, 1]]]},
+        "270b6a94ab4c8206920c3ae2ba92cc2d409f37ba6319631c4c2fd4209d67d4d5",
+    ),
 }
 
 
@@ -226,6 +290,19 @@ def test_endring_report_golden_digest(tmp_path, case):
     spec.write_text(json.dumps(module))
     out = tmp_path / "endring.json"
     assert main(["endring", "--input", str(spec), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_IDEAL_ACT_DIGESTS))
+def test_ideal_act_report_golden_digest(tmp_path, case):
+    module, ideal, digest = GOLDEN_IDEAL_ACT_DIGESTS[case]
+    spec = tmp_path / "module.json"
+    spec.write_text(json.dumps(module))
+    ideal_spec = tmp_path / "ideal.json"
+    ideal_spec.write_text(json.dumps(ideal))
+    out = tmp_path / "act.json"
+    argv = ["ideal-act", "--input", str(spec), "--ideal", str(ideal_spec), "--out", str(out)]
+    assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

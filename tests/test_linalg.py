@@ -1,5 +1,6 @@
 """F_q linear algebra: the elimination kernel `solve_linear` on sparse
-rows (lead, vals), `nullspace` and `TrailingEchelon`.
+rows (lead, vals), `nullspace`, the null vectors `echelon` builds on
+request, and `conftest.TrailingEchelon`, the echelon of the End oracle.
 
 The kernel reduces rows by forward elimination inside their bands and
 back-substitutes; the reduced row echelon form is unique, so it must
@@ -21,15 +22,17 @@ import pytest
 
 from drinfeld import Fq, invariants, linalg
 from drinfeld.invariants import minpoly_frobenius
-from drinfeld.linalg import TrailingEchelon, _solve_f2, _solve_fq, nullspace, solve_linear
+from drinfeld.linalg import _solve_f2, _solve_fq, nullspace, solve_linear
 from drinfeld.orders import centralizer_basis
 from drinfeld.skew import commutator_system
 
 from conftest import (
     _SPECS,
+    TrailingEchelon,
     dense_rows,
     gauss_jordan,
     get_tower,
+    integral_ideals,
     rand_module,
     tower_above_table_limit,
 )
@@ -283,10 +286,11 @@ def test_kernel_matches_gauss_jordan_on_tower_systems(name, monkeypatch):
 
 @pytest.mark.parametrize("name", ["f4", "f9", "f16", "f16e2", "f27"])
 def test_centralizer_solutions_are_reduced_trailing_echelon(name):
-    """The null basis centralizer_basis reads the basis from: each vector
-    is 1 at its highest nonzero coordinate, its pivot; pivots increase; and
-    each vector is 0 at the others' pivots. So a trailing echelon built
-    from them holds them unchanged."""
+    """The null basis of the commutator system, whose vectors
+    centralizer_basis builds on request: each vector is 1 at its highest
+    nonzero coordinate, its pivot; pivots increase; and each vector is 0
+    at the others' pivots. So a trailing echelon built from them holds
+    them unchanged."""
     tower = get_tower(name)
     n = tower.n
     rng = random.Random(f"centralizer-echelon-{name}")
@@ -305,7 +309,7 @@ def test_centralizer_solutions_are_reduced_trailing_echelon(name):
             ech.insert(vec)
         assert [ech.rows[p] for p in sorted(ech.rows)] == sols
         if s == module.rank:
-            assert len(centralizer_basis(module, s)) == s
+            assert len(centralizer_basis(module, s)[0]) == s
 
 
 def _f2_banded_systems(rng, count):
@@ -379,3 +383,96 @@ def test_solve_linear_packs_rows_only_over_f2(monkeypatch):
             gauss_jordan(FIELDS[name], dense_rows(rows, 3), [1, 0])
         )
     assert calls == [3]
+
+
+# -- null vectors on demand --
+
+
+def _banded_systems(rng, fq, count):
+    """Random banded systems over fq, as `_f2_banded_systems` draws them
+    over F_2: all-zero rows, rows whose vals end in zeros, leads that stop
+    short of the last columns, and every third system made inconsistent
+    by a combination of two rows with another right-hand side."""
+    for idx in range(count):
+        ncols = rng.randrange(1, 30)
+        last_lead = rng.randrange(ncols)
+        rows, rhs = [], []
+        for _ in range(rng.randrange(1, 30)):
+            lead = rng.randrange(last_lead + 1)
+            width = rng.randrange(min(6, ncols - lead) + 1)
+            kind = rng.randrange(5)
+            vals = [0 if kind == 0 else rng.randrange(fq.q) for _ in range(width)]
+            if kind == 1 and width:
+                k = rng.randrange(1, width + 1)
+                vals[width - k :] = [0] * k
+            rows.append((lead, vals))
+            rhs.append(rng.randrange(fq.q))
+        if idx % 3 == 0:
+            a, b = rng.randrange(len(rows)), rng.randrange(len(rows))
+            c, delta = rng.randrange(fq.q), rng.randrange(1, fq.q)
+            full = dense_rows([rows[a], rows[b]], ncols)
+            rows.append((0, [fq.add(u, fq.mul(c, v)) for u, v in zip(*full)]))
+            rhs.append(fq.add(fq.add(rhs[a], fq.mul(c, rhs[b])), delta))
+        yield rows, rhs, ncols
+
+
+@pytest.mark.parametrize("name", FIELDS)
+def test_null_vectors_on_demand_match_the_null_basis(name):
+    """`echelon` gives the free columns and each null vector by itself:
+    they must be the pivots (highest nonzero coordinates) and the vectors
+    of `solve_linear`'s null basis, whatever the right-hand side."""
+    fq = FIELDS[name]
+    rng = random.Random(f"null-on-demand-{name}")
+    seen = {"inconsistent": 0, "zero row": 0, "no free column": 0}
+    for rows, rhs, ncols in _banded_systems(rng, fq, 300):
+        sol, null = solve_linear(fq, rows, rhs, ncols)
+        assert nullspace(fq, rows, ncols) == null
+        free, null_vector = linalg.echelon(fq, rows, ncols)
+        assert free == [max(i for i, v in enumerate(vec) if v) for vec in null]
+        # in reverse order too: no vector depends on one built before it
+        assert [null_vector(f) for f in reversed(free)] == null[::-1]
+        seen["inconsistent"] += sol is None
+        seen["zero row"] += any(not any(vals) for _, vals in rows)
+        seen["no free column"] += not free
+    assert all(seen.values()), seen
+
+
+def test_null_vectors_on_demand_on_commutator_systems():
+    for name in ("f4", "f16e2", "f27", "f256"):
+        tower = get_tower(name)
+        rng = random.Random(f"null-on-demand-commutator-{name}")
+        for _ in range(3):
+            module = rand_module(rng, tower, max_rank=3)
+            ncols = (tower.n * module.rank + 1) * tower.n
+            rows = commutator_system(module.phi_t, tower.n * module.rank)
+            free, null_vector = linalg.echelon(tower.fq, rows, ncols)
+            assert [null_vector(f) for f in free] == nullspace(tower.fq, rows, ncols)
+
+
+def test_orders_nullspaces_match_gauss_jordan(monkeypatch, rank3_example):
+    """The null bases `orders` solves for End by right divisibility, for
+    the annihilator of `act` (both `right_divisible_combinations`) and
+    for the colon of two ideals, each asserted equal to dense
+    Gauss-Jordan's."""
+    import sys
+
+    from drinfeld import act, orders
+
+    seen: dict[str, int] = {}
+
+    def spy(fq, rows, ncols):
+        caller = sys._getframe(1).f_code.co_name
+        seen[caller] = seen.get(caller, 0) + 1
+        return check_against_gauss_jordan(fq, rows, [0] * len(rows), ncols)[1]
+
+    monkeypatch.setattr(orders, "nullspace", spy)
+    phi = rank3_example
+    end = orders.endomorphism_ring(phi)
+    f = orders.end_index_bound(end.ext)
+    assert orders.end_pi_lattice(phi, f) == end.pi_lattice
+    ideals = [i for i in integral_ideals(end, 2) if i.norm_poly().degree > 0][:4]
+    for ideal in ideals:
+        act(phi, ideal)
+    for ideal in ideals[:2]:
+        assert ideal.colon(ideal).contains_one()
+    assert seen["right_divisible_combinations"] > len(ideals) and seen["colon"] >= 2, seen
