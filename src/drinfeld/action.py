@@ -11,8 +11,6 @@ returned as a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .apoly import APoly
 from .errors import EmptyIdeal, InternalError
 from .lattices import ALattice
@@ -37,15 +35,26 @@ def skew_realization(order: AOrder, coords: list[APoly]) -> SkewPoly:
     return SkewPoly(tower, fq_combination(tower, terms))
 
 
-@dataclass
 class IdealActionResult:
-    source: DrinfeldModule
-    ideal: FracIdeal
-    u: SkewPoly
-    image: DrinfeldModule
-    annihilator: FracIdeal
-    is_kernel: bool
-    witness: list[APoly] | None
+    __slots__ = ("source", "ideal", "u", "image", "annihilator", "is_kernel", "witness")
+
+    def __init__(
+        self,
+        source: DrinfeldModule,
+        ideal: FracIdeal,
+        u: SkewPoly,
+        image: DrinfeldModule,
+        annihilator: FracIdeal,
+        is_kernel: bool,
+        witness: list[APoly] | None,
+    ):
+        self.source = source
+        self.ideal = ideal
+        self.u = u
+        self.image = image
+        self.annihilator = annihilator
+        self.is_kernel = is_kernel
+        self.witness = witness
 
 
 def act(phi: DrinfeldModule, ideal: FracIdeal) -> IdealActionResult:

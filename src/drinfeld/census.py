@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 from .action import act
@@ -135,25 +134,25 @@ def twist_orbit_key(module: DrinfeldModule) -> tuple:
     return min(_twist_orbit(module.tower, module.coeff_vector()))
 
 
-@dataclass
 class IsoClass:
-    key: tuple
-    rep: DrinfeldModule
-    size: int = 0
-    # the summary of rep's End order, once `IsogenyClass.end` has read it
-    end_summary: dict | None = field(default=None, repr=False)
+    __slots__ = ("key", "rep", "size", "end_summary")
+
+    def __init__(self, key: tuple, rep: DrinfeldModule, size: int = 0):
+        self.key = key
+        self.rep = rep
+        self.size = size
+        # the summary of rep's End order, once `IsogenyClass.end` has read it
+        self.end_summary: dict | None = None
 
 
-@dataclass
 class IsogenyClass:
-    m_text: str
-    profile_summary: dict
-    iso_classes: list[IsoClass] = field(default_factory=list)
-    # pi-lattice of an End order -> the order and its summary; members
-    # with equal End rings share one
-    end_orders: dict[ALattice, tuple[AOrder, dict]] = field(
-        default_factory=dict, init=False, repr=False
-    )
+    def __init__(self, m_text: str, profile_summary: dict):
+        self.m_text = m_text
+        self.profile_summary = profile_summary
+        self.iso_classes: list[IsoClass] = []
+        # pi-lattice of an End order -> the order and its summary; members
+        # with equal End rings share one
+        self.end_orders: dict[ALattice, tuple[AOrder, dict]] = {}
 
     @cached_property
     def index_bound(self) -> APoly | None:

@@ -325,12 +325,15 @@ def commutator_system(f: SkewPoly, cap: int) -> list[tuple[int, list[int]]]:
         monomials = [tower.elem([0] * comp + [1]) for comp in range(n)]
         monomials_frob = [[c.frobq(j) for j in range(len(g))] for c in monomials]
         for i in range(cap + 1):
-            g_frob = [gj.frobq(i) for gj in g]
-            for comp, c in enumerate(monomials):
-                for j, gj in enumerate(g):
-                    if gj:
-                        entry = c * g_frob[j] - gj * monomials_frob[comp][j]
-                        blocks[i + j][(i - max(0, i + j - r)) * n + comp] = entry.coeffs
+            for j, gj in enumerate(g):
+                if not gj:
+                    continue
+                gj_frob = gj.frobq(i)
+                block = blocks[i + j]
+                offset = (i - max(0, i + j - r)) * n
+                for comp, c in enumerate(monomials):
+                    entry = c * gj_frob - gj * monomials_frob[comp][j]
+                    block[offset + comp] = entry.coeffs
     else:
         order, zech, qpow, exp = tab.order, tab.zech, tab.qpow, tab.exp
         lg = [(j, y) for j, y in enumerate(_logs(tab, g)) if y is not None]
@@ -339,13 +342,16 @@ def commutator_system(f: SkewPoly, cap: int) -> list[tuple[int, list[int]]]:
         lx = [tab.log[(0,) * comp + (1,) + (0,) * (n - 1 - comp)] for comp in range(n)]
         for i in range(cap + 1):
             qi = qpow[i % n]
-            for comp, lc in enumerate(lx):
-                for j, y in lg:
-                    a = (lc + y * qi) % order
-                    b = (y + lc * qpow[j % n] + tab.neg) % order
+            for j, y in lg:
+                yqi, yneg, qj = y * qi, y + tab.neg, qpow[j % n]
+                block = blocks[i + j]
+                offset = (i - max(0, i + j - r)) * n
+                for comp, lc in enumerate(lx):
+                    a = (lc + yqi) % order
+                    b = (lc * qj + yneg) % order
                     s = zech[b - a]
                     if s is not None:
-                        blocks[i + j][(i - max(0, i + j - r)) * n + comp] = exp[(a + s) % order]
+                        block[offset + comp] = exp[(a + s) % order]
     rows = []
     for d, block in enumerate(blocks):
         lead = max(0, d - r) * n

@@ -20,6 +20,7 @@ from drinfeld.serialize import (
     module_from_json,
     module_to_json,
     render_text,
+    shared_module,
 )
 
 from conftest import get_tower
@@ -318,14 +319,9 @@ def test_cli_analyze(tmp_path, capsys):
     assert data["m"] == "x^3+T*x^2+x+(T^4+T+1)"
 
 
-def test_cli_endring_then_ideal_act(tmp_path, capsys):
-    mod = _write(tmp_path, "mod.json", EX38_MODULE)
-    rc = main(["endring", "--input", mod, "--format", "json"])
-    assert rc == 0
-    endrep = json.loads(capsys.readouterr().out)
-    assert endrep["rank"] == 3
-
-    # the ideal (e2, e3) expressed against the emitted basis ordering
+def _write_ex38_ideal(tmp_path) -> str:
+    """The ideal (e2, e3) of Example 3.8's End, in the coordinates of the
+    basis the endring report emits."""
     phi = module_from_json(EX38_MODULE)
     end = endomorphism_ring(phi)
     tower = phi.tower
@@ -339,8 +335,17 @@ def test_cli_endring_then_ideal_act(tmp_path, capsys):
     for e in (e2, e3):
         coords = coords_in_skew_basis(phi, end.skew_basis, e)
         gens.append([apoly_to_json(c) for c in coords])
-    ideal = _write(tmp_path, "ideal.json", {"generators": gens})
+    return _write(tmp_path, "ideal.json", {"generators": gens})
 
+
+def test_cli_endring_then_ideal_act(tmp_path, capsys):
+    mod = _write(tmp_path, "mod.json", EX38_MODULE)
+    rc = main(["endring", "--input", mod, "--format", "json"])
+    assert rc == 0
+    endrep = json.loads(capsys.readouterr().out)
+    assert endrep["rank"] == 3
+
+    ideal = _write_ex38_ideal(tmp_path)
     rc = main(["ideal-act", "--input", mod, "--ideal", ideal])
     assert rc == 0
     report = json.loads(capsys.readouterr().out)
@@ -353,6 +358,150 @@ def test_cli_endring_then_ideal_act(tmp_path, capsys):
     assert rc == 0
     verdict = json.loads(capsys.readouterr().out)
     assert verdict["kernel"] is False
+
+
+# -- modules shared across the requests of one process --
+
+
+@pytest.fixture
+def fresh_modules():
+    """An empty module cache before the test and after it."""
+    shared_module.cache_clear()
+    yield
+    shared_module.cache_clear()
+
+
+def test_equal_specs_share_one_module(fresh_modules):
+    # the scalar 1 is the one-digit array [1]: the same phi_T
+    spelled = dict(EX38_MODULE, phi_T=[[0, 1, 0, 0], [0], [0, 0, 0, 1], 1])
+    phi = module_from_json(EX38_MODULE)
+    assert module_from_json(copy.deepcopy(EX38_MODULE)) is phi
+    assert module_from_json(spelled) is phi
+    assert module_from_json(dict(EX38_MODULE, phi_T=[[0, 1], [1]])) is not phi
+
+
+def _session(capsys, mod, ideal, cold):
+    """The outputs and exit codes of analyze, endring, ideal-act and
+    kernel-test on one module, the cache cleared before each when cold."""
+    outs = []
+    for argv in (
+        ["analyze", "--input", mod],
+        ["endring", "--input", mod],
+        ["ideal-act", "--input", mod, "--ideal", ideal],
+        ["kernel-test", "--input", mod, "--ideal", ideal],
+        ["endring", "--input", mod, "--format", "text"],
+    ):
+        if cold:
+            shared_module.cache_clear()
+        rc = main(argv)
+        outs.append((rc, capsys.readouterr()))
+    return outs
+
+
+def test_cli_session_builds_profile_and_end_once(tmp_path, capsys, monkeypatch, fresh_modules):
+    import drinfeld.invariants as invariants
+    import drinfeld.orders as orders
+
+    mod = _write(tmp_path, "mod.json", EX38_MODULE)
+    ideal = _write_ex38_ideal(tmp_path)
+    cold = _session(capsys, mod, ideal, cold=True)
+
+    builds = {"profile": 0, "end": 0}
+
+    def counted(key, build):
+        def spy(module):
+            builds[key] += 1
+            return build(module)
+
+        return spy
+
+    monkeypatch.setattr(invariants, "FrobeniusProfile", counted("profile", invariants.FrobeniusProfile))
+    monkeypatch.setattr(
+        orders, "build_endomorphism_ring", counted("end", orders.build_endomorphism_ring)
+    )
+    shared_module.cache_clear()
+    warm = _session(capsys, mod, ideal, cold=False)
+    assert builds == {"profile": 1, "end": 1}
+    assert [rc for rc, _ in warm] == [0] * 5
+    # byte for byte what a process per request prints
+    assert warm == cold
+
+
+def test_cli_invalid_spec_after_a_valid_one(tmp_path, capsys, fresh_modules):
+    mod = _write(tmp_path, "mod.json", EX38_MODULE)
+    bad = {
+        "constant": _write(tmp_path, "constant.json", dict(EX38_MODULE, phi_T=[[0, 1]])),
+        "reducible": _write(
+            tmp_path, "reducible.json", dict(EX38_MODULE, field=dict(EX38_FIELD, g=[1, 0, 0, 0, 1]))
+        ),
+        "digit": _write(tmp_path, "digit.json", dict(EX38_MODULE, phi_T=[[0, 2], [1]])),
+    }
+    for name, path in bad.items():
+        shared_module.cache_clear()
+        assert main(["analyze", "--input", path]) == 2
+        alone = capsys.readouterr()
+        assert alone.out == "" and alone.err.startswith("input error: ")
+        assert main(["analyze", "--input", mod]) == 0
+        capsys.readouterr()
+        # twice: a failed construction is not cached
+        for _ in range(2):
+            assert main(["analyze", "--input", path]) == 2, name
+            assert capsys.readouterr() == alone
+
+
+def test_cli_noncommutative_endring_fails_alike_twice(tmp_path, capsys, fresh_modules):
+    # tau^2 over F_4: s = 1 < r = 2
+    spec = {"field": {"p": 2, "e": 1, "h": [0, 1], "n": 2, "g": [1, 1, 1]}, "phi_T": [0, 0, 1]}
+    path = _write(tmp_path, "noncomm.json", spec)
+    results = []
+    for _ in range(2):
+        rc = main(["endring", "--input", path])
+        results.append((rc, capsys.readouterr()))
+    assert results[0] == results[1]
+    rc, captured = results[0]
+    assert rc == 2 and captured.out == ""
+    assert captured.err == "error: [Ftilde:F] = 1 < rank 2\n"
+
+
+def test_module_cache_is_bounded(fresh_modules):
+    from drinfeld.serialize import MODULE_CACHE_SIZE
+
+    def spec(c):
+        # phi_T = t + g_1 tau + g_2 tau^2 + tau^3, g_1 and g_2 the digits of c
+        bits = [c >> k & 1 for k in range(8)]
+        return dict(EX38_MODULE, phi_T=[[0, 1], bits[:4], bits[4:], 1])
+
+    for extra in (0, 1):
+        shared_module.cache_clear()
+        first = module_from_json(spec(0))
+        for c in range(1, MODULE_CACHE_SIZE + extra):
+            module_from_json(spec(c))
+        assert shared_module.cache_info().currsize == MODULE_CACHE_SIZE
+        again = module_from_json(spec(0))
+        assert again == first
+        # kept after MODULE_CACHE_SIZE distinct modules, rebuilt after one more
+        assert (again is first) is (extra == 0)
+
+
+def test_import_leaves_out_dataclasses_and_inspect():
+    import os
+    import subprocess
+    import sys
+
+    src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys, drinfeld, drinfeld.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_cli_census_deterministic(tmp_path):
