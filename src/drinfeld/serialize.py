@@ -146,16 +146,12 @@ def module_to_json(module: DrinfeldModule) -> dict:
     }
 
 
-# Requests for one module come in sessions (analyze, endring, then
-# ideal-act or kernel-test), so one entry serves a session and a few serve
-# a user who alternates between modules. Each entry keeps its module's
-# profile and End alive, so the bound keeps a long-lived process's memory
-# flat: over one pass of the benchmark's `queries` sessions, 16 entries
-# raised peak RSS by about 1 MB against no cache, 4 by about 0.25 MB.
-MODULE_CACHE_SIZE = 4
-
-
-@lru_cache(maxsize=MODULE_CACHE_SIZE)
+# Requests for one module arrive together, as a session (analyze, endring,
+# then ideal-act or kernel-test), as in the benchmark's `queries` traffic,
+# whose sessions are shuffled as whole units. One entry serves that: a pass
+# of 61 modules builds 61 profiles, as a larger cache does. It also keeps a
+# long-lived process's memory flat, holding one module's profile and End.
+@lru_cache(maxsize=1)
 def shared_module(tower: FieldTower, phi_t: SkewPoly) -> DrinfeldModule:
     """The module phi_T over tower, one object per value for the requests
     of one process, so its profile and End (`cached_property`) are built

@@ -321,37 +321,46 @@ def commutator_system(f: SkewPoly, cap: int) -> list[tuple[int, list[int]]]:
     zero = tower.zero.coeffs
     blocks = [[zero] * ((min(d, cap) - max(0, d - r) + 1) * n) for d in range(cap + r + 1)]
     tab = tower._tables
+    # the entry of (i, j, comp) lies at (i - lo_(i+j))*n + comp of block
+    # i + j, and i - lo_(i+j) = min(i, r - j); its second term,
+    # g_j c^(q^j), does not depend on i
     if tab is None:
         monomials = [tower.elem([0] * comp + [1]) for comp in range(n)]
-        monomials_frob = [[c.frobq(j) for j in range(len(g))] for c in monomials]
+        terms = [
+            (j, gj, r - j, [(c, gj * c.frobq(j)) for c in monomials])
+            for j, gj in enumerate(g)
+            if gj
+        ]
         for i in range(cap + 1):
-            for j, gj in enumerate(g):
-                if not gj:
-                    continue
+            for j, gj, rj, cols in terms:
                 gj_frob = gj.frobq(i)
                 block = blocks[i + j]
-                offset = (i - max(0, i + j - r)) * n
-                for comp, c in enumerate(monomials):
-                    entry = c * gj_frob - gj * monomials_frob[comp][j]
-                    block[offset + comp] = entry.coeffs
+                k = (i if i < rj else rj) * n
+                for c, second in cols:
+                    block[k] = (c * gj_frob - second).coeffs
+                    k += 1
     else:
         order, zech, qpow, exp = tab.order, tab.zech, tab.qpow, tab.exp
-        lg = [(j, y) for j, y in enumerate(_logs(tab, g)) if y is not None]
         # logs of the monomials c = x^comp; below, a = log(c g_j^(q^i)) and
         # b = log(-g_j c^(q^j))
         lx = [tab.log[(0,) * comp + (1,) + (0,) * (n - 1 - comp)] for comp in range(n)]
+        terms = [
+            (j, y, r - j, [(lc, (lc * qpow[j % n] + y + tab.neg) % order) for lc in lx])
+            for j, y in enumerate(_logs(tab, g))
+            if y is not None
+        ]
         for i in range(cap + 1):
             qi = qpow[i % n]
-            for j, y in lg:
-                yqi, yneg, qj = y * qi, y + tab.neg, qpow[j % n]
+            for j, y, rj, cols in terms:
+                yqi = y * qi
                 block = blocks[i + j]
-                offset = (i - max(0, i + j - r)) * n
-                for comp, lc in enumerate(lx):
+                k = (i if i < rj else rj) * n
+                for lc, b in cols:
                     a = (lc + yqi) % order
-                    b = (lc * qj + yneg) % order
                     s = zech[b - a]
                     if s is not None:
-                        block[offset + comp] = exp[(a + s) % order]
+                        block[k] = exp[(a + s) % order]
+                    k += 1
     rows = []
     for d, block in enumerate(blocks):
         lead = max(0, d - r) * n

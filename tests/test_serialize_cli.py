@@ -24,6 +24,7 @@ from drinfeld.serialize import (
 )
 
 from conftest import get_tower
+from test_census import GOLDEN_IDEAL_ACT_DIGESTS
 
 
 EX38_FIELD = {"p": 2, "e": 1, "h": [0, 1], "n": 4, "g": [1, 1, 0, 0, 1]}
@@ -398,12 +399,21 @@ def _session(capsys, mod, ideal, cold):
     return outs
 
 
-def test_cli_session_builds_profile_and_end_once(tmp_path, capsys, monkeypatch, fresh_modules):
+@pytest.mark.parametrize("case", ["ex38", "f256-rank3"])
+def test_cli_session_builds_profile_and_end_once(
+    tmp_path, capsys, monkeypatch, fresh_modules, case
+):
     import drinfeld.invariants as invariants
     import drinfeld.orders as orders
 
-    mod = _write(tmp_path, "mod.json", EX38_MODULE)
-    ideal = _write_ex38_ideal(tmp_path)
+    if case == "ex38":
+        mod = _write(tmp_path, "mod.json", EX38_MODULE)
+        ideal = _write_ex38_ideal(tmp_path)
+    else:
+        # the golden ideal-act case, on the logarithm kernels of F_256
+        module, gens, _ = GOLDEN_IDEAL_ACT_DIGESTS[case]
+        mod = _write(tmp_path, "mod.json", module)
+        ideal = _write(tmp_path, "ideal.json", gens)
     cold = _session(capsys, mod, ideal, cold=True)
 
     builds = {"profile": 0, "end": 0}
@@ -464,7 +474,7 @@ def test_cli_noncommutative_endring_fails_alike_twice(tmp_path, capsys, fresh_mo
 
 
 def test_module_cache_is_bounded(fresh_modules):
-    from drinfeld.serialize import MODULE_CACHE_SIZE
+    bound = shared_module.cache_info().maxsize
 
     def spec(c):
         # phi_T = t + g_1 tau + g_2 tau^2 + tau^3, g_1 and g_2 the digits of c
@@ -474,12 +484,12 @@ def test_module_cache_is_bounded(fresh_modules):
     for extra in (0, 1):
         shared_module.cache_clear()
         first = module_from_json(spec(0))
-        for c in range(1, MODULE_CACHE_SIZE + extra):
+        for c in range(1, bound + extra):
             module_from_json(spec(c))
-        assert shared_module.cache_info().currsize == MODULE_CACHE_SIZE
+        assert shared_module.cache_info().currsize == bound
         again = module_from_json(spec(0))
         assert again == first
-        # kept after MODULE_CACHE_SIZE distinct modules, rebuilt after one more
+        # kept after bound - 1 other modules, rebuilt after bound others
         assert (again is first) is (extra == 0)
 
 
