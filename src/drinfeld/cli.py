@@ -31,6 +31,7 @@ from .serialize import (
     field_to_json,
     ideal_act_report,
     json_field,
+    json_keys,
     json_object,
     kelem_from_json,
     kelem_to_json,
@@ -127,6 +128,7 @@ def _run_census(args) -> int:
             print(f"input error: {flag} must be at least 0", file=sys.stderr)
             return 2
     data = _load_json(args.input)
+    json_keys(data, ("field", "rank", "t"))
     tower = field_from_json(json_field(data, "field", json_object))
     rank = data["rank"]
     check_census_rank(tower, rank)

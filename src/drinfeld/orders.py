@@ -169,6 +169,7 @@ class AOrder:
         module: DrinfeldModule | None = None,
         skew_terms: list[list[SkewPoly]] | None = None,
         tag: str = "order",
+        pi_lattice: ALattice | None = None,
     ):
         self.ext = ext
         self.fq = ext.fq
@@ -178,28 +179,15 @@ class AOrder:
         self.module = module
         self.skew_basis = [t[0] for t in skew_terms] if skew_terms else None
         self.tag = tag
-        self.pi_lattice = ALattice.from_generators(self.fq, self.s, zip(*rows), den)
+        # a caller whose basis is a canonical lattice passes it; any other
+        # basis is spanned to its canonical form here
+        if pi_lattice is None:
+            pi_lattice = ALattice.from_generators(self.fq, self.s, zip(*rows), den)
+        self.pi_lattice = pi_lattice
         # phi_{T^a} * skew_basis[j] for a = 0, 1, ... (`skew_term`)
         self._skew_terms = [list(t) for t in skew_terms] if skew_terms else None
 
     # -- coordinates --
-
-    def coords_of(self, x: ExtElem) -> list[RatFunc] | None:
-        """Coordinates of x with respect to the basis (None never occurs
-        for a true F-basis; kept for symmetry)."""
-        det, adj = self.basis_adjugate
-        if adj is None:
-            return None
-        dens = self.basis_matrix[1]
-        nums = [v * dens for v in x.nums]
-        out = []
-        for row in adj:
-            acc = APoly.zero(self.fq)
-            for a, v in zip(row, nums):
-                if a and v:
-                    acc = acc + a * v
-            out.append(RatFunc(acc, det * x.den))
-        return out
 
     def elem_from_coords(self, coords: list[APoly], den: APoly | None = None) -> ExtElem:
         rows, dens = self.basis_matrix
@@ -232,26 +220,51 @@ class AOrder:
     @cached_property
     def table(self) -> list[list[list[APoly]]]:
         """The multiplication table over A, built on first use; raises
-        InternalError when the basis does not span a ring."""
+        InternalError when the basis does not span a ring.
+
+        Basis element j is c_j / den, so e_i e_j = c_i c_j / den^2, whose
+        coordinates are adj (c_i c_j) / (det den) (`basis_adjugate`): one
+        exact division per coordinate, its remainder the closure check."""
+        det, adj = self.basis_adjugate
+        if adj is None:
+            raise InternalError("basis product escaped the F-span")
+        rows, den = self.basis_matrix
+        cols = [list(col) for col in zip(*rows)]
+        div = det * den
+        zero = APoly.zero(self.fq)
         table: list[list] = [[None] * self.s for _ in range(self.s)]
         for i in range(self.s):
             for j in range(i, self.s):
-                prod = self.basis_ext[i] * self.basis_ext[j]
-                coords = self.coords_of(prod)
-                if coords is None:
-                    raise InternalError("basis product escaped the F-span")
-                if any(not c.is_integral() for c in coords):
-                    raise InternalError("order is not closed under multiplication")
-                table[i][j] = [c.to_apoly() for c in coords]
-                table[j][i] = table[i][j]
+                prod = self.ext.mul_vecs(cols[i], cols[j])
+                entry = []
+                for row in adj:
+                    acc = zero
+                    for a, v in zip(row, prod):
+                        if a and v:
+                            acc = acc + a * v
+                    if div.coeffs != (1,):  # 1 for A[pi] and most census orders
+                        acc, rem = divmod(acc, div)
+                        if rem:
+                            raise InternalError("order is not closed under multiplication")
+                    entry.append(acc)
+                table[i][j] = table[j][i] = entry
         return table
 
     @cached_property
     def one_coords(self) -> list[APoly]:
-        one = self.coords_of(self.ext.one())
-        if one is None or any(not c.is_integral() for c in one):
+        """The coordinates of 1, the power vector (1, 0, ..., 0): column 0
+        of adj times den, exactly divided by det."""
+        det, adj = self.basis_adjugate
+        if adj is None:
             raise InternalError("order does not contain 1")
-        return [c.to_apoly() for c in one]
+        den = self.basis_matrix[1]
+        out = []
+        for row in adj:
+            c, rem = divmod(row[0] * den, det)
+            if rem:
+                raise InternalError("order does not contain 1")
+            out.append(c)
+        return out
 
     def skew_term(self, j: int, a: int) -> SkewPoly:
         """phi_{T^a} * skew_basis[j], kept per order: the skew realization
@@ -263,24 +276,21 @@ class AOrder:
             terms.append(self.module.phi_t * terms[-1])
         return terms[a]
 
-    def contains(self, x: ExtElem) -> bool:
-        coords = self.coords_of(x)
-        return coords is not None and all(c.is_integral() for c in coords)
-
     def unit_ideal(self) -> FracIdeal:
         return FracIdeal(self, ALattice.identity(self.fq, self.s))
 
     @cached_property
     def basis_ext(self) -> list[ExtElem]:
-        """The basis as reduced elements of the Frobenius field."""
+        """The basis as reduced elements of the Frobenius field, for the
+        basis text of the `endring` report."""
         rows, den = self.basis_matrix
         return [ExtElem(self.ext, list(col), den) for col in zip(*rows)]
 
     @cached_property
     def basis_adjugate(self) -> tuple[APoly, list[list[APoly]] | None]:
         """(det, adj) of the basis matrix's rows, adj None when singular:
-        x = v / den in power coordinates has basis coordinates
-        adj * (dens * v) / (det * den)."""
+        x = v / d in power coordinates has basis coordinates
+        adj * (den * v) / (det * d), den the basis denominator."""
         return mat_solve(self.basis_matrix[0], mat_identity(self.fq, self.s))
 
     @cached_property
@@ -289,12 +299,19 @@ class AOrder:
         the basis; InseparableExtension when the trace form degenerates."""
         if not self.ext.is_separable():
             raise InseparableExtension("trace form degenerates; dual undefined")
+        # Tr(c_j / den) = sum_i c_j[i] Tr(pi^i) / den, exactly divided
+        rows, den = self.basis_matrix
+        power_sum = self.ext.power_sum
         traces = []
-        for b in self.basis_ext:
-            tr = b.trace()
-            if not tr.is_integral():
+        for col in zip(*rows):
+            acc = APoly.zero(self.fq)
+            for i, v in enumerate(col):
+                if v:
+                    acc = acc + v * power_sum(i)
+            tr, rem = divmod(acc, den)
+            if rem:
                 raise InternalError("trace of an integral element escaped A")
-            traces.append(tr.to_apoly())
+            traces.append(tr)
         gram = []
         for i in range(self.s):
             row = []
@@ -441,7 +458,9 @@ def minimal_frobenius_order(profile, module: DrinfeldModule) -> AOrder:
 def order_from_pi_lattice(
     ext: ExtensionField, lat: ALattice, module: DrinfeldModule | None = None, tag: str = "order"
 ) -> AOrder:
-    return AOrder(ext, lat.cols, lat.den, module=module, tag=tag)
+    """The order whose pi-lattice is lat, a canonical lattice that is
+    kept as it is; its basis is the lattice's HNF columns."""
+    return AOrder(ext, lat.cols, lat.den, module=module, tag=tag, pi_lattice=lat)
 
 
 class FracIdeal:

@@ -7,7 +7,8 @@ Ideal spec:   {"generators": [[...], ...]}  (A-coordinate vectors
               the endring report emits it)
 
 Coefficient arrays are little-endian. F_q scalars are plain integers
-mod p when e = 1 and little-endian arrays over F_p otherwise.
+mod p when e = 1 and little-endian arrays over F_p otherwise. A key that
+a spec does not define is an input error (`json_keys`).
 """
 
 from __future__ import annotations
@@ -38,6 +39,12 @@ def dumps_canonical(obj) -> str:
 # -- input values --
 
 
+def _where(data: dict) -> str:
+    """The file prefix of an input error, for objects read by the CLI."""
+    path = getattr(data, "path", None)
+    return f"{path}: " if path else ""
+
+
 def json_field(data: dict, key: str, parse):
     """parse(data[key]), where an invalid value is an input error that
     names the field and, for objects read by the CLI, the file."""
@@ -45,9 +52,16 @@ def json_field(data: dict, key: str, parse):
     try:
         return parse(value)
     except (TypeError, ValueError) as exc:
-        path = getattr(data, "path", None)
-        where = f"{path}: " if path else ""
-        raise ValueError(f"{where}field {key!r}: {exc}") from None
+        raise ValueError(f"{_where(data)}field {key!r}: {exc}") from None
+
+
+def json_keys(data: dict, known: tuple[str, ...]) -> None:
+    """Reject a key of data outside known: a misspelt or unsupported field
+    is an input error, not silently ignored."""
+    for key in data:
+        if key not in known:
+            expected = ", ".join(repr(k) for k in known)
+            raise ValueError(f"{_where(data)}unknown field {key!r} (expected {expected})")
 
 
 def _integer(v) -> int:
@@ -131,6 +145,7 @@ def field_to_json(tower: FieldTower) -> dict:
 
 
 def field_from_json(data: dict) -> FieldTower:
+    json_keys(data, ("p", "e", "h", "n", "g"))
     p, e, n = (json_field(data, key, _integer) for key in ("p", "e", "n"))
     h = json_field(data, "h", lambda v: tuple(_digit(p, c) for c in _array(v)))
     # g coefficients may be ints (e = 1) or digit arrays
@@ -160,6 +175,7 @@ def shared_module(tower: FieldTower, phi_t: SkewPoly) -> DrinfeldModule:
 
 
 def module_from_json(data: dict) -> DrinfeldModule:
+    json_keys(data, ("field", "phi_T"))
     tower = field_from_json(json_field(data, "field", json_object))
     coeffs = json_field(data, "phi_T", lambda v: [kelem_from_json(tower, c) for c in _array(v)])
     return shared_module(tower, SkewPoly(tower, coeffs))
@@ -172,6 +188,7 @@ def ideal_generators_from_json(order: AOrder, data: dict) -> FracIdeal:
         out = [apoly_from_json(order.fq, c) for c in vec]
         return out + [APoly.zero(order.fq)] * (order.s - len(out))
 
+    json_keys(data, ("generators",))
     gens = json_field(data, "generators", lambda v: [coords(vec) for vec in _array(v)])
     return FracIdeal.from_generators(order, gens)
 

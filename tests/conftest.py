@@ -11,11 +11,14 @@ from drinfeld import (
     DrinfeldModule,
     FieldTower,
     Fq,
+    InternalError,
+    RatFunc,
     SkewPoly,
     act,
     first_irreducible,
     ideals_of_norm_degree,
 )
+from drinfeld.apoly import mat_identity, mat_solve
 
 _TOWER_CACHE: dict[str, FieldTower] = {}
 
@@ -379,3 +382,67 @@ def is_kernel_ideal(phi: DrinfeldModule, ideal) -> tuple:
     witness (None for a kernel ideal)."""
     res = act(phi, ideal)
     return res.is_kernel, res.witness
+
+
+def coords_of(order, x) -> list | None:
+    """Coordinates of the `ExtElem` x in the basis of order, one reduced
+    `RatFunc` each, or None when the basis is singular: the oracle of the
+    order's exact-division kernels (`AOrder.table`, `one_coords`,
+    `trace_form`)."""
+    det, adj = order.basis_adjugate
+    if adj is None:
+        return None
+    dens = order.basis_matrix[1]
+    nums = [v * dens for v in x.nums]
+    out = []
+    for row in adj:
+        acc = APoly.zero(order.fq)
+        for a, v in zip(row, nums):
+            if a and v:
+                acc = acc + a * v
+        out.append(RatFunc(acc, det * x.den))
+    return out
+
+
+def _integral_coords(order, x, message: str) -> list:
+    coords = coords_of(order, x)
+    if coords is None or any(not c.is_integral() for c in coords):
+        raise InternalError(message)
+    return [c.to_apoly() for c in coords]
+
+
+def ref_table(order) -> list:
+    """The multiplication table through `ExtElem` products and `coords_of`."""
+    basis = order.basis_ext
+    if order.basis_adjugate[1] is None:
+        raise InternalError("basis product escaped the F-span")
+    return [
+        [_integral_coords(order, a * b, "order is not closed under multiplication") for b in basis]
+        for a in basis
+    ]
+
+
+def ref_one_coords(order) -> list:
+    return _integral_coords(order, order.ext.one(), "order does not contain 1")
+
+
+def ref_trace_form(order) -> tuple:
+    """(det G, adj G) of the trace Gram matrix, from `ExtElem.trace` and
+    `ref_table`."""
+    traces = []
+    for b in order.basis_ext:
+        tr = b.trace()
+        if not tr.is_integral():
+            raise InternalError("trace of an integral element escaped A")
+        traces.append(tr.to_apoly())
+    table = ref_table(order)
+    gram = []
+    for row in table:
+        gram_row = []
+        for entry in row:
+            acc = APoly.zero(order.fq)
+            for c, tr in zip(entry, traces):
+                acc = acc + c * tr
+            gram_row.append(acc)
+        gram.append(gram_row)
+    return mat_solve(gram, mat_identity(order.fq, order.s))

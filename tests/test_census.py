@@ -157,6 +157,14 @@ GOLDEN_CENSUS_DIGESTS = {
         [],
         "8434294b7c81d0349e8cc6b5222ef7622f48f97c1093e036a2bb8ea262900387",
     ),
+    # 1,536 class records over six characteristic roots: the rank-3 End
+    # orders of an unvalidated census beyond F_3; about 2 s
+    "f16-rank3": (
+        {"p": 2, "e": 1, "h": [0, 1], "n": 4, "g": [1, 1, 0, 0, 1]},
+        3,
+        ["--skip-validate"],
+        "c6a7322e7d77f6fb75125963e3ecdc8fde2e33fcee5d240131adfcf2e5a877ea",
+    ),
     "f27-rank2": (
         {"p": 3, "e": 1, "h": [0, 1], "n": 3, "g": [1, 2, 0, 1]},
         2,

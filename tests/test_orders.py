@@ -42,7 +42,7 @@ from drinfeld.orders import (
     _norm_target,
 )
 
-from conftest import get_tower, integral_ideals, rand_apoly
+from conftest import coords_of, get_tower, integral_ideals, rand_apoly
 
 
 @pytest.fixture(scope="module")
@@ -460,7 +460,7 @@ def test_lin_equiv_trivial_and_principal(ex38):
     principal = unit.mul_elem(alpha)
     status, witness = lin_equiv(principal, principal.order.unit_ideal())
     assert status == "yes"
-    assert unit.mul_elem([c.to_apoly() for c in end.coords_of(witness)]) == principal
+    assert unit.mul_elem([c.to_apoly() for c in coords_of(end, witness)]) == principal
 
 
 def test_lin_equiv_distinct_classes_certified_no(ex38):
@@ -772,7 +772,7 @@ def test_coords_of_matches_a_solve_per_element(ex38):
             nums = [APoly(order.fq, [rng.randrange(2) for _ in range(4)]) for _ in range(ext.s)]
             x = ext.elem(nums, APoly(order.fq, [1, rng.randrange(2), 1]))
             det, sol = mat_solve(rows, [[v * dens] for v in x.nums])
-            assert order.coords_of(x) == [RatFunc(r[0], det * x.den) for r in sol]
+            assert coords_of(order, x) == [RatFunc(r[0], det * x.den) for r in sol]
 
 
 def test_lin_equiv_size_guard_after_weak_equivalence():

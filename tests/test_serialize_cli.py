@@ -614,6 +614,35 @@ def test_cli_input_errors(tmp_path, capsys):
         )
 
 
+def test_cli_unknown_keys_are_input_errors(tmp_path, capsys):
+    # a misspelt or unsupported key exits 2 with one line naming it, in
+    # each spec and in the field inside a module or census spec
+    mod = _write(tmp_path, "mod.json", EX38_MODULE)
+    census = {"field": EX38_FIELD, "rank": 2}
+    cases = [
+        (["analyze"], dict(EX38_MODULE, name="ex38"), "name"),
+        (["endring"], dict(EX38_MODULE, field=dict(EX38_FIELD, q=16)), "q"),
+        (["census", "--skip-validate"], dict(census, T=[0, 1]), "T"),
+        (["census", "--skip-validate"], dict(census, field=dict(EX38_FIELD, G=[1])), "G"),
+        (["census", "--skip-validate"], dict(census, seed=3), "seed"),
+        (["ideal-act", "--input", mod, "--ideal"], {"generators": [[[1], [0], [0]]], "den": [1, 1]}, "den"),
+        (["kernel-test", "--input", mod, "--ideal"], {"generators": [[[1], [0], [0]]], "gens": []}, "gens"),
+    ]
+    for argv, spec, key in cases:
+        path = _write(tmp_path, "spec.json", spec)
+        argv = argv + [path] if argv[-1] == "--ideal" else [argv[0], "--input", path] + argv[1:]
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(f"input error: {path}: unknown field {key!r} (expected ")
+    # the library rejects them too, without a file to name
+    with pytest.raises(ValueError, match="^unknown field 'x' \\(expected 'p', 'e', 'h', 'n', 'g'\\)$"):
+        field_from_json(dict(EX38_FIELD, x=1))
+    with pytest.raises(ValueError, match="unknown field 'phi_t'"):
+        module_from_json({"field": EX38_FIELD, "phi_t": EX38_MODULE["phi_T"], "phi_T": EX38_MODULE["phi_T"]})
+
+
 def test_cli_parser_is_shared_and_parses_independently(tmp_path, capsys):
     from drinfeld.cli import build_parser
 
