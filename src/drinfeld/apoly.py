@@ -122,12 +122,6 @@ class APoly:
             return self
         return _poly(self.fq, tuple(map(self.fq._mul[c].__getitem__, self.coeffs)))
 
-    def shift(self, j: int) -> APoly:
-        """Multiply by T^j."""
-        if not self.coeffs:
-            return self
-        return APoly(self.fq, (0,) * j + self.coeffs)
-
     def __divmod__(self, other: APoly) -> tuple[APoly, APoly]:
         if not other:
             raise ZeroDivisionError("division by the zero polynomial")
@@ -152,9 +146,6 @@ class APoly:
                         rem[j] = add[rem[j]][row[bj]]
         # the first quotient term is lc(self) / lc(other), nonzero
         return _poly(fq, tuple(quo)), APoly(fq, rem[:d])
-
-    def __floordiv__(self, other: APoly) -> APoly:
-        return divmod(self, other)[0]
 
     def __mod__(self, other: APoly) -> APoly:
         return divmod(self, other)[1]

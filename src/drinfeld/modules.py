@@ -53,10 +53,6 @@ class DrinfeldModule:
             raise InternalError("degree of the characteristic prime must divide n")
         self._phi_t_powers: list[SkewPoly] = [SkewPoly.one(tower), phi_t]
 
-    @staticmethod
-    def from_coeffs(tower: FieldTower, coeffs) -> DrinfeldModule:
-        return DrinfeldModule(tower, SkewPoly(tower, [tower.elem(c) if not isinstance(c, KElem) else c for c in coeffs]))
-
     def phi_t_power(self, j: int) -> SkewPoly:
         while len(self._phi_t_powers) <= j:
             self._phi_t_powers.append(self._phi_t_powers[-1] * self.phi_t)
@@ -83,27 +79,9 @@ class DrinfeldModule:
             raise InternalError("tau-valuation of phi_p is not a multiple of d")
         return v // self.d
 
-    @property
-    def is_ordinary(self) -> bool:
-        return self.height == 1
-
     def coeff_vector(self) -> tuple[KElem, ...]:
         """phi_T coefficients padded to length rank + 1."""
         return tuple(self.phi_t[i] for i in range(self.rank + 1))
-
-    def twist(self, c: KElem) -> DrinfeldModule:
-        """The isomorphic module c phi c^{-1}; g_i maps to c^(1-q^i) g_i."""
-        if not c:
-            raise ZeroDivisionError("twist by zero")
-        cinv = c.inv()
-        coeffs = []
-        for i in range(self.rank + 1):
-            g = self.phi_t[i]
-            coeffs.append(c * g * cinv.frobq(i) if g else g)
-        # twisting fixes t, so the characteristic prime carries over
-        return DrinfeldModule.with_char_prime(
-            self.tower, SkewPoly(self.tower, coeffs), self.char_prime
-        )
 
     @cached_property
     def _profile(self):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-from .apoly import APoly, RatFunc, mat_det, mat_identity, mat_solve, squarefree_decomposition
+from .apoly import APoly, RatFunc, mat_det, mat_identity, mat_solve, monic_polys, squarefree_decomposition
 from .errors import (
     EmptyIdeal,
     InseparableExtension,
@@ -747,9 +747,9 @@ def _quadratic_ideals(order: AOrder, total: int):
         # m_w(-b') for every b' of degree < deg c: one product each
         norms = [(bp, w2[0] - (bp + w2[1]) * bp) for bp in _polys_below_degree(fq, deg_c)]
         shape = []
-        for c in _monic_of_degree(fq, deg_c):
+        for c in monic_polys(fq, deg_c):
             bps = [bp for bp, m in norms if not m % c]
-            for a in _monic_of_degree(fq, deg_a):
+            for a in monic_polys(fq, deg_a):
                 d0 = a * c
                 for bp in bps:
                     b = a * bp
@@ -776,7 +776,7 @@ def _hnf_filter_ideals(order: AOrder, total: int):
         for i in range(s):
             for j in range(i + 1, s):
                 offslots.append((i, j, diag_degs[i]))
-        diag_iters = [list(_monic_of_degree(fq, d)) for d in diag_degs]
+        diag_iters = [list(monic_polys(fq, d)) for d in diag_degs]
         off_iters = [list(_polys_below_degree(fq, d)) for (_, _, d) in offslots]
         for diag in itertools.product(*diag_iters):
             for offs in itertools.product(*off_iters):
@@ -798,11 +798,6 @@ def _compositions(total: int, parts: int):
     for first in range(total + 1):
         for rest in _compositions(total - first, parts - 1):
             yield (first,) + rest
-
-
-def _monic_of_degree(fq, d: int):
-    for tail in itertools.product(range(fq.q), repeat=d):
-        yield APoly(fq, list(tail) + [1])
 
 
 def _polys_below_degree(fq, d: int):

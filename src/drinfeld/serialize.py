@@ -181,16 +181,24 @@ def module_from_json(data: dict) -> DrinfeldModule:
     return shared_module(tower, SkewPoly(tower, coeffs))
 
 
-def ideal_generators_from_json(order: AOrder, data: dict) -> FracIdeal:
-    def coords(vec) -> list[APoly]:
-        if len(_array(vec)) > order.s:
-            raise ValueError("generator vector longer than the basis")
-        out = [apoly_from_json(order.fq, c) for c in vec]
-        return out + [APoly.zero(order.fq)] * (order.s - len(out))
-
+def ideal_vectors_from_json(fq, data: dict) -> list[list[APoly]]:
+    """The generator vectors of an ideal spec, A-coordinates over fq. The
+    keys, the shape and every coefficient are checked here, so a malformed
+    spec fails before End is built; only the length of each vector waits
+    for End's basis (`ideal_from_vectors`)."""
     json_keys(data, ("generators",))
-    gens = json_field(data, "generators", lambda v: [coords(vec) for vec in _array(v)])
-    return FracIdeal.from_generators(order, gens)
+    return json_field(
+        data, "generators", lambda v: [[apoly_from_json(fq, c) for c in _array(vec)] for vec in _array(v)]
+    )
+
+
+def ideal_from_vectors(order: AOrder, data: dict, vecs: list[list[APoly]]) -> FracIdeal:
+    """The ideal of order generated by the vectors `ideal_vectors_from_json`
+    read from data, each padded with zeros to the basis length."""
+    if any(len(vec) > order.s for vec in vecs):
+        raise ValueError(f"{_where(data)}field 'generators': generator vector longer than the basis")
+    zero = APoly.zero(order.fq)
+    return FracIdeal.from_generators(order, [vec + [zero] * (order.s - len(vec)) for vec in vecs])
 
 
 # -- reports --
@@ -266,9 +274,9 @@ def endring_report(module: DrinfeldModule) -> dict:
 def ideal_act_report(module: DrinfeldModule, ideal_data: dict) -> dict:
     from .action import act
 
+    vecs = ideal_vectors_from_json(module.tower.fq, ideal_data)
     order = endomorphism_ring(module)
-    ideal = ideal_generators_from_json(order, ideal_data)
-    result = act(module, ideal)
+    result = act(module, ideal_from_vectors(order, ideal_data, vecs))
     tower = module.tower
     report = {
         "u": result.u.text(),

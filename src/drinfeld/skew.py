@@ -85,9 +85,6 @@ class SkewPoly:
             out[i] = out[i] + v
         return SkewPoly(self.tower, out)
 
-    def __neg__(self) -> SkewPoly:
-        return SkewPoly(self.tower, [-c for c in self.coeffs])
-
     def __sub__(self, other: SkewPoly) -> SkewPoly:
         self._check(other)
         a, b = self.coeffs, other.coeffs
@@ -121,18 +118,6 @@ class SkewPoly:
     def left_scale(self, c: KElem) -> SkewPoly:
         """Multiply by a constant on the left: c * (a_i tau^i) = (c a_i) tau^i."""
         return SkewPoly(self.tower, [c * a for a in self.coeffs])
-
-    def __pow__(self, m: int) -> SkewPoly:
-        if m < 0:
-            raise ValueError("negative exponent: k{tau} has no inverse of positive degree")
-        r = SkewPoly.one(self.tower)
-        b = self
-        while m:
-            if m & 1:
-                r = r * b
-            b = b * b
-            m >>= 1
-        return r
 
     def rdivmod(self, other: SkewPoly) -> tuple[SkewPoly, SkewPoly]:
         """Right division: self = quo * other + rem with deg rem < deg other."""

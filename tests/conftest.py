@@ -360,6 +360,20 @@ def rand_module(rng: random.Random, tower: FieldTower, max_rank: int = 3) -> Dri
     return DrinfeldModule(tower, SkewPoly(tower, coeffs + [top]))
 
 
+def twist(phi: DrinfeldModule, c) -> DrinfeldModule:
+    """The isomorphic module c phi c^{-1}; g_i maps to c^(1-q^i) g_i:
+    the isomorphism oracle of the twist-orbit and isomorphism tests."""
+    if not c:
+        raise ZeroDivisionError("twist by zero")
+    cinv = c.inv()
+    coeffs = []
+    for i in range(phi.rank + 1):
+        g = phi.phi_t[i]
+        coeffs.append(c * g * cinv.frobq(i) if g else g)
+    # twisting fixes t, so the characteristic prime carries over
+    return DrinfeldModule.with_char_prime(phi.tower, SkewPoly(phi.tower, coeffs), phi.char_prime)
+
+
 # the censuses used by the acceptance corpus: (tower name, rank)
 CENSUS_SPECS = [
     ("f2", 2),

@@ -9,9 +9,10 @@ the solver it replaced) returns: the same particular solution and the same
 null basis, on random systems (dense, banded, with zero rows,
 inconsistent, without rows) and on the commutator and m(x) systems of
 every test tower. Over F_2 `solve_linear` runs a second kernel on rows
-packed into ints; it is checked against the general kernel and the dense
-oracle on random banded F_2 systems and on commutator systems over F_16
-and F_256. Properties are checked too, with products recomputed
+packed into ints (`_echelon_f2`); the answers read off it are checked
+against those of the general kernel (`_echelon_fq`) and the dense oracle
+on random banded F_2 systems and on commutator systems over F_16 and
+F_256. Properties are checked too, with products recomputed
 through the per-scalar `Fq` API, which the row kernels of `linalg`
 bypass, and ranks against sympy.
 """
@@ -22,7 +23,7 @@ import pytest
 
 from drinfeld import Fq, invariants, linalg
 from drinfeld.invariants import minpoly_frobenius
-from drinfeld.linalg import _solve_f2, _solve_fq, nullspace, solve_linear
+from drinfeld.linalg import _echelon_f2, _echelon_fq, nullspace, solve_linear
 from drinfeld.orders import centralizer_basis
 from drinfeld.skew import commutator_system
 
@@ -312,6 +313,13 @@ def test_centralizer_solutions_are_reduced_trailing_echelon(name):
             assert len(centralizer_basis(module, s)[0]) == s
 
 
+def _solved(kernel, ncols):
+    """`solve_linear`'s answer read off one kernel's (free, vector,
+    consistent) alone."""
+    free, vector, consistent = kernel
+    return (vector(ncols) if consistent else None), [vector(f) for f in free]
+
+
 def _f2_banded_systems(rng, count):
     """Random banded systems over F_2: all-zero rows, rows whose vals end
     in zeros, leads that stop short of the last columns (which only the
@@ -344,8 +352,8 @@ def test_packed_f2_kernel_matches_general_kernel_and_oracle():
     rng = random.Random("packed-f2")
     seen = {"inconsistent": 0, "zero row": 0, "trailing zero": 0, "free tail": 0}
     for rows, rhs, ncols in _f2_banded_systems(rng, 600):
-        got = _solve_f2(rows, rhs, ncols)
-        assert got == _solve_fq(fq, rows, rhs, ncols)
+        got = _solved(_echelon_f2(rows, rhs, ncols), ncols)
+        assert got == _solved(_echelon_fq(fq, rows, rhs, ncols), ncols)
         assert got == gauss_jordan(fq, dense_rows(rows, ncols), rhs)
         assert solve_linear(fq, rows, rhs, ncols) == got
         seen["inconsistent"] += got[0] is None
@@ -366,7 +374,8 @@ def test_packed_f2_kernel_matches_general_kernel_on_commutator_systems(name):
         rows = commutator_system(module.phi_t, cap)
         ncols = (cap + 1) * n
         for rhs in ([0] * len(rows), [rng.randrange(2) for _ in rows]):
-            assert _solve_f2(rows, rhs, ncols) == _solve_fq(tower.fq, rows, rhs, ncols)
+            packed = _solved(_echelon_f2(rows, rhs, ncols), ncols)
+            assert packed == _solved(_echelon_fq(tower.fq, rows, rhs, ncols), ncols)
 
 
 def test_solve_linear_packs_rows_only_over_f2(monkeypatch):
@@ -374,9 +383,9 @@ def test_solve_linear_packs_rows_only_over_f2(monkeypatch):
 
     def spy(rows, rhs, ncols):
         calls.append(ncols)
-        return _solve_f2(rows, rhs, ncols)
+        return _echelon_f2(rows, rhs, ncols)
 
-    monkeypatch.setattr(linalg, "_solve_f2", spy)
+    monkeypatch.setattr(linalg, "_echelon_f2", spy)
     rows = [(0, [1, 1]), (1, [1, 0])]
     for name in ("F2", "F4", "F3"):
         assert solve_linear(FIELDS[name], rows, [1, 0], 3) == (

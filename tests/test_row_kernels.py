@@ -51,7 +51,7 @@ def test_skew_difference_is_sum_with_negation(name):
     rng = random.Random(f"skew-sub-{name}")
     for _ in range(60):
         f, g = rand_skew(rng, tower, 5), rand_skew(rng, tower, 5)
-        assert f - g == f + (-g)
+        assert (f - g) + g == f
         assert not f - f
 
 

@@ -473,6 +473,39 @@ def test_cli_noncommutative_endring_fails_alike_twice(tmp_path, capsys, fresh_mo
     assert captured.err == "error: [Ftilde:F] = 1 < rank 2\n"
 
 
+def test_cli_malformed_ideal_spec_fails_before_end(tmp_path, capsys, monkeypatch, fresh_modules):
+    # keys, shape and coefficients are checked before End is built; only a
+    # vector longer than End's basis waits for it
+    import drinfeld.orders as orders
+
+    builds = []
+    build = orders.build_endomorphism_ring
+
+    def spy(module):
+        builds.append(module)
+        return build(module)
+
+    monkeypatch.setattr(orders, "build_endomorphism_ring", spy)
+    mod = _write(tmp_path, "mod.json", EX38_MODULE)
+    for command in ("ideal-act", "kernel-test"):
+        for spec, message in (
+            ({"generators": [[[1]]], "den": [1, 1]}, "unknown field 'den' (expected 'generators')"),
+            ({"generators": [1]}, "field 'generators': expected an array, got 1"),
+            ({"generators": [[[1, 2]]]}, "field 'generators': expected an integer in [0, 2), got 2"),
+        ):
+            path = _write(tmp_path, "ideal.json", spec)
+            assert main([command, "--input", mod, "--ideal", path]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"input error: {path}: {message}\n"
+    assert builds == []
+    path = _write(tmp_path, "ideal.json", {"generators": [[[1]] * 4]})
+    assert main(["ideal-act", "--input", mod, "--ideal", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {path}: field 'generators': generator vector longer than the basis\n"
+    assert len(builds) == 1
+
+
 def test_module_cache_is_bounded(fresh_modules):
     bound = shared_module.cache_info().maxsize
 

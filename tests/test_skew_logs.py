@@ -147,12 +147,3 @@ def test_tables_survive_loading_nine_other_towers():
     for name in names:
         assert field_from_json(field_to_json(get_tower(name)))._tables is not None
     assert field_from_json(field_to_json(get_tower("f729")))._tables is tables
-
-
-def test_negative_power_raises():
-    tower = get_tower("f4")
-    f = SkewPoly(tower, [tower.one, tower.one])
-    with pytest.raises(ValueError):
-        f**-1
-    assert f**0 == SkewPoly.one(tower)
-    assert f**3 == ref_skew_mul(ref_skew_mul(f, f), f)
