@@ -33,7 +33,7 @@ from .apoly import (
     squarefree_decomposition,
 )
 from .lattices import ALattice, lattice_index
-from .extfield import ExtElem, ExtensionField
+from .extfield import ExtensionField
 from .skew import SkewPoly, rgcd, rgcd_bezout
 from .modules import (
     DrinfeldModule,
@@ -102,7 +102,6 @@ __all__ = [
     "ContextError",
     "DrinfeldModule",
     "EmptyIdeal",
-    "ExtElem",
     "ExtensionField",
     "FieldTower",
     "Fq",

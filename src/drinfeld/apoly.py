@@ -416,9 +416,6 @@ class RatFunc:
         self.num = num
         self.den = den
 
-    def __mul__(self, other: RatFunc) -> RatFunc:
-        return RatFunc(self.num * other.num, self.den * other.den)
-
     def __truediv__(self, other: RatFunc) -> RatFunc:
         if not other.num:
             raise ZeroDivisionError("division by zero rational function")

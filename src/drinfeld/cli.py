@@ -71,8 +71,9 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("ideal-act", "kernel-test"):
             p.add_argument("--ideal", required=True, help="ideal JSON path")
         if name == "census":
-            p.add_argument("--max-norm-deg", type=int, default=6, dest="max_norm_deg")
-            p.add_argument("--lin-equiv-bound", type=int, default=2, dest="lin_equiv_bound")
+            # None leaves the validator's defaults (6 and 2) in place
+            p.add_argument("--max-norm-deg", type=int, dest="max_norm_deg")
+            p.add_argument("--lin-equiv-bound", type=int, dest="lin_equiv_bound")
             p.add_argument("--skip-validate", action="store_true")
         else:
             p.add_argument("--format", choices=("json", "text"), default="json")
@@ -120,13 +121,20 @@ def _emit_report(report: dict, args) -> None:
 
 
 def _run_census(args) -> int:
-    for flag, value in (
-        ("--max-norm-deg", args.max_norm_deg),
-        ("--lin-equiv-bound", args.lin_equiv_bound),
+    bounds = {}
+    for flag, key, value in (
+        ("--max-norm-deg", "max_norm_ceiling", args.max_norm_deg),
+        ("--lin-equiv-bound", "lin_equiv_bound", args.lin_equiv_bound),
     ):
+        if value is None:
+            continue
+        if args.skip_validate:
+            print(f"input error: {flag} has no effect with --skip-validate", file=sys.stderr)
+            return 2
         if value < 0:
             print(f"input error: {flag} must be at least 0", file=sys.stderr)
             return 2
+        bounds[key] = value
     data = _load_json(args.input)
     json_keys(data, ("field", "rank", "t"))
     tower = field_from_json(json_field(data, "field", json_object))
@@ -157,11 +165,7 @@ def _run_census(args) -> int:
                 grp = groups[mtext]
                 try:
                     rep_a = validate_minimal_order_occurrence(grp)
-                    rep_b = validate_ideal_class_action(
-                        grp,
-                        max_norm_ceiling=args.max_norm_deg,
-                        lin_equiv_bound=args.lin_equiv_bound,
-                    )
+                    rep_b = validate_ideal_class_action(grp, **bounds)
                     lines.append(
                         dumps_canonical(
                             {

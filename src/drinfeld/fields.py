@@ -204,9 +204,6 @@ class Fq:
             m >>= 1
         return r
 
-    def elements(self) -> range:
-        return range(self.q)
-
     def elem_text(self, a: int, sym: str = "y") -> str:
         """Render a scalar; plain integer for prime fields."""
         if self.e == 1:

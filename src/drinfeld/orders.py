@@ -13,7 +13,10 @@ power coordinates (for endomorphism rings also as skew polynomials,
 with the first basis element equal to 1), its multiplication table over
 A, and the canonical HNF lattice of the basis. Fractional ideals store
 HNF lattices in the coordinates of their ambient order's basis, so the
-ambient order itself is always the identity lattice.
+ambient order itself is always the identity lattice. An element of the
+Frobenius field is an A-column over one denominator throughout: in
+order coordinates as (coords, den), the form `FracIdeal.mul_elem` takes
+and `lin_equiv` returns as its witness.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .errors import (
     NonCommutativeEndomorphisms,
     TooLarge,
 )
-from .extfield import ExtElem, ExtensionField
+from .extfield import ExtensionField
 from .lattices import ALattice
 from .linalg import echelon, nullspace, solve_linear
 from .modules import DrinfeldModule
@@ -189,19 +192,6 @@ class AOrder:
 
     # -- coordinates --
 
-    def elem_from_coords(self, coords: list[APoly], den: APoly | None = None) -> ExtElem:
-        rows, dens = self.basis_matrix
-        nums = []
-        for row in rows:
-            acc = APoly.zero(self.fq)
-            for a, c in zip(row, coords):
-                if a and c:
-                    acc = acc + a * c
-            nums.append(acc)
-        if den is not None and den.degree >= 0:
-            dens = dens * den
-        return ExtElem(self.ext, nums, dens)
-
     def mul_coords(self, a: list[APoly], b: list[APoly]) -> list[APoly]:
         """Product of two integral coordinate vectors, via the table."""
         out = [APoly.zero(self.fq) for _ in range(self.s)]
@@ -278,13 +268,6 @@ class AOrder:
 
     def unit_ideal(self) -> FracIdeal:
         return FracIdeal(self, ALattice.identity(self.fq, self.s))
-
-    @cached_property
-    def basis_ext(self) -> list[ExtElem]:
-        """The basis as reduced elements of the Frobenius field, for the
-        basis text of the `endring` report."""
-        rows, den = self.basis_matrix
-        return [ExtElem(self.ext, list(col), den) for col in zip(*rows)]
 
     @cached_property
     def basis_adjugate(self) -> tuple[APoly, list[list[APoly]] | None]:
@@ -960,9 +943,10 @@ def _norm_target(target: RatFunc, den: APoly, s: int) -> APoly | None:
 
 
 def lin_equiv(ideal: FracIdeal, other: FracIdeal, bound_deg: int = 2):
-    """Linear equivalence test: ("yes", u) with ideal = other * u exactly,
-    ("no", None) certified by failure of weak equivalence, or
-    ("unknown", None) when the search bound is exhausted.
+    """Linear equivalence test: ("yes", (coords, den)) with
+    ideal = other.mul_elem(coords, den) exactly, the witness u = coords /
+    den in the order's basis; ("no", None) certified by failure of weak
+    equivalence; or ("unknown", None) when the search bound is exhausted.
 
     The search runs over u = sum c_i w_i / den for the basis w_i / den
     of (ideal : other) and deg c_i <= bound_deg. A candidate must first
@@ -980,7 +964,7 @@ def lin_equiv(ideal: FracIdeal, other: FracIdeal, bound_deg: int = 2):
     inequivalent pair answers "no" whatever the bound."""
     order = ideal.order
     if ideal == other:
-        return "yes", order.ext.one()
+        return "yes", (list(order.one_coords), APoly.one(order.fq))
     quot = ideal.colon(other)
     s = order.s
     fq = order.fq
@@ -1002,7 +986,7 @@ def lin_equiv(ideal: FracIdeal, other: FracIdeal, bound_deg: int = 2):
                         if col[m]:
                             coords[m] = coords[m] + c * col[m]
             if other.mul_elem(coords, den) == ideal:
-                return "yes", order.elem_from_coords(coords, den)
+                return "yes", (coords, den)
     if not _weakly_equivalent(ideal, other, quot):
         return "no", None
     return "unknown", None

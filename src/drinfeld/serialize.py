@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from functools import lru_cache
 
-from .apoly import APoly
+from .apoly import APoly, poly_gcd
 from .errors import InseparableExtension
 from .fields import FieldTower, KElem, base_field
 from .invariants import FrobeniusProfile
@@ -228,17 +228,40 @@ def analyze_report(module: DrinfeldModule) -> dict:
     }
 
 
+def reduced_basis(order: AOrder) -> list[tuple[list[APoly], APoly]]:
+    """Each basis element of order as (nums, den) in power coordinates, in
+    lowest terms: the column and the basis denominator divided by their
+    gcd, den monic, so den is 1 for a zero column."""
+    rows, den = order.basis_matrix
+    out = []
+    for col in zip(*rows):
+        nums, d = list(col), den
+        g = d
+        for v in nums:
+            if v:
+                g = poly_gcd(g, v)
+        if g.degree > 0:
+            nums = [v.exact_div(g) if v else v for v in nums]
+            d = d.exact_div(g)
+        if not d.is_monic():
+            u = order.fq.inv(d.lc())
+            nums = [v.scale(u) for v in nums]
+            d = d.scale(u)
+        out.append((nums, d))
+    return out
+
+
 def endring_report(module: DrinfeldModule) -> dict:
     order = endomorphism_ring(module)
     # A[pi] has the power basis, so its pi-lattice is the identity
     index = lattice_index(order.pi_lattice, ALattice.identity(order.fq, order.s)).to_apoly()
     basis = []
-    for skew, ext in zip(order.skew_basis, order.basis_ext):
+    for skew, (nums, den) in zip(order.skew_basis, reduced_basis(order)):
         basis.append(
             {
                 "skew": skew.text(),
-                "pi_coords": [c.text() for c in ext.nums],
-                "den": ext.den.text(),
+                "pi_coords": [c.text() for c in nums],
+                "den": den.text(),
             }
         )
     table = [

@@ -14,7 +14,17 @@ from drinfeld import (
 )
 from drinfeld.apoly import mat_det
 
-from conftest import get_tower, rand_apoly, rand_nonzero_apoly
+from conftest import (
+    ext_elem,
+    ext_gen,
+    ext_one,
+    ext_zero,
+    get_tower,
+    mult_matrix,
+    rand_apoly,
+    rand_nonzero_apoly,
+    ratfunc_mul,
+)
 
 
 def fq3():
@@ -176,7 +186,7 @@ def test_index_multiplicativity_random():
         small = mid.scale(RatFunc(rand_nonzero_apoly(rng, fq, 2).monic()))
         full = lattice_index(big, small)
         assert full == (
-            lattice_index(big, mid) * lattice_index(mid, small)
+            ratfunc_mul(lattice_index(big, mid), lattice_index(mid, small))
         ).monic_normalized()
         assert lattice_index(big, mid) == RatFunc(APoly.one(fq)) or mid != big
         # the index annihilates the quotient: chi * big <= small
@@ -207,24 +217,24 @@ def ex38_field():
 
 def test_norm_of_frobenius_is_char_prime_up_to_unit():
     ext = ex38_field()
-    n = ext.gen().norm()
+    n = ext_gen(ext).norm()
     assert n.monic_normalized() == RatFunc(APoly(ext.fq, [1, 1, 0, 0, 1]))
 
 
 def test_inverse_and_one():
     ext = ex38_field()
-    assert ext.one().inv() == ext.one()
-    pi = ext.gen()
-    assert pi * pi.inv() == ext.one()
+    assert ext_one(ext).inv() == ext_one(ext)
+    pi = ext_gen(ext)
+    assert pi * pi.inv() == ext_one(ext)
     with pytest.raises(ZeroDivisionError):
-        ext.zero().inv()
+        ext_zero(ext).inv()
 
 
 def test_reduced_fraction_element():
     ext = ex38_field()
     fq = ext.fq
-    e3 = (ext.gen() + ext.one()) ** 2
-    e3 = ext.elem(list(e3.nums), APoly(fq, [1, 1]))
+    e3 = (ext_gen(ext) + ext_one(ext)) ** 2
+    e3 = ext_elem(ext, list(e3.nums), APoly(fq, [1, 1]))
     assert e3.den == APoly(fq, [1, 1])
     assert [c.coeffs for c in e3.nums] == [(1,), (), (1,)]
 
@@ -235,7 +245,8 @@ def test_field_axioms_random():
     fq = ext.fq
 
     def rand_elem():
-        return ext.elem(
+        return ext_elem(
+            ext,
             [rand_apoly(rng, fq, 2) for _ in range(ext.s)],
             rand_nonzero_apoly(rng, fq, 1),
         )
@@ -246,8 +257,8 @@ def test_field_axioms_random():
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
         if a:
-            assert a * a.inv() == ext.one()
-        assert (a * b).norm() == (a.norm() * b.norm())
+            assert a * a.inv() == ext_one(ext)
+        assert (a * b).norm() == ratfunc_mul(a.norm(), b.norm())
 
 
 def test_regular_representation_agreement():
@@ -258,7 +269,7 @@ def test_regular_representation_agreement():
     for _ in range(60):
         a = [rand_apoly(rng, fq, 2) for _ in range(ext.s)]
         b = [rand_apoly(rng, fq, 2) for _ in range(ext.s)]
-        mat = ext.mult_matrix(a)
+        mat = mult_matrix(ext, a)
         via_matrix = []
         for i in range(ext.s):
             acc = APoly.zero(fq)
@@ -274,8 +285,8 @@ def test_trace_newton_vs_matrix_trace():
     fq = ext.fq
     for _ in range(40):
         nums = [rand_apoly(rng, fq, 2) for _ in range(ext.s)]
-        elem = ext.elem(list(nums))
-        mat = ext.mult_matrix(list(elem.nums))
+        elem = ext_elem(ext, list(nums))
+        mat = mult_matrix(ext, list(elem.nums))
         diag = APoly.zero(fq)
         for i in range(ext.s):
             diag = diag + mat[i][i]
@@ -284,16 +295,16 @@ def test_trace_newton_vs_matrix_trace():
 
 def test_norm_multiplicative_against_determinant():
     ext = ex38_field()
-    pi = ext.gen()
+    pi = ext_gen(ext)
     sq = pi * pi
-    assert sq.norm() == pi.norm() * pi.norm()
+    assert sq.norm() == ratfunc_mul(pi.norm(), pi.norm())
     # for integral elements the norm is exactly the multiplication-matrix determinant
-    assert RatFunc(mat_det(ext.mult_matrix(list(pi.nums)))) == pi.norm()
+    assert RatFunc(mat_det(mult_matrix(ext, list(pi.nums)))) == pi.norm()
     rng = random.Random(31)
     mats = []
     for _ in range(20):
-        elem = ext.elem([rand_apoly(rng, ext.fq, 3) for _ in range(ext.s)])
-        mat = ext.mult_matrix(list(elem.nums))
+        elem = ext_elem(ext, [rand_apoly(rng, ext.fq, 3) for _ in range(ext.s)])
+        mat = mult_matrix(ext, list(elem.nums))
         assert RatFunc(mat_det(mat)) == elem.norm()
         mats.append(mat)
     # differential check of the determinant against sympy over GF(p)[T]

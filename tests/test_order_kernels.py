@@ -1,6 +1,7 @@
 """The exact-division kernels of `AOrder` (`table`, `one_coords` and the
-traces of `trace_form`) against the `ExtElem`/`RatFunc` oracle of
-`conftest`, on the orders the census, the CLI and the validator build."""
+traces of `trace_form`), and the reduced basis of the `endring` report,
+against the `ExtElem`/`RatFunc` oracle of `conftest`, on the orders the
+census, the CLI and the validator build."""
 
 import pytest
 
@@ -18,14 +19,17 @@ from drinfeld import (
 from drinfeld import census as census_mod
 from drinfeld.apoly import mat_identity
 from drinfeld.census import validate_ideal_class_action
-from drinfeld.serialize import module_from_json
+from drinfeld.serialize import module_from_json, reduced_basis
 
-from conftest import get_tower, ref_one_coords, ref_table, ref_trace_form
+from conftest import basis_ext, get_tower, ref_one_coords, ref_table, ref_trace_form
 
 
 def assert_matches_oracle(order) -> None:
     assert order.table == ref_table(order), order
     assert order.one_coords == ref_one_coords(order), order
+    assert [(tuple(nums), den) for nums, den in reduced_basis(order)] == [
+        (b.nums, b.den) for b in basis_ext(order)
+    ], order
     if order.ext.is_separable():
         assert order.trace_form == ref_trace_form(order), order
 

@@ -42,7 +42,7 @@ from drinfeld.orders import (
     _norm_target,
 )
 
-from conftest import coords_of, get_tower, integral_ideals, rand_apoly
+from conftest import ExtElem, coords_of, ext_elem, get_tower, integral_ideals, rand_apoly
 
 
 @pytest.fixture(scope="module")
@@ -256,8 +256,21 @@ def _random_ideals(order, rng, count):
 
 
 def _elements(ideal):
+    """The A-basis of ideal as reduced elements of the Frobenius field:
+    the order's basis matrix times each column, over both denominators."""
     order = ideal.order
-    return [order.elem_from_coords(list(col), ideal.lattice.den) for col in ideal.lattice.cols]
+    rows, den = order.basis_matrix
+    out = []
+    for col in ideal.lattice.cols:
+        nums = []
+        for row in rows:
+            acc = APoly.zero(order.fq)
+            for a, c in zip(row, col):
+                if a and c:
+                    acc = acc + a * c
+            nums.append(acc)
+        out.append(ExtElem(order.ext, nums, den * ideal.lattice.den))
+    return out
 
 
 def _f9_minimal_orders(count):
@@ -455,13 +468,14 @@ def test_degree_one_ideals_of_minimal_order_against_bruteforce():
 def test_lin_equiv_trivial_and_principal(ex38):
     phi, end, c2, c3, ideal = ex38
     unit = end.unit_ideal()
-    status, witness = lin_equiv(unit, unit)
+    status, (coords, den) = lin_equiv(unit, unit)
     assert status == "yes"
+    assert unit.mul_elem(coords, den) == unit
     alpha = [APoly(end.fq, [0, 1]), APoly.one(end.fq), APoly.zero(end.fq)]
     principal = unit.mul_elem(alpha)
-    status, witness = lin_equiv(principal, principal.order.unit_ideal())
+    status, (coords, den) = lin_equiv(principal, principal.order.unit_ideal())
     assert status == "yes"
-    assert unit.mul_elem([c.to_apoly() for c in coords_of(end, witness)]) == principal
+    assert unit.mul_elem(coords, den) == principal
 
 
 def test_lin_equiv_distinct_classes_certified_no(ex38):
@@ -506,7 +520,7 @@ def _lin_equiv_box(ideal, other, bound_deg=2):
     of multiplication by u computed afresh for each candidate."""
     order = ideal.order
     if ideal == other:
-        return "yes", order.ext.one()
+        return "yes", (list(order.one_coords), APoly.one(order.fq))
     quot = ideal.colon(other)
     quot_rev = other.colon(ideal)
     if not quot.mul(quot_rev).contains_one():
@@ -538,7 +552,7 @@ def _lin_equiv_box(ideal, other, bound_deg=2):
         if RatFunc(mat_det(mult), den_s).monic_normalized() != target:
             continue
         if other.mul_elem(coords, den) == ideal:
-            return "yes", order.elem_from_coords(coords, den)
+            return "yes", (coords, den)
     return "unknown", None
 
 
@@ -577,6 +591,8 @@ def test_lin_equiv_matches_the_box_search(name):
         for a, b in itertools.combinations(ideals, 2):
             got = lin_equiv(a, b, bound)
             assert got == _lin_equiv_box(a, b, bound), (bound, a, b)
+            if got[0] == "yes":
+                assert b.mul_elem(*got[1]) == a
             statuses.add(got[0])
     assert statuses == LIN_EQUIV_CASES[name][3]
 
@@ -771,7 +787,7 @@ def test_coords_of_matches_a_solve_per_element(ex38):
         ext = order.ext
         for _ in range(15):
             nums = [APoly(order.fq, [rng.randrange(2) for _ in range(4)]) for _ in range(ext.s)]
-            x = ext.elem(nums, APoly(order.fq, [1, rng.randrange(2), 1]))
+            x = ext_elem(ext, nums, APoly(order.fq, [1, rng.randrange(2), 1]))
             det, sol = mat_solve(rows, [[v * dens] for v in x.nums])
             assert coords_of(order, x) == [RatFunc(r[0], det * x.den) for r in sol]
 
@@ -792,25 +808,6 @@ def test_lin_equiv_size_guard_after_weak_equivalence():
             with pytest.raises(TooLarge):
                 lin_equiv(a, b, big)
     assert {"yes", "no"} <= seen
-
-
-def test_elem_from_coords_is_the_basis_combination(ex38):
-    # the clearing matrix of the basis gives the same reduced element as
-    # summing c_i * e_i in the Frobenius field
-    phi, end, *_ = ex38
-    rng = random.Random(5)
-    for order in (end, minimal_frobenius_order(phi.profile(), phi), _case_order("f3-rank3")):
-        ext = order.ext
-        pad = [APoly.zero(order.fq)] * (ext.s - 1)
-        for _ in range(10):
-            coords = [rand_apoly(rng, order.fq, 2) for _ in range(order.s)]
-            den = rand_apoly(rng, order.fq, 2)
-            acc = ext.zero()
-            for c, b in zip(coords, order.basis_ext):
-                acc = acc + b * ext.elem([c] + pad)
-            assert order.elem_from_coords(coords) == acc
-            if den:
-                assert order.elem_from_coords(coords, den) == acc * ext.elem([den] + pad).inv()
 
 
 @pytest.mark.parametrize("name", ["f9-weakly-inequivalent", "f3-rank3"])

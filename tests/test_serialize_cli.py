@@ -688,7 +688,7 @@ def test_cli_parser_is_shared_and_parses_independently(tmp_path, capsys):
     assert (a.command, a.input, a.skip_validate, a.max_norm_deg) == ("census", "c.json", True, 3)
     assert (b.command, b.input, b.format) == ("analyze", "m.json", "text")
     assert not hasattr(b, "skip_validate") and not hasattr(a, "format")
-    assert (c.input, c.skip_validate, c.max_norm_deg) == ("d.json", False, 6)
+    assert (c.input, c.skip_validate, c.max_norm_deg) == ("d.json", False, None)
 
     # the text format of one call does not carry over into the next
     mod = _write(tmp_path, "mod.json", EX38_MODULE)
@@ -755,6 +755,20 @@ def test_cli_census_rejects_negative_bounds(tmp_path, capsys, flag):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"input error: {flag} must be at least 0\n"
+
+
+@pytest.mark.parametrize("flag", ["--max-norm-deg", "--lin-equiv-bound"])
+def test_cli_census_rejects_validation_bounds_without_validation(tmp_path, capsys, flag):
+    # the bounds size only the validator, so with --skip-validate they
+    # would be ignored; a valid census spec shows the rejection is theirs
+    spec = {"field": {"p": 2, "e": 1, "h": [0, 1], "n": 2, "g": [1, 1, 1]}, "rank": 2}
+    inp = _write(tmp_path, "census.json", spec)
+    assert main(["census", "--input", inp, "--skip-validate"]) == 0
+    capsys.readouterr()
+    assert main(["census", "--input", inp, "--skip-validate", flag, "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"input error: {flag} has no effect with --skip-validate\n"
 
 
 def test_cli_census_huge_lin_equiv_bound_exits_as_fast_as_a_large_one(tmp_path, capsys):
