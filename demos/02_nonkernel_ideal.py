@@ -48,7 +48,7 @@ def main() -> None:
     c2 = coords_in_skew_basis(phi, end.skew_basis, e2)
     c3 = coords_in_skew_basis(phi, end.skew_basis, e3)
     ideal = FracIdeal.from_generators(end, [c2, c3])
-    print(f"\nI = (1+pi, (pi+1)^2/(T+1)) has norm {ideal.norm().text()}")
+    print(f"\nI = (1+pi, (pi+1)^2/(T+1)) has norm {ideal.norm_poly().text()}")
 
     result = act(phi, ideal)
     print(f"u_I = {result.u.text()}")

@@ -23,7 +23,6 @@ from .errors import (
 from .fields import FieldTower, Fq, KElem
 from .apoly import (
     APoly,
-    RatFunc,
     first_irreducible,
     minimal_poly_over_fq,
     monic_polys,
@@ -114,7 +113,6 @@ __all__ = [
     "NonCommutativeEndomorphisms",
     "NotSublattice",
     "RankError",
-    "RatFunc",
     "SkewPoly",
     "TooLarge",
     "act",

@@ -1,9 +1,10 @@
-"""The commutative substrate A = F_q[T] and its fraction field F.
+"""The commutative substrate A = F_q[T].
 
 APoly stores coefficient tuples over F_q, little-endian in T, with no
-trailing zeros (the zero polynomial is the empty tuple). RatFunc is a
-reduced fraction of two APoly with monic denominator; it is the scalar
-type for every computation that leaves A.
+trailing zeros (the zero polynomial is the empty tuple). It is the one
+scalar type: a value of the fraction field F = F_q(T) (a lattice, an
+index, a norm) is kept as APoly numerators over an explicit monic APoly
+denominator and divided exactly where the result is known to lie in A.
 
 The canonical text form is `T^4+T+1` (descending powers, `*` between a
 nontrivial coefficient and the variable); golden files and reports rely
@@ -387,75 +388,6 @@ def minimal_poly_over_fq(x: KElem) -> APoly:
         pows.append(pows[-1] * x)
     rows = [(0, [p.coeffs[i] for p in pows]) for i in range(t.n)]
     return APoly(t.fq, nullspace(t.fq, rows, t.n + 1)[0])
-
-
-class RatFunc:
-    """A reduced element of F = F_q(T) with monic denominator."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: APoly, den: APoly | None = None):
-        if den is None or den.coeffs == (1,):
-            # a denominator of 1 is already reduced and monic
-            self.num = num
-            self.den = APoly.one(num.fq) if den is None else den
-            return
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if num:
-            g = poly_gcd(num, den)
-            if g.degree > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-        else:
-            den = APoly.one(num.fq)
-        if not den.is_monic():
-            c = num.fq.inv(den.lc())
-            num = num.scale(c)
-            den = den.scale(c)
-        self.num = num
-        self.den = den
-
-    def __truediv__(self, other: RatFunc) -> RatFunc:
-        if not other.num:
-            raise ZeroDivisionError("division by zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __bool__(self) -> bool:
-        return bool(self.num)
-
-    def is_integral(self) -> bool:
-        return self.den.degree == 0
-
-    def to_apoly(self) -> APoly:
-        if not self.is_integral():
-            raise ValueError(f"{self} is not integral")
-        return self.num
-
-    def monic_normalized(self) -> RatFunc:
-        """Scale by a unit so the numerator is monic (for index values)."""
-        if not self.num:
-            return self
-        c = self.num.fq.inv(self.num.lc())
-        return RatFunc(self.num.scale(c), self.den)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatFunc)
-            and self.num == other.num
-            and self.den == other.den
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.den))
-
-    def text(self, var: str = "T") -> str:
-        if self.den.degree == 0:
-            return self.num.text(var)
-        return f"({self.num.text(var)})/({self.den.text(var)})"
-
-    def __repr__(self) -> str:
-        return self.text()
 
 
 # -- small dense matrices over APoly (rows of lists) --

@@ -263,8 +263,8 @@ def end_order_summary(end: AOrder) -> dict:
     out = {
         "commutative": True,
         "rank": end.s,
-        "index_over_minimal": index.to_apoly().text(),
-        "is_minimal": index.to_apoly().degree == 0,
+        "index_over_minimal": index.text(),
+        "is_minimal": index.degree == 0,
     }
     try:
         cond = gorenstein_conductor(end)

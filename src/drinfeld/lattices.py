@@ -5,13 +5,14 @@ library: basis vectors are the *columns* of an upper-triangular s x s
 matrix, the diagonal is monic, and each entry to the right of the
 diagonal is reduced modulo the diagonal entry of its row. A lattice may
 carry a monic denominator; the pair (matrix, denominator) is reduced so
-equal lattices compare equal componentwise.
+equal lattices compare equal componentwise. Indices are polynomials,
+computed from determinants and denominators by exact division in A.
 """
 
 from __future__ import annotations
 
-from .apoly import APoly, RatFunc, mat_identity, poly_gcd
-from .errors import NotSublattice, RankError
+from .apoly import APoly, mat_identity, poly_gcd
+from .errors import InternalError, NotSublattice, RankError
 from .fields import Fq
 
 
@@ -127,11 +128,11 @@ class ALattice:
             self.contains([e for e in col], other.den) for col in other.cols
         )
 
-    def scale(self, r: RatFunc) -> ALattice:
-        if not r:
+    def scale(self, a: APoly) -> ALattice:
+        if not a:
             raise ZeroDivisionError("scaling a lattice by zero")
-        gens = [[e * r.num for e in col] for col in self.cols]
-        return ALattice.from_generators(self.fq, self.dim, gens, self.den * r.den)
+        gens = [[e * a for e in col] for col in self.cols]
+        return ALattice.from_generators(self.fq, self.dim, gens, self.den)
 
     def transform(self, mat_rows: list[list[APoly]], den: APoly | None = None) -> ALattice:
         """Image under the linear map given by rows (must stay full rank)."""
@@ -169,13 +170,17 @@ class ALattice:
         return f"ALattice[{rows}]{d}"
 
 
-def lattice_index(big: ALattice, small: ALattice) -> RatFunc:
+def lattice_index(big: ALattice, small: ALattice) -> APoly:
     """The monic index generator chi(big/small); requires small <= big.
 
+    det(small) den(big)^s / (det(big) den(small)^s), a polynomial because
+    small <= big, and monic because HNF diagonals and denominators are.
     Multiplicative along chains and equal to one exactly when the
     lattices coincide.
     """
     if not big.contains_lattice(small):
         raise NotSublattice("index of a non-sublattice requested")
-    ratio = RatFunc(small.det() * big.den ** big.dim, big.det() * small.den ** small.dim)
-    return ratio.monic_normalized()
+    idx, r = divmod(small.det() * big.den**big.dim, big.det() * small.den**small.dim)
+    if r:
+        raise InternalError("index of a sublattice is not a polynomial")
+    return idx

@@ -16,7 +16,9 @@ HNF lattices in the coordinates of their ambient order's basis, so the
 ambient order itself is always the identity lattice. An element of the
 Frobenius field is an A-column over one denominator throughout: in
 order coordinates as (coords, den), the form `FracIdeal.mul_elem` takes
-and `lin_equiv` returns as its witness.
+and `lin_equiv` returns as its witness. Scalars stay in A the same way:
+norms, scalings and the norm target of `lin_equiv` are polynomials, read
+off HNF determinants and monic denominators by exact division.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import itertools
 from functools import cached_property, lru_cache
 
-from .apoly import APoly, RatFunc, mat_det, mat_identity, mat_solve, monic_polys, squarefree_decomposition
+from .apoly import APoly, mat_det, mat_identity, mat_solve, monic_polys, squarefree_decomposition
 from .errors import (
     EmptyIdeal,
     InseparableExtension,
@@ -478,22 +480,19 @@ class FracIdeal:
     def scaled_integral(self) -> FracIdeal:
         if self.is_integral():
             return self
-        return self.scale(RatFunc(self.lattice.den))
+        return self.scale(self.lattice.den)
 
-    def scale(self, r: RatFunc) -> FracIdeal:
-        return FracIdeal(self.order, self.lattice.scale(r))
-
-    def norm(self) -> RatFunc:
-        """chi(order / I), extended multiplicatively to fractional ideals;
-        computed once per ideal."""
-        if self._norm is None:
-            self._norm = RatFunc(
-                self.lattice.det(), self.lattice.den ** self.order.s
-            ).monic_normalized()
-        return self._norm
+    def scale(self, a: APoly) -> FracIdeal:
+        return FracIdeal(self.order, self.lattice.scale(a))
 
     def norm_poly(self) -> APoly:
-        return self.norm().to_apoly()
+        """chi(order / I) of an integral ideal, the determinant of its
+        HNF basis (monic); computed once per ideal."""
+        if self._norm is None:
+            if not self.is_integral():
+                raise ValueError(f"{self} is not integral")
+            self._norm = self.lattice.det()
+        return self._norm
 
     def contains(self, coords, den: APoly | None = None) -> bool:
         return self.lattice.contains(coords, den)
@@ -544,7 +543,7 @@ class FracIdeal:
                 row = []
                 for k in range(s):
                     prod = order.mul_coords(cols_i[j], gcols[k])
-                    coords = self.lattice.coords(prod)
+                    coords = self.lattice.coords(prod, self.lattice.den)
                     if coords is None:
                         raise InternalError("ideal is not a module over its order")
                     row.append(coords)
@@ -580,7 +579,7 @@ class FracIdeal:
             lat = ALattice.from_generators(fq, s, gens, chi * self.lattice.den)
             result = FracIdeal(order, lat)
         if b_den.degree > 0:
-            result = result.scale(RatFunc(b_den))
+            result = result.scale(b_den)
         return result
 
     def dual(self) -> FracIdeal:
@@ -627,7 +626,7 @@ class FracIdeal:
         return hash(self.lattice)
 
     def __repr__(self) -> str:
-        return f"FracIdeal(norm={self.norm().text()})"
+        return f"FracIdeal({self.lattice!r})"
 
 
 # -- Gorenstein testing: monogenic orders, then the trace dual --
@@ -931,15 +930,15 @@ def _restricted_forms(terms: list, values: tuple, s: int, depth: int, lead: int)
             yield [c] + prefix, lead_p, part
 
 
-def _norm_target(target: RatFunc, den: APoly, s: int) -> APoly | None:
+def _norm_target(ideal: ALattice, other: ALattice, den: APoly) -> APoly | None:
     """For u = sum c_i w_i / den, N(u) = form(c) / den^s is a unit times
-    the monic target exactly when form(c) is a unit times the monic
-    polynomial returned. None when target * den^s is not a polynomial:
-    then no u matches."""
-    den_s = den**s
-    if den_s % target.den:
-        return None
-    return (target.num * den_s.exact_div(target.den)).monic()
+    N(I) / N(J), for I and J with these lattices, exactly when form(c) is
+    a unit times the monic polynomial returned: det(I) (den(J) den)^s
+    divided by den(I)^s det(J). None when that division leaves a
+    remainder: then no u matches."""
+    s = ideal.dim
+    want, r = divmod(ideal.det() * (other.den * den) ** s, ideal.den**s * other.det())
+    return None if r else want
 
 
 def lin_equiv(ideal: FracIdeal, other: FracIdeal, bound_deg: int = 2):
@@ -974,8 +973,7 @@ def lin_equiv(ideal: FracIdeal, other: FracIdeal, bound_deg: int = 2):
         raise TooLarge("linear-equivalence search space beyond desk scale")
     cols = [list(c) for c in quot.lattice.cols]
     den = quot.lattice.den
-    target = (ideal.norm() / other.norm()).monic_normalized()
-    want = _norm_target(target, den, s)
+    want = _norm_target(ideal.lattice, other.lattice, den)
     if want is not None:
         form = _norm_form(order, cols)
         for combo in _norm_hits(form, _box_values(fq, bound_deg, s), want):

@@ -254,7 +254,7 @@ def reduced_basis(order: AOrder) -> list[tuple[list[APoly], APoly]]:
 def endring_report(module: DrinfeldModule) -> dict:
     order = endomorphism_ring(module)
     # A[pi] has the power basis, so its pi-lattice is the identity
-    index = lattice_index(order.pi_lattice, ALattice.identity(order.fq, order.s)).to_apoly()
+    index = lattice_index(order.pi_lattice, ALattice.identity(order.fq, order.s))
     basis = []
     for skew, (nums, den) in zip(order.skew_basis, reduced_basis(order)):
         basis.append(

@@ -8,13 +8,13 @@ from drinfeld import (
     ExtensionField,
     NotSublattice,
     RankError,
-    RatFunc,
     lattice_index,
     poly_gcd,
 )
 from drinfeld.apoly import mat_det
 
 from conftest import (
+    RatFunc,
     ext_elem,
     ext_gen,
     ext_one,
@@ -143,9 +143,9 @@ def test_hnf_rank_error():
 def test_lattice_index_basics():
     fq = fq3()
     lat = ALattice.identity(fq, 3)
-    assert lattice_index(lat, lat) == RatFunc(APoly.one(fq))
-    scaled = lat.scale(RatFunc(T(fq)))
-    assert lattice_index(lat, scaled) == RatFunc(T(fq) ** 3)
+    assert lattice_index(lat, lat) == APoly.one(fq)
+    scaled = lat.scale(T(fq))
+    assert lattice_index(lat, scaled) == T(fq) ** 3
     with pytest.raises(NotSublattice):
         lattice_index(scaled, lat)
 
@@ -182,16 +182,51 @@ def test_index_multiplicativity_random():
     for _ in range(100):
         dim = 2
         big = ALattice.identity(fq, dim)
-        mid = big.scale(RatFunc(rand_nonzero_apoly(rng, fq, 2).monic()))
-        small = mid.scale(RatFunc(rand_nonzero_apoly(rng, fq, 2).monic()))
+        mid = big.scale(rand_nonzero_apoly(rng, fq, 2).monic())
+        small = mid.scale(rand_nonzero_apoly(rng, fq, 2).monic())
         full = lattice_index(big, small)
-        assert full == (
-            ratfunc_mul(lattice_index(big, mid), lattice_index(mid, small))
-        ).monic_normalized()
-        assert lattice_index(big, mid) == RatFunc(APoly.one(fq)) or mid != big
+        assert full == lattice_index(big, mid) * lattice_index(mid, small)
+        assert lattice_index(big, mid) == APoly.one(fq) or mid != big
         # the index annihilates the quotient: chi * big <= small
         chi = full
         assert small.contains_lattice(big.scale(chi))
+
+
+def _sublattice(lat, rng):
+    """The span, over lat's denominator, of dim random A-combinations of
+    lat's columns; RankError when the draw is rank-deficient."""
+    fq, dim = lat.fq, lat.dim
+    gens = []
+    for _ in range(dim):
+        coef = [rand_apoly(rng, fq, 1) for _ in range(dim)]
+        vec = [APoly.zero(fq)] * dim
+        for c, col in zip(coef, lat.cols):
+            vec = [v + c * e for v, e in zip(vec, col)]
+        gens.append(vec)
+    return ALattice.from_generators(fq, dim, gens, lat.den)
+
+
+def test_lattice_index_is_the_ratio_of_covolumes():
+    # over denominators, the polynomial index is the reduced fraction
+    # det(small) den(big)^s / (det(big) den(small)^s), unit-normalized,
+    # and it multiplies along chains
+    rng = random.Random(29)
+    for fq in (fq2(), fq3()):
+        cases = 0
+        while cases < 60:
+            dim = rng.randrange(2, 4)
+            gens = [[rand_apoly(rng, fq, 2) for _ in range(dim)] for _ in range(dim + 1)]
+            try:
+                big = ALattice.from_generators(fq, dim, gens, rand_nonzero_apoly(rng, fq, 2))
+                mid = _sublattice(big, rng)
+                small = _sublattice(mid, rng)
+            except RankError:
+                continue
+            for hi, lo in ((big, mid), (mid, small), (big, small)):
+                ratio = RatFunc(lo.det() * hi.den**dim, hi.det() * lo.den**dim)
+                assert RatFunc(lattice_index(hi, lo)) == ratio.monic_normalized()
+            assert lattice_index(big, small) == lattice_index(big, mid) * lattice_index(mid, small)
+            cases += 1
 
 
 def test_membership_by_triangular_solve():

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -181,6 +185,31 @@ GOLDEN_CENSUS_DIGESTS = {
     ),
 }
 
+# sha256 of the stdout of `paper-examples` and of the demos, recorded while
+# indices, norms and ideal scalings in src were fractions of F = F_q(T)
+GOLDEN_STDOUT_DIGESTS = {
+    "paper-examples-text": (
+        ["-m", "drinfeld", "paper-examples", "--format", "text"],
+        "f69934f09e4bb4083ee5bf3b75038763ccaf2c49c9024f4b4de8fa69abfc2f5b",
+    ),
+    "paper-examples-json": (
+        ["-m", "drinfeld", "paper-examples", "--format", "json"],
+        "73aa8c003e7c5d36d8bca626b095ea2b629b5c6668dd7ebec26ab24ef286bead",
+    ),
+    "demo-01": (
+        ["demos/01_frobenius_invariants.py"],
+        "5af268021db54102460d351238c5800d2da499ae75dca6fd826c95732e6886a7",
+    ),
+    "demo-02": (
+        ["demos/02_nonkernel_ideal.py"],
+        "3eb4f86d38e2dea56a3630bc3be948ffc77c1873f38af800eea7b20bb577b4df",
+    ),
+    "demo-03": (
+        ["demos/03_census_and_theorems.py"],
+        "fe3d7300d9ddc09d6fe56c4bd07bde01a4c1c389155925d3d04127f93d83c9fc",
+    ),
+}
+
 # sha256 of `endring` reports, recorded with KElem-by-KElem skew products:
 # F_256 runs the logarithm kernels of k{tau}, F_{2^13} (above the table
 # limit) the polynomial path
@@ -312,6 +341,21 @@ def test_ideal_act_report_golden_digest(tmp_path, case):
     argv = ["ideal-act", "--input", str(spec), "--ideal", str(ideal_spec), "--out", str(out)]
     assert main(argv) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_STDOUT_DIGESTS))
+def test_stdout_golden_digest(case):
+    args, digest = GOLDEN_STDOUT_DIGESTS[case]
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable] + args,
+        capture_output=True,
+        cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
 
 
 def test_acted_module_stays_in_isogeny_class():

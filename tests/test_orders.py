@@ -13,7 +13,6 @@ from drinfeld import (
     InseparableExtension,
     InternalError,
     NonCommutativeEndomorphisms,
-    RatFunc,
     SkewPoly,
     TooLarge,
     census_isomorphism_classes,
@@ -42,7 +41,7 @@ from drinfeld.orders import (
     _norm_target,
 )
 
-from conftest import ExtElem, coords_of, ext_elem, get_tower, integral_ideals, rand_apoly
+from conftest import ExtElem, RatFunc, coords_of, ext_elem, get_tower, integral_ideals, rand_apoly
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +80,7 @@ def test_index_over_minimal_order(ex38):
     phi, end, *_ = ex38
     minimal = minimal_frobenius_order(phi.profile(), phi)
     idx = lattice_index(end.pi_lattice, minimal.pi_lattice)
-    assert idx == RatFunc(APoly(phi.tower.fq, [1, 1]))
+    assert idx == APoly(phi.tower.fq, [1, 1])
     assert end.pi_lattice.contains_lattice(minimal.pi_lattice)
 
 
@@ -94,7 +93,7 @@ def test_sqrt_T_case_is_maximal_shaped():
     assert coords_in_skew_basis(phi, end.skew_basis, tau) is not None
     assert tau * tau == phi.phi_t  # tau plays sqrt(T)
     idx = lattice_index(end.pi_lattice, minimal_frobenius_order(phi.profile(), phi).pi_lattice)
-    assert idx == RatFunc(APoly.var(f8.fq))
+    assert idx == APoly.var(f8.fq)
 
 
 def test_end_ring_with_enlarged_constant_field():
@@ -110,7 +109,7 @@ def test_end_ring_with_enlarged_constant_field():
     theta = end.skew_basis[1].coeffs[0]
     assert theta.frobq(2) == theta and theta.frobq(1) != theta
     minimal = minimal_frobenius_order(phi.profile(), phi)
-    assert lattice_index(end.pi_lattice, minimal.pi_lattice) == RatFunc(prime)
+    assert lattice_index(end.pi_lattice, minimal.pi_lattice) == prime
 
 
 def test_noncommutative_raises():
@@ -139,7 +138,7 @@ def test_unit_ideal_and_self_colon(ex38):
 def test_example_ideal_norm_and_membership(ex38):
     phi, end, c2, c3, ideal = ex38
     tp1 = APoly(phi.tower.fq, [1, 1])
-    assert ideal.norm() == RatFunc(tp1**3)
+    assert ideal.norm_poly() == tp1**3
     assert ideal.contains(c2) and ideal.contains(c3)
     # chi(E/I) * E is inside I
     chi = ideal.norm_poly()
@@ -160,6 +159,46 @@ def test_colon_properties_random(ex38):
     # I * (E : I) <= E
     inv_like = unit.colon(ideal)
     assert unit.lattice.contains_lattice(ideal.mul(inv_like).lattice)
+
+
+def _f9_end():
+    # phi_T = t + tau + tau^2 over F_9
+    tower = get_tower("f9")
+    phi = DrinfeldModule(tower, SkewPoly(tower, [tower.gen(), tower.one, tower.one]))
+    return endomorphism_ring(phi)
+
+
+def _divided(ideal, a):
+    """I / a, built over the denominator den(I) * a."""
+    lat = ideal.lattice
+    cols = [list(c) for c in lat.cols]
+    return FracIdeal(ideal.order, ALattice.from_generators(lat.fq, lat.dim, cols, lat.den * a))
+
+
+def test_colon_of_a_fractional_ideal():
+    # (E/T : T E) = E/T^2: the products of I's basis with J's are read in
+    # I's basis over I's denominator, not as numerator columns
+    end = _f9_end()
+    t = APoly.var(end.fq)
+    unit = end.unit_ideal()
+    x, y = _divided(unit, t), unit.mul_elem([t * c for c in end.one_coords])
+    quot = x.colon(y)
+    assert quot == _divided(unit, t**2)
+    assert x.lattice.contains_lattice(quot.mul(y).lattice)
+
+
+@pytest.mark.parametrize("which", ["f9", "ex38"])
+def test_colon_commutes_with_dividing_the_dividend(which, ex38):
+    # (I/a : J) = (I : J)/a, so also (I/a : I/a) = (I : I)
+    order = _f9_end() if which == "f9" else ex38[1]
+    fq = order.fq
+    ideals = list(integral_ideals(order, 2))
+    for a in (APoly.var(fq), APoly(fq, [1, 1]), APoly.var(fq) ** 2):
+        for i in ideals:
+            frac = _divided(i, a)
+            assert frac.colon(frac) == i.colon(i)
+            for j in ideals:
+                assert frac.colon(j) == _divided(i.colon(j), a)
 
 
 def test_ideal_product_commutative_associative(ex38):
@@ -248,10 +287,8 @@ def _random_ideals(order, rng, count):
         gens = [[rand_apoly(rng, fq, 2) for _ in range(order.s)] for _ in range(2)]
         if not any(any(v) for v in gens):
             continue
-        ideal = FracIdeal.from_generators(order, gens)
-        if len(out) % 2:
-            ideal = ideal.scale(RatFunc(APoly.one(fq), APoly(fq, [1, 1])))
-        out.append(ideal)
+        den = APoly(fq, [1, 1]) if len(out) % 2 else None
+        out.append(FracIdeal.from_generators(order, gens, den))
     return out
 
 
@@ -525,8 +562,9 @@ def _lin_equiv_box(ideal, other, bound_deg=2):
     quot_rev = other.colon(ideal)
     if not quot.mul(quot_rev).contains_one():
         return "no", None
-    target = (ideal.norm() / other.norm()).monic_normalized()
     s = order.s
+    norm, other_norm = (RatFunc(i.lattice.det(), i.lattice.den**s) for i in (ideal, other))
+    target = (norm / other_norm).monic_normalized()
     fq = order.fq
     count = fq.q ** (s * (bound_deg + 1))
     if count > 5 * 10**5:
@@ -766,11 +804,18 @@ def test_exceeds_matches_the_power():
 def test_norm_target_clears_the_colon_denominator():
     fq = get_tower("f3").fq
     t, one = APoly.var(fq), APoly.one(fq)
-    # (T+1)/T^3 times T^4 is T(T+1), up to a unit
-    assert _norm_target(RatFunc(-(t + one), t**3), t**2, 2) == t * (t + one)
+
+    def lattice(diag, den):
+        cols = [[d if i == j else APoly.zero(fq) for i in range(len(diag))] for j, d in enumerate(diag)]
+        return ALattice.from_generators(fq, len(diag), cols, den)
+
+    # N(I) / N(J) = (T(T+1) / T^4) / 1 = (T+1)/T^3; times T^4 it is T(T+1)
+    ideal, unit = lattice([t, t + one], t**2), lattice([one, one], one)
+    assert _norm_target(ideal, unit, t**2) == t * (t + one)
     # den^s = T^2 cannot clear T^3, so no candidate's norm matches
-    assert _norm_target(RatFunc(t + one, t**3), t, 2) is None
-    assert _norm_target(RatFunc(one, t), t + one, 3) is None
+    assert _norm_target(ideal, unit, t) is None
+    # N(I) / N(J) = 1/T at s = 3, and (T+1)^3 cannot clear T
+    assert _norm_target(lattice([one] * 3, one), lattice([t, one, one], one), t + one) is None
 
 
 def test_coords_of_matches_a_solve_per_element(ex38):
