@@ -45,8 +45,8 @@ def main() -> None:
         tower,
         [t**3 + t**2 + t, tower.zero, t**3 + t**2 + tower.one, t**3 + t, t**3 + t**2, tower.one],
     )
-    c2 = coords_in_skew_basis(phi, end.skew_basis, e2)
-    c3 = coords_in_skew_basis(phi, end.skew_basis, e3)
+    c2 = coords_in_skew_basis(end, e2)
+    c3 = coords_in_skew_basis(end, e3)
     ideal = FracIdeal.from_generators(end, [c2, c3])
     print(f"\nI = (1+pi, (pi+1)^2/(T+1)) has norm {ideal.norm_poly().text()}")
 

@@ -345,7 +345,6 @@ def validate_ideal_class_action(
     iso_keys = {entry.key for entry in group.iso_classes}
     class_reps: list[FracIdeal] = []
     class_images: list[tuple] = []
-    degraded = False
     action_resolved = 0
     saturated = False
     all_hit_at = None
@@ -386,27 +385,23 @@ def validate_ideal_class_action(
                 # search bound exhausted: for kernel ideals, equivalence is
                 # decided by the images themselves; record that theory, not
                 # the bounded search, settled this pair
-                degraded = True
                 action_resolved += 1
                 if rep_img == img_key:
                     known = True
                     break
             if known:
                 continue
+            # every representative answered no, or unknown with another
+            # image: the freeness checks above leave img_key new
             new_classes += 1
             class_reps.append(ideal)
-            if img_key in class_images:
-                raise CensusViolation(
-                    f"isogeny class {group.m_text}: action is not free"
-                )
             class_images.append(img_key)
         if set(class_images) == iso_keys and all_hit_at is None:
             all_hit_at = level
         if all_hit_at is not None and level > all_hit_at and new_classes == 0:
             saturated = True
             break
-    hit_all = set(class_images) == iso_keys
-    if not hit_all:
+    if set(class_images) != iso_keys:
         raise CensusViolation(
             f"isogeny class {group.m_text}: action not transitive up to "
             f"norm degree {level}"
@@ -415,9 +410,9 @@ def validate_ideal_class_action(
         "m": group.m_text,
         "ideal_classes": len(class_reps),
         "iso_classes": len(group.iso_classes),
-        "bijective": hit_all and len(class_reps) == len(group.iso_classes),
+        "bijective": len(class_reps) == len(group.iso_classes),
         "saturated": saturated,
-        "degraded": degraded,
+        "degraded": action_resolved > 0,
         "action_resolved_pairs": action_resolved,
         "max_norm_deg": level,
     }
@@ -429,15 +424,15 @@ def short_hash(text: str) -> str:
 
 def census_records(tower: FieldTower, groups: dict[str, IsogenyClass]) -> list[dict]:
     """One JSON-ready record per isomorphism class of the partition
-    `groups` (from `census_isomorphism_classes`), deterministically
-    ordered."""
+    `groups` (from `census_isomorphism_classes`), sorted by (m, iso_class);
+    the partition lists each class's members in key order, which breaks
+    ties."""
     from .serialize import kelem_to_json
 
     records = []
-    for mtext in sorted(groups):
-        grp = groups[mtext]
+    for mtext, grp in groups.items():
         iso_id_base = short_hash(mtext)
-        for entry in sorted(grp.iso_classes, key=lambda e: e.key):
+        for entry in grp.iso_classes:
             rep_json = [kelem_to_json(tower, c) for c in entry.rep.coeff_vector()]
             rec = {
                 "record": "class",

@@ -36,22 +36,16 @@ from .errors import (
 )
 from .extfield import ExtensionField
 from .lattices import ALattice
-from .linalg import echelon, nullspace, solve_linear
-from .modules import DrinfeldModule
+from .linalg import echelon, nullspace
+from .modules import DrinfeldModule, is_isogeny
 from .skew import SkewPoly, coefficient_rows, commutator_system
-
-
-def _flatten_skew(sp: SkewPoly, height_deg: int) -> list[int]:
-    """The F_q coordinates of sp from tau^0 up, to degree height_deg."""
-    out = [v for c in sp.coeffs for v in c.coeffs]
-    return out + [0] * ((height_deg + 1) * sp.tower.n - len(out))
 
 
 def centralizer_basis(module: DrinfeldModule, s: int):
     """The A-basis b_0 = 1, ..., b_(s-1) of the centralizer of phi_T in
     k{tau}, as the lists [phi_{T^a} b_j for a = 0, 1, ...] of its
-    A-multiples of degree at most the cap n*s, and the A-coordinates of
-    pi^i = tau^(n i) in it, one list of s APoly per i < s.
+    A-multiples of degree at most the cap n*s, and the reader coords(u)
+    of the A-coordinates in it of any u in V, a list of s APoly.
 
     One elimination of the commutator system (`echelon`) gives the free
     columns of V, the centralizer below the cap; an element of V is fixed
@@ -60,9 +54,10 @@ def centralizer_basis(module: DrinfeldModule, s: int):
     free coordinate), each row carrying its combination of A-multiples.
     The null vector of free column f joins the basis, unchanged, exactly
     when f, taken in increasing order, is not a top of W (README, "End in
-    one elimination"), so only the joining ones are built. Reducing pi^i
-    in W gives its coordinates, and the ledger dim W = dim V certifies
-    the basis: a mismatch is a hard error, never a silent truncation.
+    one elimination"), so only the joining ones are built. The ledger
+    dim W = dim V certifies the basis: a mismatch is a hard error, never
+    a silent truncation. Reducing u in W then gives its coordinates; a
+    nonzero residue is a hard error too.
     """
     tower = module.tower
     fq = tower.fq
@@ -118,47 +113,34 @@ def centralizer_basis(module: DrinfeldModule, s: int):
         raise InternalError(f"extracted {len(terms)} basis elements, expected {s}; cap too small")
     if len(rows) != nf:
         raise InternalError("degree ledger mismatch in centralizer extraction")
-    pi_coords = []
-    for i in range(s):
-        # pi^i - sum c * slots reduces to 0, leaving -c past nf (slot nf: spare)
-        vec, top = reduce(SkewPoly.tau_power(tower, n * i), nf)
+
+    def coords(u: SkewPoly) -> list[APoly]:
+        """The A-coordinates of u in V: u - sum c * slots reduces to 0,
+        leaving -c past nf (slot nf: spare)."""
+        vec, top = reduce(u, nf)
         if top >= 0:
-            raise InternalError("pi power is not in the extracted basis span")
+            raise InternalError("element is not in the extracted basis span")
         polys = [[0] * len(t) for t in terms]
         for (j, a), v in zip(slots, vec[nf:]):
             polys[j][a] = neg[v]
-        pi_coords.append([APoly(fq, c) for c in polys])
-    return terms, pi_coords
+        return [APoly(fq, c) for c in polys]
+
+    return terms, coords
 
 
-def coords_in_skew_basis(
-    module: DrinfeldModule, basis: list[SkewPoly], u: SkewPoly
-) -> list[APoly] | None:
-    """A-coordinates of u in the skew basis of an order (`AOrder.skew_basis`),
-    or None if u is not in its A-span, by one solve on the phi_{T^a} b_j
-    of degree at most deg u: for End, coordinates respect degrees up to
-    the cap that its build certifies. The build itself reads the
-    coordinates of pi^i off its own echelon; this serves other elements."""
-    fq = module.tower.fq
-    if not u:
-        return [APoly.zero(fq) for _ in basis]
-    if u.degree > module.n * len(basis):
+def coords_in_skew_basis(order: AOrder, u: SkewPoly) -> list[APoly] | None:
+    """A-coordinates of u in the skew basis of End (`AOrder.skew_basis`),
+    or None if u is not an endomorphism. End is the centralizer of phi_T,
+    so membership is u phi_T = phi_T u (`is_isogeny`), and the
+    coordinates are the order's own reading off its build's echelon
+    (`centralizer_basis`), certified up to the cap n * s."""
+    if order.skew_coords is None:
+        raise InternalError("order was not built as a centralizer")
+    if u.degree > order.module.n * order.s:
         raise InternalError("membership test beyond the verified degree cap")
-    cols, owner = [], []  # owner: the basis index of each column
-    for j, b in enumerate(basis):
-        for a in range((u.degree - b.degree) // module.rank + 1):
-            owner.append(j)
-            cols.append(module.phi_t_power(a) * b)
-    if not cols:
+    if u and not is_isogeny(u, order.module, order.module):
         return None
-    rows = coefficient_rows(cols, u.degree + 1)
-    sol, _ = solve_linear(fq, rows, _flatten_skew(u, u.degree), len(cols))
-    if sol is None:
-        return None
-    polys: list[list[int]] = [[] for _ in basis]
-    for j, v in zip(owner, sol):
-        polys[j].append(v)
-    return [APoly(fq, c) for c in polys]
+    return order.skew_coords(u)
 
 
 class AOrder:
@@ -175,6 +157,7 @@ class AOrder:
         skew_terms: list[list[SkewPoly]] | None = None,
         tag: str = "order",
         pi_lattice: ALattice | None = None,
+        skew_coords=None,
     ):
         self.ext = ext
         self.fq = ext.fq
@@ -189,8 +172,10 @@ class AOrder:
         if pi_lattice is None:
             pi_lattice = ALattice.from_generators(self.fq, self.s, zip(*rows), den)
         self.pi_lattice = pi_lattice
-        # phi_{T^a} * skew_basis[j] for a = 0, 1, ... (`skew_term`)
+        # phi_{T^a} * skew_basis[j] for a = 0, 1, ... (`skew_term`), and the
+        # centralizer's coordinate reader (`coords_in_skew_basis`)
         self._skew_terms = [list(t) for t in skew_terms] if skew_terms else None
+        self.skew_coords = skew_coords
 
     # -- coordinates --
 
@@ -344,11 +329,9 @@ def build_endomorphism_ring(module: DrinfeldModule) -> AOrder:
     """The uncached body of `endomorphism_ring`."""
     prof = module.profile()
     if prof.s != module.rank:
-        raise NonCommutativeEndomorphisms(
-            f"[Ftilde:F] = {prof.s} < rank {module.rank}"
-        )
+        raise NonCommutativeEndomorphisms(f"[Ftilde:F] = {prof.s} < rank {module.rank}")
     s = prof.s
-    terms, p_rows = centralizer_basis(module, s)
+    terms, coords = centralizer_basis(module, s)
     basis_skew = [t[0] for t in terms]
     for b, t in zip(basis_skew, terms):
         # t[1] = phi_T * b, when the cap kept it
@@ -358,11 +341,14 @@ def build_endomorphism_ring(module: DrinfeldModule) -> AOrder:
         for j in range(i + 1, s):
             if basis_skew[i] * basis_skew[j] != basis_skew[j] * basis_skew[i]:
                 raise InternalError("endomorphism basis is not commutative")
+    p_rows = [coords(SkewPoly.tau_power(module.tower, module.n * i)) for i in range(s)]
     p_t = [[p_rows[j][i] for j in range(s)] for i in range(s)]
     det, adj_t = mat_solve(p_t, mat_identity(module.tower.fq, s))
     if not det:
         raise InternalError("pi powers are not an F-basis")
-    return AOrder(prof.extension_field(), zip(*adj_t), det, module=module, skew_terms=terms, tag="End")
+    return AOrder(
+        prof.extension_field(), zip(*adj_t), det, module=module, skew_terms=terms, tag="End", skew_coords=coords
+    )
 
 
 def right_divisible_combinations(

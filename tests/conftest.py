@@ -223,15 +223,52 @@ class TrailingEchelon:
         return len(self.rows)
 
 
+def _flatten_skew(sp: SkewPoly, height_deg: int) -> list[int]:
+    """The F_q coordinates of sp from tau^0 up, to degree height_deg."""
+    out = [v for c in sp.coeffs for v in c.coeffs]
+    return out + [0] * ((height_deg + 1) * sp.tower.n - len(out))
+
+
+def ref_coords_in_skew_basis(
+    module: DrinfeldModule, basis: list[SkewPoly], u: SkewPoly
+) -> list[APoly] | None:
+    """A-coordinates of u in the skew basis of an order (`AOrder.skew_basis`),
+    or None if u is not in its A-span, by one solve on the phi_{T^a} b_j
+    of degree at most deg u: for End, coordinates respect degrees up to
+    the cap that its build certifies. This is the separate F_q solve that
+    `coords_in_skew_basis` ran before it read End's own echelon."""
+    from drinfeld.linalg import solve_linear
+    from drinfeld.skew import coefficient_rows
+
+    fq = module.tower.fq
+    if not u:
+        return [APoly.zero(fq) for _ in basis]
+    if u.degree > module.n * len(basis):
+        raise InternalError("membership test beyond the verified degree cap")
+    cols, owner = [], []  # owner: the basis index of each column
+    for j, b in enumerate(basis):
+        for a in range((u.degree - b.degree) // module.rank + 1):
+            owner.append(j)
+            cols.append(module.phi_t_power(a) * b)
+    if not cols:
+        return None
+    rows = coefficient_rows(cols, u.degree + 1)
+    sol, _ = solve_linear(fq, rows, _flatten_skew(u, u.degree), len(cols))
+    if sol is None:
+        return None
+    polys: list[list[int]] = [[] for _ in basis]
+    for j, v in zip(owner, sol):
+        polys[j].append(v)
+    return [APoly(fq, c) for c in polys]
+
+
 def ref_end_ring(phi: DrinfeldModule):
     """(skew basis, basis matrix) of End(phi) by the full-vector greedy the
     End build used before it read its basis off the free columns of one
     elimination: every null vector of the commutator system is reduced in
     a `TrailingEchelon` over all (cap + 1) * n coordinates, and the
-    coordinates of pi^i are solved by `coords_in_skew_basis`."""
-    from drinfeld.apoly import mat_identity, mat_solve
+    coordinates of pi^i are solved by `ref_coords_in_skew_basis`."""
     from drinfeld.linalg import nullspace
-    from drinfeld.orders import _flatten_skew, coords_in_skew_basis
     from drinfeld.skew import commutator_system
 
     tower, fq = phi.tower, phi.tower.fq
@@ -256,7 +293,7 @@ def ref_end_ring(phi: DrinfeldModule):
         for j in range((cap - b.degree) // r + 1):
             span.insert(_flatten_skew(phi.phi_t_power(j) * b, cap))
     assert len(basis) == s and span.dim == len(sols)
-    p_rows = [coords_in_skew_basis(phi, basis, SkewPoly.tau_power(tower, n * i)) for i in range(s)]
+    p_rows = [ref_coords_in_skew_basis(phi, basis, SkewPoly.tau_power(tower, n * i)) for i in range(s)]
     p_t = [[p_rows[j][i] for j in range(s)] for i in range(s)]
     det, adj_t = mat_solve(p_t, mat_identity(fq, s))
     assert det

@@ -24,7 +24,7 @@ from drinfeld import (
     validate_minimal_order_occurrence,
 )
 from drinfeld.cli import main
-from drinfeld.serialize import dumps_canonical
+from drinfeld.serialize import dumps_canonical, endring_report, module_from_json, reduced_basis
 
 from conftest import get_tower, integral_ideals, rand_module, twist
 
@@ -274,6 +274,15 @@ GOLDEN_ENDRING_DIGESTS = {
         },
         "16a974b11dfa85235879c2535d577d2b8ee1784bf978cd26cd86275484e90c0b",
     ),
+    # phi_T = (2 + 2t) tau^2: End's basis denominator is 2T, which the
+    # report prints monic (T); the index over A[pi] is T
+    "f9-rank2": (
+        {
+            "field": {"p": 3, "e": 1, "h": [0, 1], "n": 2, "g": [2, 1, 1]},
+            "phi_T": [[0, 0], [0, 0], [2, 2]],
+        },
+        "5559e50aa5915f4ccca818b00385bd974f495fb0aaf9741633c8e27764a4f9d8",
+    ),
     # r = 3 divides n = 6, End != A[pi], basis tau-degrees 0, 6, 9
     "f729-rank3": (
         {
@@ -328,6 +337,19 @@ def test_endring_report_golden_digest(tmp_path, case):
     out = tmp_path / "endring.json"
     assert main(["endring", "--input", str(spec), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ENDRING_DIGESTS))
+def test_endring_report_prints_monic_denominators(case):
+    """`reduced_basis` scales each basis denominator to monic; End of the
+    F_9 case has a non-monic basis denominator, so it enters that step."""
+    phi = module_from_json(GOLDEN_ENDRING_DIGESTS[case][0])
+    end = endomorphism_ring(phi)
+    dens = [den for _, den in reduced_basis(end)]
+    assert all(den.is_monic() for den in dens)
+    assert [b["den"] for b in endring_report(phi)["basis"]] == [den.text() for den in dens]
+    if case == "f9-rank2":
+        assert not end.basis_matrix[1].is_monic()
 
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_IDEAL_ACT_DIGESTS))

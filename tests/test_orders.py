@@ -55,8 +55,8 @@ def ex38(rank3_example):
         tower,
         [t**3 + t**2 + t, tower.zero, t**3 + t**2 + tower.one, t**3 + t, t**3 + t**2, tower.one],
     )
-    c2 = coords_in_skew_basis(phi, end.skew_basis, e2)
-    c3 = coords_in_skew_basis(phi, end.skew_basis, e3)
+    c2 = coords_in_skew_basis(end, e2)
+    c3 = coords_in_skew_basis(end, e3)
     ideal = FracIdeal.from_generators(end, [c2, c3])
     return phi, end, c2, c3, ideal
 
@@ -72,7 +72,7 @@ def test_end_ring_rank_and_first_basis_element(ex38):
 def test_pi_lies_in_end_lattice(ex38):
     phi, end, *_ = ex38
     pi = SkewPoly.tau_power(phi.tower, phi.n)
-    coords = coords_in_skew_basis(phi, end.skew_basis, pi)
+    coords = coords_in_skew_basis(end, pi)
     assert coords is not None
 
 
@@ -90,7 +90,7 @@ def test_sqrt_T_case_is_maximal_shaped():
     end = endomorphism_ring(phi)
     assert end.s == 2
     tau = SkewPoly.tau_power(f8, 1)
-    assert coords_in_skew_basis(phi, end.skew_basis, tau) is not None
+    assert coords_in_skew_basis(end, tau) is not None
     assert tau * tau == phi.phi_t  # tau plays sqrt(T)
     idx = lattice_index(end.pi_lattice, minimal_frobenius_order(phi.profile(), phi).pi_lattice)
     assert idx == APoly.var(f8.fq)

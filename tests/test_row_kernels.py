@@ -13,10 +13,11 @@ import random
 import pytest
 
 from drinfeld import SkewPoly
-from drinfeld.orders import _flatten_skew, centralizer_basis
+from drinfeld.orders import centralizer_basis
 from drinfeld.skew import commutator_system
 
 from conftest import (
+    _flatten_skew,
     assert_commutator_band,
     dense_rows,
     get_tower,

@@ -334,7 +334,7 @@ def _write_ex38_ideal(tmp_path) -> str:
     )
     gens = []
     for e in (e2, e3):
-        coords = coords_in_skew_basis(phi, end.skew_basis, e)
+        coords = coords_in_skew_basis(end, e)
         gens.append([apoly_to_json(c) for c in coords])
     return _write(tmp_path, "ideal.json", {"generators": gens})
 

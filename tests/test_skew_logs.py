@@ -15,12 +15,12 @@ import random
 import pytest
 
 from drinfeld import SkewPoly
-from drinfeld.orders import _flatten_skew
 from drinfeld.serialize import field_from_json, field_to_json
 from drinfeld.skew import commutator_system
 
 from conftest import (
     _SPECS,
+    _flatten_skew,
     assert_commutator_band,
     dense_rows,
     get_tower,
