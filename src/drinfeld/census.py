@@ -63,6 +63,11 @@ from .orders import (
 from .skew import SkewPoly
 
 CANDIDATE_GUARD = 10**7
+# the validator enumerates ideals up to this norm degree before it reports
+# a transitivity failure; the validated censuses of F_4, F_9, F_25 and F_27
+# at rank 2 and of F_3 at rank 3 saturate by norm degree 2, and that of
+# F_8 at rank 3 by norm degree 4
+MAX_NORM_DEG = 6
 
 
 def characteristic_roots(tower: FieldTower) -> list[tuple[APoly, KElem]]:
@@ -309,19 +314,16 @@ def validate_minimal_order_occurrence(group: IsogenyClass) -> dict:
     }
 
 
-def validate_ideal_class_action(
-    group: IsogenyClass,
-    max_norm_ceiling: int = 6,
-    lin_equiv_bound: int = 2,
-) -> dict:
+def validate_ideal_class_action(group: IsogenyClass) -> dict:
     """Free and transitive action of ideal classes of the minimal order
     on the isomorphism classes of an ordinary or prime-field class.
 
     Ideals are enumerated by norm degree until every isomorphism class
     is hit and one further level adds no new ideal class (saturation),
-    or the ceiling trips. Raises CensusViolation on a freeness or
-    transitivity failure; linear-equivalence Unknowns degrade the
-    report instead."""
+    or the ceiling MAX_NORM_DEG trips. Linear equivalence runs at the
+    radius `lin_equiv` derives from its size guard. Raises
+    CensusViolation on a freeness or transitivity failure;
+    linear-equivalence Unknowns degrade the report instead."""
     summary = group.profile_summary
     if not summary["commutative"]:
         return {"m": group.m_text, "skipped": "noncommutative endomorphism ring"}
@@ -349,7 +351,7 @@ def validate_ideal_class_action(
     saturated = False
     all_hit_at = None
     level = -1
-    while level < max_norm_ceiling:
+    while level < MAX_NORM_DEG:
         level += 1
         new_classes = 0
         for ideal in ideals_of_norm_degree(order, level):
@@ -365,7 +367,7 @@ def validate_ideal_class_action(
                 )
             known = False
             for repi, rep_img in zip(class_reps, class_images):
-                status, _ = lin_equiv(ideal, repi, lin_equiv_bound)
+                status, _ = lin_equiv(ideal, repi)
                 if status == "yes":
                     # equivalent ideals must land in the same class (freeness)
                     if rep_img != img_key:

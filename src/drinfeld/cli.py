@@ -45,6 +45,15 @@ EXIT_BROKEN_PIPE = 141
 
 SCHEMA_VERSION = 1
 
+# the subcommands that answer one request about one module: each reads
+# the module (and, with --ideal, an ideal) and emits one report
+REPORTS = {
+    "analyze": analyze_report,
+    "endring": endring_report,
+    "ideal-act": ideal_act_report,
+    "kernel-test": kernel_test_report,
+}
+
 
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
@@ -71,9 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("ideal-act", "kernel-test"):
             p.add_argument("--ideal", required=True, help="ideal JSON path")
         if name == "census":
-            # None leaves the validator's defaults (6 and 2) in place
-            p.add_argument("--max-norm-deg", type=int, dest="max_norm_deg")
-            p.add_argument("--lin-equiv-bound", type=int, dest="lin_equiv_bound")
             p.add_argument("--skip-validate", action="store_true")
         else:
             p.add_argument("--format", choices=("json", "text"), default="json")
@@ -121,20 +127,6 @@ def _emit_report(report: dict, args) -> None:
 
 
 def _run_census(args) -> int:
-    bounds = {}
-    for flag, key, value in (
-        ("--max-norm-deg", "max_norm_ceiling", args.max_norm_deg),
-        ("--lin-equiv-bound", "lin_equiv_bound", args.lin_equiv_bound),
-    ):
-        if value is None:
-            continue
-        if args.skip_validate:
-            print(f"input error: {flag} has no effect with --skip-validate", file=sys.stderr)
-            return 2
-        if value < 0:
-            print(f"input error: {flag} must be at least 0", file=sys.stderr)
-            return 2
-        bounds[key] = value
     data = _load_json(args.input)
     json_keys(data, ("field", "rank", "t"))
     tower = field_from_json(json_field(data, "field", json_object))
@@ -165,7 +157,7 @@ def _run_census(args) -> int:
                 grp = groups[mtext]
                 try:
                     rep_a = validate_minimal_order_occurrence(grp)
-                    rep_b = validate_ideal_class_action(grp, **bounds)
+                    rep_b = validate_ideal_class_action(grp)
                     lines.append(
                         dumps_canonical(
                             {
@@ -187,21 +179,12 @@ def _run_census(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "analyze":
+        report = REPORTS.get(args.command)
+        if report is not None:
             module = module_from_json(_load_json(args.input))
-            _emit_report(analyze_report(module), args)
-            return 0
-        if args.command == "endring":
-            module = module_from_json(_load_json(args.input))
-            _emit_report(endring_report(module), args)
-            return 0
-        if args.command == "ideal-act":
-            module = module_from_json(_load_json(args.input))
-            _emit_report(ideal_act_report(module, _load_json(args.ideal)), args)
-            return 0
-        if args.command == "kernel-test":
-            module = module_from_json(_load_json(args.input))
-            _emit_report(kernel_test_report(module, _load_json(args.ideal)), args)
+            # the ideal file is read after the module: a bad module is reported first
+            ideals = [_load_json(args.ideal)] if hasattr(args, "ideal") else []
+            _emit_report(report(module, *ideals), args)
             return 0
         if args.command == "census":
             return _run_census(args)

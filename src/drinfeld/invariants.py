@@ -42,15 +42,10 @@ def _annihilator(module: DrinfeldModule, s: int):
     fq = tower.fq
     n, r = module.n, module.rank
     bounds = [-((-(s - i) * n) // r) for i in range(s)]
-    cols = []
-    shifts = []
-    for i in range(s):
-        for j in range(bounds[i] + 1):
-            cols.append(module.phi_t_power(j))
-            shifts.append(n * i)
+    cols = [module.phi_t_power(j).shift(n * i) for i in range(s) for j in range(bounds[i] + 1)]
     # r * bounds[i] + n * i >= n * s, so the columns reach the degree of pi^s
-    height = max(f.degree + m for f, m in zip(cols, shifts)) + 1
-    rows = coefficient_rows(cols, height, shifts)
+    height = max(f.degree for f in cols) + 1
+    rows = coefficient_rows(cols, height)
     # right-hand side: minus the coefficients of pi^s = tau^(n s)
     rhs = [0] * len(rows)
     rhs[n * s * tower.n] = fq.neg(1)

@@ -927,7 +927,7 @@ def _norm_target(ideal: ALattice, other: ALattice, den: APoly) -> APoly | None:
     return None if r else want
 
 
-def lin_equiv(ideal: FracIdeal, other: FracIdeal, bound_deg: int = 2):
+def lin_equiv(ideal: FracIdeal, other: FracIdeal, bound_deg: int | None = None):
     """Linear equivalence test: ("yes", (coords, den)) with
     ideal = other.mul_elem(coords, den) exactly, the witness u = coords /
     den in the order's basis; ("no", None) certified by failure of weak
@@ -942,6 +942,9 @@ def lin_equiv(ideal: FracIdeal, other: FracIdeal, bound_deg: int = 2):
     target's degree: a tie of top terms at that degree must not cancel,
     a tie above it must (see _norm_hits). The size guard compares
     q^(s(bound_deg+1)) with its limit without building the power.
+    Without a bound_deg the radius is the largest of 2, 1, 0 that the
+    guard admits; when none is, the guard decides as it does for a radius
+    it rejects.
 
     A witness proves weak equivalence as well, so (other : ideal) and
     the product (ideal : other)(other : ideal) are computed only when
@@ -953,7 +956,9 @@ def lin_equiv(ideal: FracIdeal, other: FracIdeal, bound_deg: int = 2):
     quot = ideal.colon(other)
     s = order.s
     fq = order.fq
-    if _exceeds(fq.q, s * (bound_deg + 1), 5 * 10**5):
+    radii = (2, 1, 0) if bound_deg is None else (bound_deg,)
+    bound_deg = next((b for b in radii if not _exceeds(fq.q, s * (b + 1), 5 * 10**5)), None)
+    if bound_deg is None:
         if not _weakly_equivalent(ideal, other, quot):
             return "no", None
         raise TooLarge("linear-equivalence search space beyond desk scale")

@@ -288,7 +288,7 @@ def _rdivmod_logs(tab: _LogTables, n: int, rem: list, lb: list) -> tuple[list, l
 
 def commutator_system(f: SkewPoly, cap: int) -> list[tuple[int, list[int]]]:
     """The F_q-matrix of u -> u f - f u on skew polynomials u of degree at
-    most cap, as sparse rows (lead, vals) for `linalg.solve_linear`: entry
+    most cap, as sparse rows (lead, vals) in the row format of `linalg`: entry
     (d*n + m, i*n + comp) is coordinate m of the coefficient of tau^d in
     the image of c tau^i, c = x^comp.
 
@@ -353,25 +353,20 @@ def commutator_system(f: SkewPoly, cap: int) -> list[tuple[int, list[int]]]:
     return rows
 
 
-def coefficient_rows(
-    cols: list[SkewPoly], height: int, shifts: list[int] | None = None
-) -> list[tuple[int, list[int]]]:
+def coefficient_rows(cols: list[SkewPoly], height: int) -> list[tuple[int, list[int]]]:
     """The F_q-matrix whose column c is the coefficient vector of cols[c],
-    times tau^shifts[c] on the right when shifts are given, each of degree
-    below height, as sparse rows (lead, vals) for `linalg.solve_linear`:
-    row d*n + m holds coordinate m of the coefficients of tau^d and spans
-    the columns from the first to the last one with a nonzero coefficient
-    of tau^d.
+    each of degree below height, as sparse rows (lead, vals) in the row
+    format of `linalg`: row d*n + m holds coordinate m of the coefficients
+    of tau^d and spans the columns from the first to the last one with a
+    nonzero coefficient of tau^d.
     """
     tower = cols[0].tower
     n = tower.n
     zero = tower.zero.coeffs
-    if shifts is None:
-        shifts = [0] * len(cols)
     first: list[int | None] = [None] * height
     last = [0] * height
-    for c, (f, m) in enumerate(zip(cols, shifts)):
-        for d, coeff in enumerate(f.coeffs, m):
+    for c, f in enumerate(cols):
+        for d, coeff in enumerate(f.coeffs):
             if coeff.coeffs != zero:
                 if first[d] is None:
                     first[d] = c
@@ -383,8 +378,8 @@ def coefficient_rows(
             continue
         block = []
         for c in range(lead, last[d] + 1):
-            f, i = cols[c].coeffs, d - shifts[c]
-            block.append(f[i].coeffs if 0 <= i < len(f) else zero)
+            f = cols[c].coeffs
+            block.append(f[d].coeffs if d < len(f) else zero)
         rows += [(lead, list(row)) for row in zip(*block)]
     return rows
 

@@ -24,7 +24,14 @@ from drinfeld import (
     validate_minimal_order_occurrence,
 )
 from drinfeld.cli import main
-from drinfeld.serialize import dumps_canonical, endring_report, module_from_json, reduced_basis
+from drinfeld.serialize import (
+    dumps_canonical,
+    endring_report,
+    field_from_json,
+    kelem_from_json,
+    module_from_json,
+    reduced_basis,
+)
 
 from conftest import get_tower, integral_ideals, rand_module, twist
 
@@ -427,6 +434,27 @@ def test_ideal_class_action_bijective_on_f4_ordinary():
     report = validate_ideal_class_action(grp)
     assert report["bijective"] and report["saturated"]
     assert report["ideal_classes"] == report["iso_classes"] == 2
+
+
+def test_ideal_class_action_validates_past_radius_two():
+    # k = F_81 over F_9 at rank 2: q^(s * 3) = 9^6 exceeds the lin_equiv
+    # size guard, so the validator runs at the derived radius 1; the
+    # pairs that radius leaves unknown are settled by their images and
+    # the report says so
+    tower = field_from_json({"p": 3, "e": 2, "h": [2, 1, 1], "n": 2, "g": [[0, 1], [0, 0], [1, 0]]})
+    groups = census_isomorphism_classes(tower, 2, kelem_from_json(tower, [[0, 1], [0, 0]]))
+    m = "x^2+((2*y+1))*x+((2*y+2)*T^2+2*T+2*y)"
+    assert groups[m].profile_summary["ordinary"]
+    assert validate_ideal_class_action(groups[m]) == {
+        "m": m,
+        "ideal_classes": 2,
+        "iso_classes": 2,
+        "bijective": True,
+        "saturated": True,
+        "degraded": True,
+        "action_resolved_pairs": 10,
+        "max_norm_deg": 2,
+    }
 
 
 def _commutative_groups(name, rank):

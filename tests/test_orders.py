@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 
@@ -853,6 +854,34 @@ def test_lin_equiv_size_guard_after_weak_equivalence():
             with pytest.raises(TooLarge):
                 lin_equiv(a, b, big)
     assert {"yes", "no"} <= seen
+
+
+def test_lin_equiv_huge_radius_raises_as_fast_as_a_large_one():
+    # the size guard decides q^(s(bound+1)) > limit without building the
+    # power: a radius of 10^9 raises as soon as 10^6 does on the weakly
+    # equivalent pairs of an F_9 order
+    order = _case_order("f9-weakly-inequivalent")
+    ideals = list(integral_ideals(order, 2))
+    pairs = [
+        (a, b) for a, b in itertools.combinations(ideals, 2) if _lin_equiv_box(a, b, 0)[0] != "no"
+    ]
+    assert pairs
+    times = {}
+    for bound in (10**6, 10**9):
+        start = time.process_time()
+        for a, b in pairs:
+            with pytest.raises(TooLarge, match="^linear-equivalence search space beyond desk scale$"):
+                lin_equiv(a, b, bound)
+        times[bound] = time.process_time() - start
+    assert times[10**9] < 3 * times[10**6] + 0.5, times
+
+
+@pytest.mark.parametrize("name", ["f9-one-class", "f9-weakly-inequivalent", "f9-two-classes"])
+def test_lin_equiv_default_radius_is_two_where_it_fits(name):
+    # q^(s * 3) = 3^6 is inside the size guard, so the derived radius is 2
+    order = _case_order(name)
+    for a, b in itertools.combinations(list(integral_ideals(order, 2)), 2):
+        assert lin_equiv(a, b) == lin_equiv(a, b, 2)
 
 
 @pytest.mark.parametrize("name", ["f9-weakly-inequivalent", "f3-rank3"])
