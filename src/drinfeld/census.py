@@ -3,14 +3,18 @@
 A census fixes the tower, a rank and one root t per characteristic
 prime, and enumerates every phi_T = t + g_1 tau + ... + g_r tau^r with
 g_r != 0. The isomorphism classes are the orbits of k^x acting by
-twisting, c phi c^{-1}: g_i -> c^(1-q^i) g_i. So the partition goes
-orbit by orbit: it walks the candidates as coefficient tuples, and the
-first time it meets one not yet visited it computes that module's
-whole twist orbit directly on tuples, marks every member visited, and
-records one class whose key (the orbit's lexicographic minimum) names
-its representative and whose size is the orbit's size. Each class is
-twisted once, not each module, and F_q^x, which acts trivially, is
-factored out. The classes are then grouped into isogeny classes by the
+twisting, c phi c^{-1}: g_i -> c^(1-q^i) g_i (Gekeler 1991). The
+partition lists them in closed form, with no walk over the candidates:
+on discrete logarithms, N = q^n - 1 and e_i = log g_i, twisting by
+gamma^x adds x * (1 - q^i) to e_i mod N, so for each zero pattern of
+g_1 ... g_(r-1) nested ranges of gcds give one representative per orbit
+and the orbit's size, and its key (the orbit's lexicographic minimum,
+which names the class's representative) is read off the exp table one
+coordinate at a time. F_q^x, which acts trivially, drops out by itself.
+At rank 1 the orbits are the fibres of the norm k^x -> F_q^x (Hilbert
+90), keyed by a scan of k in lexicographic order, so no tables are
+needed at any size. The sizes must add up to the q^(n(r-1)) (q^n - 1)
+candidates. The classes are then grouped into isogeny classes by the
 minimal polynomial of the Frobenius.
 
 One pass serves the whole census: the partition is built once per root,
@@ -41,12 +45,13 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from functools import cached_property, lru_cache
+from functools import cached_property
+from math import gcd
 
 from .action import act
 from .apoly import APoly, minimal_poly_over_fq
 from .errors import CensusViolation, InseparableExtension, TooLarge
-from .fields import FieldTower, KElem
+from .fields import FieldTower, KElem, _log_tables
 from .lattices import ALattice, lattice_index
 from .modules import DrinfeldModule
 from .orders import (
@@ -107,36 +112,114 @@ def enumerate_modules(tower: FieldTower, rank: int, t: KElem):
         yield DrinfeldModule(tower, SkewPoly(tower, coeffs))
 
 
-@lru_cache(maxsize=32)
-def _twist_multipliers(tower: FieldTower, rank: int) -> tuple[tuple[KElem, ...], ...]:
-    """The distinct vectors (c^(1-q), ..., c^(1-q^rank)) over c in k^x.
+def _k_log_tables(tower: FieldTower):
+    """The discrete-log tables of k: the tower's own, or, above
+    `fields._LOG_TABLE_LIMIT`, the process-wide cached ones. The census
+    guard keeps q^n <= 3162 at rank >= 2, so only the Python API reaches
+    the second case."""
+    tab = tower._tables
+    return _log_tables(tower.fq, tower.g) if tab is None else tab
 
-    Twisting by c multiplies g_i by the i-th entry. Units with the same
-    vector twist alike, so F_q^x (the all-one vector) and each coset of
-    it are listed once."""
-    out: dict[tuple, tuple[KElem, ...]] = {}
-    for c in tower.elements():
-        if not c:
+
+def _twist_steps(tower: FieldTower, rank: int, order: int) -> list[int]:
+    """step_i = (1 - q^i) mod N: twisting by gamma^x adds x * step_i to
+    log g_i."""
+    return [(1 - tower.q**i) % order for i in range(1, rank + 1)]
+
+
+def _orbit_key(tab, steps: list[int], t: tuple, logs: list) -> tuple[tuple, int]:
+    """(key, size) of the twist orbit through g_i = exp[logs[i]] (None
+    for g_i = 0): its lexicographically least coefficient vector, t first,
+    and its number of members.
+
+    Member x has g_i = exp[(logs[i] + x * step_i) mod N]. The least vector
+    is read coordinate by coordinate: after the coordinates before g_i the
+    members left are x0 + m*j, and g_i takes period = N / gcd(m * step_i, N)
+    distinct values over them, each once in j < period; the least fixes
+    j, and m grows to m * period. The final m is the orbit's size."""
+    exp, order = tab.exp, tab.order
+    zero = (0,) * len(t)
+    key = [t]
+    x0, m = 0, 1
+    for e, step in zip(logs, steps):
+        if e is None:
+            key.append(zero)
             continue
-        cinv = c.inv()
-        vec = tuple(c * cinv.frobq(i) for i in range(1, rank + 1))
-        out.setdefault(tuple(u.coeffs for u in vec), vec)
-    return tuple(out.values())
+        e = (e + x0 * step) % order
+        s = m * step % order
+        period = order // gcd(s, order)
+        vals = [exp[(e + j * s) % order] for j in range(period)]
+        least = min(vals)
+        key.append(least)
+        x0 += m * vals.index(least)
+        m *= period
+    return tuple(key), m
 
 
-def _twist_orbit(tower: FieldTower, coeffs: tuple[KElem, ...]) -> set[tuple]:
-    """The twist orbit of phi_T = coeffs, as coefficient tuples."""
-    t = coeffs[0].coeffs
-    gs = coeffs[1:]
-    return {
-        (t,) + tuple((u * g).coeffs for u, g in zip(units, gs))
-        for units in _twist_multipliers(tower, len(gs))
-    }
+def _norm(c: KElem) -> int:
+    """N_{k/F_q}(c) = c^((q^n - 1)/(q - 1)), an element of F_q."""
+    tower = c.tower
+    return (c ** ((tower.q**tower.n - 1) // (tower.q - 1))).coeffs[0]
+
+
+def _norm_fibre_keys(tower: FieldTower) -> dict[int, tuple]:
+    """The lexicographically first element of each fibre of the norm
+    k^x -> F_q^x, keyed by the norm: the rank-1 twist orbits, since by
+    Hilbert 90 the image of c -> c^(1-q) is the kernel of the norm. The
+    scan stops once all q - 1 norms are seen, and needs no tables."""
+    firsts: dict[int, tuple] = {}
+    for c in tower.elements():
+        if c:
+            firsts.setdefault(_norm(c), c.coeffs)
+            if len(firsts) == tower.q - 1:
+                break
+    return firsts
+
+
+def _twist_orbits(tower: FieldTower, rank: int, t: KElem):
+    """(key, size) of every twist orbit of the census modules with
+    constant term t, by `_orbit_key` from one representative per orbit
+    (rank 1: one per norm fibre).
+
+    Per zero pattern of g_1 ... g_(rank-1) (g_rank != 0), the nonzero
+    coordinates are taken in order with m = 1: log g_i ranges over
+    [0, gcd(m * step_i, N)), the representatives of the members x0 + m*j
+    that fix the coordinates before it, and then m grows to
+    lcm(m, N / gcd(step_i, N))."""
+    if rank == 1:
+        size = (tower.q**tower.n - 1) // (tower.q - 1)
+        for g in _norm_fibre_keys(tower).values():
+            yield (t.coeffs, g), size
+        return
+    tab = _k_log_tables(tower)
+    order = tab.order
+    steps = _twist_steps(tower, rank, order)
+    for pattern in itertools.product((False, True), repeat=rank - 1):
+        nonzero = [i for i, p in enumerate(pattern) if p] + [rank - 1]
+        ranges, m = [], 1
+        for i in nonzero:
+            g = gcd(m * steps[i], order)
+            ranges.append(range(g))
+            m *= order // g
+        logs = [None] * rank
+        for reps in itertools.product(*ranges):
+            for i, e in zip(nonzero, reps):
+                logs[i] = e
+            yield _orbit_key(tab, steps, t.coeffs, logs)
 
 
 def twist_orbit_key(module: DrinfeldModule) -> tuple:
-    """Lexicographically least coefficient vector in the twist orbit."""
-    return min(_twist_orbit(module.tower, module.coeff_vector()))
+    """Lexicographically least coefficient vector in the twist orbit, by
+    the routine the census partition reads its keys with. At rank >= 2
+    it takes k's discrete-log tables, cached for the process above
+    `fields._LOG_TABLE_LIMIT`."""
+    tower = module.tower
+    t, *gs = module.coeff_vector()
+    if len(gs) == 1:
+        return (t.coeffs, _norm_fibre_keys(tower)[_norm(gs[0])])
+    tab = _k_log_tables(tower)
+    logs = [tab.log.get(g.coeffs) for g in gs]
+    return _orbit_key(tab, _twist_steps(tower, len(gs), tab.order), t.coeffs, logs)[0]
 
 
 class IsoClass:
@@ -196,23 +279,19 @@ def census_isomorphism_classes(
     tower: FieldTower, rank: int, t: KElem
 ) -> dict[str, IsogenyClass]:
     """Partition all census modules into isomorphism classes grouped by
-    isogeny class, one twist orbit per class."""
-    visited: set[tuple] = set()
-    classes: list[IsoClass] = []
-    count = 0
+    isogeny class, one twist orbit per class (`_twist_orbits`): nothing
+    walks the q^(n*rank) candidates. Raises CensusViolation when the
+    orbit sizes do not add up to them."""
+    check_census_rank(tower, rank)
     # every candidate has constant term t, so one characteristic prime
     char_prime = minimal_poly_over_fq(t)
-    for coeffs in _candidate_vectors(tower, rank, t):
-        count += 1
-        if tuple(c.coeffs for c in coeffs) in visited:
-            continue
-        orbit = _twist_orbit(tower, coeffs)
-        key = min(orbit)
+    classes: list[IsoClass] = []
+    for key, size in _twist_orbits(tower, rank, t):
         phi_t = SkewPoly(tower, [tower.elem(c) for c in key])
         rep = DrinfeldModule.with_char_prime(tower, phi_t, char_prime)
-        classes.append(IsoClass(key, rep, len(orbit)))
-        visited.update(orbit)
-    if sum(c.size for c in classes) != count:
+        classes.append(IsoClass(key, rep, size))
+    units = tower.q**tower.n - 1
+    if sum(c.size for c in classes) != tower.q ** (tower.n * (rank - 1)) * units:
         raise CensusViolation("partition sizes do not add up")
     out: dict[str, IsogenyClass] = {}
     for entry in sorted(classes, key=lambda e: e.key):

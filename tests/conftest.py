@@ -410,6 +410,35 @@ def twist(phi: DrinfeldModule, c) -> DrinfeldModule:
     return DrinfeldModule.with_char_prime(phi.tower, SkewPoly(phi.tower, coeffs), phi.char_prime)
 
 
+def walk_twist_orbits(tower: FieldTower, rank: int, t) -> list[tuple[tuple, int]]:
+    """(key, size) of every twist orbit of the census modules with constant
+    term t, by the candidate walk the census ran before its closed form:
+    the first unvisited candidate of each orbit has the whole orbit built
+    from the distinct multiplier vectors (c^(1-q), ..., c^(1-q^rank)) over
+    c in k^x, every member is marked visited, and the key is the orbit's
+    lexicographic minimum."""
+    from drinfeld.census import _candidate_vectors
+
+    multipliers = {}
+    for c in tower.elements():
+        if c:
+            cinv = c.inv()
+            vec = tuple(c * cinv.frobq(i) for i in range(1, rank + 1))
+            multipliers.setdefault(tuple(u.coeffs for u in vec), vec)
+    visited: set[tuple] = set()
+    out = []
+    for coeffs in _candidate_vectors(tower, rank, t):
+        if tuple(c.coeffs for c in coeffs) in visited:
+            continue
+        orbit = {
+            (t.coeffs,) + tuple((u * g).coeffs for u, g in zip(units, coeffs[1:]))
+            for units in multipliers.values()
+        }
+        out.append((min(orbit), len(orbit)))
+        visited.update(orbit)
+    return out
+
+
 # the censuses used by the acceptance corpus: (tower name, rank)
 CENSUS_SPECS = [
     ("f2", 2),

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import random
@@ -8,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
+import drinfeld.census as census
 from drinfeld import (
+    CensusViolation,
     DrinfeldModule,
     SkewPoly,
     TooLarge,
@@ -33,7 +36,15 @@ from drinfeld.serialize import (
     reduced_basis,
 )
 
-from conftest import get_tower, integral_ideals, rand_module, twist
+from conftest import (
+    get_tower,
+    integral_ideals,
+    rand_kelem,
+    rand_module,
+    tower_above_table_limit,
+    twist,
+    walk_twist_orbits,
+)
 
 
 def test_characteristic_roots_cover_divisor_degrees():
@@ -75,6 +86,17 @@ def test_orbit_key_is_invariant_under_twist():
             assert twist_orbit_key(twist(phi, c)) == key
 
 
+def _rand_unit(rng, tower):
+    while True:
+        c = rand_kelem(rng, tower)
+        if c:
+            return c
+
+
+def _brute_orbit_key(phi, units):
+    return min(tuple(x.coeffs for x in twist(phi, c).coeff_vector()) for c in units)
+
+
 def test_orbit_key_matches_twisting_by_every_unit():
     # the orbit helper against the definition: twist by all of k^x
     rng = random.Random(7)
@@ -83,10 +105,184 @@ def test_orbit_key_matches_twisting_by_every_unit():
         units = [c for c in tower.elements() if c]
         for _ in range(4):
             phi = rand_module(rng, tower, max_rank)
-            brute = min(
-                tuple(x.coeffs for x in twist(phi, c).coeff_vector()) for c in units
-            )
-            assert twist_orbit_key(phi) == brute
+            assert twist_orbit_key(phi) == _brute_orbit_key(phi, units)
+    # rank 3 over F_8, every zero pattern of g_1, g_2, and rank 1 where
+    # k^x has more than one norm fibre
+    f8 = get_tower("f8")
+    units = [c for c in f8.elements() if c]
+    for pattern in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for _ in range(3):
+            gs = [_rand_unit(rng, f8) if nz else f8.zero for nz in pattern]
+            top = _rand_unit(rng, f8)
+            phi = DrinfeldModule(f8, SkewPoly(f8, [rand_kelem(rng, f8)] + gs + [top]))
+            assert twist_orbit_key(phi) == _brute_orbit_key(phi, units)
+    # rank 5 over F_16 with g_1 = 0: g_2 leaves the members x = 5j and
+    # g_3 fixes j, which g_5 then reads
+    f16 = get_tower("f16")
+    units = [c for c in f16.elements() if c]
+    for _ in range(12):
+        gs = [f16.zero, _rand_unit(rng, f16), _rand_unit(rng, f16), rand_kelem(rng, f16)]
+        phi = DrinfeldModule(f16, SkewPoly(f16, [f16.gen()] + gs + [_rand_unit(rng, f16)]))
+        assert twist_orbit_key(phi) == _brute_orbit_key(phi, units)
+    for name in ("f9", "f16e2"):
+        tower = get_tower(name)
+        units = [c for c in tower.elements() if c]
+        for g in units:
+            phi = DrinfeldModule(tower, SkewPoly(tower, [tower.gen(), g]))
+            assert twist_orbit_key(phi) == _brute_orbit_key(phi, units)
+    # the images of the ideal action, which the validator keys
+    for name, rank in (("f4", 2), ("f9", 2), ("f8", 3), ("f9", 1)):
+        tower = get_tower(name)
+        units = [c for c in tower.elements() if c]
+        acted = 0
+        while acted < 12:
+            phi = rand_module(rng, tower, rank)
+            if phi.rank != rank or not phi.profile().end_ring_commutative:
+                continue
+            for ideal in itertools.islice(integral_ideals(endomorphism_ring(phi), 2), 1, 5):
+                image = act(phi, ideal).image
+                assert twist_orbit_key(image) == _brute_orbit_key(image, units)
+                acted += 1
+
+
+def test_orbit_key_above_the_table_limit():
+    # F_{2^13} at rank 2, keyed through the process-wide log tables: with
+    # q = 2 twisting by c sends g_1 to g_1 / c, so the key's g_1 is the
+    # least unit x^12, which fixes c and g_2 -> c^(-3) g_2
+    tower = tower_above_table_limit()
+    rng = random.Random(11)
+    least = tower.elem([0] * (tower.n - 1) + [1])
+    for _ in range(3):
+        g1, g2 = _rand_unit(rng, tower), _rand_unit(rng, tower)
+        phi = DrinfeldModule(tower, SkewPoly(tower, [tower.gen(), g1, g2]))
+        c = g1 / least
+        expected = tuple(x.coeffs for x in twist(phi, c).coeff_vector())
+        assert expected == (tower.gen().coeffs, least.coeffs, (c**-3 * g2).coeffs)
+        assert twist_orbit_key(phi) == expected
+    assert tower._tables is None
+
+
+def _assert_partition_matches_the_walk(tower, rank, t):
+    """The closed form's (key, size) list equals the walk's; keys are
+    distinct, so the census's sort puts both in one order."""
+    closed = sorted(census._twist_orbits(tower, rank, t))
+    assert closed == sorted(walk_twist_orbits(tower, rank, t))
+    assert len({key for key, _ in closed}) == len(closed)
+    units = tower.q**tower.n - 1
+    assert sum(size for _, size in closed) == tower.q ** (tower.n * (rank - 1)) * units
+
+
+# the guard admits all three ranks on these towers: q^n <= 16
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("name", ["f2", "f4", "f8", "f9", "f16e2"])
+def test_closed_form_partition_matches_the_walk(name, rank):
+    tower = get_tower(name)
+    for _, t in characteristic_roots(tower):
+        _assert_partition_matches_the_walk(tower, rank, t)
+
+
+def test_closed_form_partition_past_the_rank3_nesting():
+    # F_16 at rank 5, beyond the walk's reach in a test: the class count is
+    # Burnside's, the keys are distinct, and every 500th orbit has the key
+    # and size of twisting its key by all of k^x
+    f16 = get_tower("f16")
+    units = [c for c in f16.elements() if c]
+    orbits = list(census._twist_orbits(f16, 5, f16.zero))
+    assert len(orbits) == _burnside_class_count(f16, 5)
+    assert len({key for key, _ in orbits}) == len(orbits)
+    assert sum(size for _, size in orbits) == 16**4 * 15
+    for key, size in orbits[::500]:
+        phi = DrinfeldModule(f16, SkewPoly(f16, [f16.elem(c) for c in key]))
+        twists = {tuple(x.coeffs for x in twist(phi, c).coeff_vector()) for c in units}
+        assert min(twists) == key and len(twists) == size
+
+
+# the defining quartics of F_16 that the benchmark's census cells draw
+F16_QUARTICS = ([1, 1, 0, 0, 1], [1, 0, 0, 1, 1], [1, 1, 1, 1, 1])
+
+
+@pytest.mark.parametrize("g", F16_QUARTICS)
+def test_closed_form_partition_matches_the_walk_on_f16_quartics(g):
+    tower = field_from_json({"p": 2, "e": 1, "h": [0, 1], "n": 4, "g": g})
+    for _, t in characteristic_roots(tower):
+        _assert_partition_matches_the_walk(tower, 2, t)
+
+
+def test_closed_form_partition_matches_the_walk_at_f16_rank3_and_f128():
+    f16 = get_tower("f16")
+    for _, t in characteristic_roots(f16):
+        _assert_partition_matches_the_walk(f16, 3, t)
+    f128 = field_from_json({"p": 2, "e": 1, "h": [0, 1], "n": 7, "g": [1, 1, 0, 0, 0, 0, 0, 1]})
+    _assert_partition_matches_the_walk(f128, 2, f128.gen())
+
+
+def test_census_lists_classes_in_key_order():
+    # each isogeny class lists its members in key order, and the classes
+    # come in the order of their least keys: the order of the sorted walk
+    for name, rank in (("f4", 2), ("f9", 2), ("f9", 1), ("f8", 3)):
+        tower = get_tower(name)
+        for _, t in characteristic_roots(tower)[:2]:
+            groups = census_isomorphism_classes(tower, rank, t)
+            entries = [(e.key, e.size) for g in groups.values() for e in g.iso_classes]
+            assert sorted(entries) == sorted(walk_twist_orbits(tower, rank, t))
+            for grp in groups.values():
+                keys = [e.key for e in grp.iso_classes]
+                assert keys == sorted(keys)
+            firsts = [grp.iso_classes[0].key for grp in groups.values()]
+            assert firsts == sorted(firsts)
+
+
+def test_corrupted_orbit_size_is_a_census_violation(monkeypatch):
+    f4 = get_tower("f4")
+    real = census._twist_orbits
+
+    def corrupted(tower, rank, t):
+        orbits = list(real(tower, rank, t))
+        key, size = orbits[0]
+        return [(key, size + 1)] + orbits[1:]
+
+    monkeypatch.setattr(census, "_twist_orbits", corrupted)
+    with pytest.raises(CensusViolation, match="do not add up"):
+        census_isomorphism_classes(f4, 2, f4.zero)
+
+
+def test_census_rank_is_checked_before_any_work(monkeypatch):
+    f16 = get_tower("f16")
+    calls = []
+    monkeypatch.setattr(census, "_twist_orbits", lambda *a: calls.append(a) or [])
+    monkeypatch.setattr(census, "minimal_poly_over_fq", lambda t: calls.append(t))
+    with pytest.raises(TooLarge):
+        census_isomorphism_classes(f16, 99, f16.zero)
+    with pytest.raises(ValueError):
+        census_isomorphism_classes(f16, 0, f16.zero)
+    assert calls == []
+
+
+@pytest.mark.parametrize("p,n", [(2, 13), (3, 9)])
+def test_rank1_partition_above_the_table_limit(p, n):
+    # one class of 8,191 over F_{2^13}, two of 9,841 over F_{3^9}: the
+    # norm fibres, with no discrete-log tables in the tower
+    from drinfeld import FieldTower, first_irreducible
+    from drinfeld.fields import _LOG_TABLE_LIMIT, _log_tables, base_field
+
+    fq = base_field(p, 1, (0, 1))
+    tower = FieldTower(p, 1, [0, 1], n, first_irreducible(fq, n).coeffs)
+    assert tower.q**n > _LOG_TABLE_LIMIT and tower._tables is None
+    t = tower.gen()
+    groups = census_isomorphism_classes(tower, 1, t)
+    classes = sorted((e.key, e.size) for g in groups.values() for e in g.iso_classes)
+    units = p**n - 1
+    assert len(classes) == _burnside_class_count(tower, 1) == p - 1
+    assert all(size == units // (p - 1) for _, size in classes)
+    # brute scan: gamma^i has norm gamma^(i (q^n - 1)/(q - 1)), so its
+    # fibre is i mod (q - 1); the first element met of each fibre is its key
+    log = _log_tables(tower.fq, tower.g).log
+    firsts = {}
+    for c in tower.elements():
+        if c:
+            firsts.setdefault(log[c.coeffs] % (p - 1), c.coeffs)
+    assert classes == sorted(((t.coeffs, g), units // (p - 1)) for g in firsts.values())
+    assert tower._tables is None
 
 
 def _burnside_class_count(tower, rank):

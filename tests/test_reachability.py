@@ -41,6 +41,8 @@ E2_MODULE = {
 CENSUSES = {
     "f4r2": {"field": {"p": 2, "e": 1, "h": [0, 1], "n": 2, "g": [1, 1, 1]}, "rank": 2},
     "f3r3": {"field": {"p": 3, "e": 1, "h": [0, 1], "n": 1, "g": [1, 1]}, "rank": 3},
+    # rank 1 partitions by norm fibres, not by the log tables
+    "f9r1": {"field": {"p": 3, "e": 1, "h": [0, 1], "n": 2, "g": [2, 1, 1]}, "rank": 1},
 }
 
 # "module.qualname" -> why it stays although the mix does not reach it
@@ -50,6 +52,7 @@ ALLOWED = {
     "action.transport_ideal": "the ideal action beyond the ordinary/prime-field corollary will call it",
     "skew.rgcd_bezout": "public API: right Bezout coefficients of rgcd, tested as an acceptance criterion",
     "census.enumerate_modules": "public API: the modules a census enumerates, tested as an acceptance criterion",
+    "census._candidate_vectors": "enumerate_modules lists the candidates with it; the tests' candidate-walk oracle reads it",
     "apoly.APoly.inverse_mod": "the polynomial path of k above 2^12 elements, which the mix does not enter",
     "skew.SkewPoly.zero": "rgcd_bezout starts its cofactors from it",
     "lattices.ALattice.scale": "FracIdeal.scale rescales its lattice with it",
