@@ -76,13 +76,21 @@ MAX_NORM_DEG = 6
 
 
 def characteristic_roots(tower: FieldTower) -> list[tuple[APoly, KElem]]:
-    """One canonical root per characteristic prime available in k,
-    sorted by (degree, prime text)."""
+    """One canonical root per characteristic prime available in k, the
+    first of its roots in the order of `FieldTower.elements`, sorted by
+    (degree, prime text). The roots of a prime are one Frobenius orbit,
+    so each minimal polynomial is computed once per orbit: the conjugates
+    a^(q^j) of an element already taken are skipped."""
     seen: dict[APoly, KElem] = {}
+    covered: set[tuple] = set()
     for a in tower.elements():
+        if a.coeffs in covered:
+            continue
         p = minimal_poly_over_fq(a)
-        if p not in seen:
-            seen[p] = a
+        seen[p] = a
+        for _ in range(p.degree - 1):
+            a = a.frobq(1)
+            covered.add(a.coeffs)
     return sorted(seen.items(), key=lambda kv: (kv[0].degree, kv[0].text()))
 
 

@@ -3,9 +3,10 @@
 Vectors hold canonical integer encodings of F_q scalars (see fields.Fq).
 A system is given by sparse rows: a row is a pair (lead, vals) whose
 entry in column lead + i is vals[i], and which is zero outside those
-columns. The systems of k{tau} are banded this way (the commutator
-system of the centralizer, the columns phi_{T^j} tau^(n i) of m(x)),
-so a row stays a short list however many columns there are.
+columns. The systems of k{tau} are banded this way (the Hom system
+u phi_T = psi_T u of the centralizer and of isomorphisms, the columns
+phi_{T^j} tau^(n i) of m(x)), so a row stays a short list however many
+columns there are.
 
 Each kernel runs one forward elimination and one back-substitution.
 Forward elimination takes the rows one at a time and reduces each

@@ -6,7 +6,9 @@ polynomial of t over F_q is the characteristic prime, of degree d
 dividing n. The height is read off the tau-valuation of the image of
 that prime, which is the procedure the worked examples follow.
 phi_a is the F_q-combination sum_j a_j phi_{T^j} of the cached powers of
-phi_T (`skew.fq_combination`), read lazily for the height.
+phi_T (`skew.fq_combination`), read lazily for the height. An isomorphism
+c with c phi_T = psi_T c is one F_q solve of the degree-0 Hom system
+(`skew.hom_system`).
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from functools import cached_property
 from .apoly import APoly, minimal_poly_over_fq
 from .errors import ContextError, InternalError
 from .fields import FieldTower, KElem
-from .skew import SkewPoly, fq_combination
+from .linalg import echelon
+from .skew import SkewPoly, fq_combination, hom_system
 
 
 class DrinfeldModule:
@@ -124,17 +127,29 @@ def is_isogeny(u: SkewPoly, phi: DrinfeldModule, psi: DrinfeldModule) -> bool:
 
 
 def find_isomorphism(phi: DrinfeldModule, psi: DrinfeldModule) -> KElem | None:
-    """Search k^x exhaustively for c with c phi_T c^{-1} = psi_T."""
+    """The first c of k^x, in the order of `FieldTower.elements`, with
+    c phi_T c^{-1} = psi_T, or None.
+
+    Such c and 0 are the kernel of `hom_system(phi_T, psi_T, 0)`, an F_q
+    space in the n coordinates of c, solved by one `echelon` with the
+    columns in reverse coordinate order. The last nonzero column of a
+    kernel element is then free, so the null vector of the least free
+    column, which is 1 there, is the lexicographically first nonzero
+    solution. It is checked with `is_isogeny` before it is returned.
+    """
     if phi.tower != psi.tower:
         raise ContextError("isomorphism test across different towers")
     if phi.rank != psi.rank:
         return None
-    for c in phi.tower.elements():
-        if not c:
-            continue
-        if is_isogeny(SkewPoly.constant(c), phi, psi):
-            return c
-    return None
+    tower = phi.tower
+    rows = [(0, vals[::-1]) for _, vals in hom_system(phi.phi_t, psi.phi_t, 0)]
+    free, null_vector = echelon(tower.fq, rows, tower.n)
+    if not free:
+        return None
+    c = tower.elem(null_vector(free[0])[::-1])
+    if not is_isogeny(SkewPoly(tower, (c,)), phi, psi):
+        raise InternalError("isomorphism solve does not conjugate phi_T to psi_T")
+    return c
 
 
 def same_isogeny_class(phi: DrinfeldModule, psi: DrinfeldModule) -> bool:

@@ -38,7 +38,7 @@ from .extfield import ExtensionField
 from .lattices import ALattice
 from .linalg import echelon, nullspace
 from .modules import DrinfeldModule, is_isogeny
-from .skew import SkewPoly, coefficient_rows, commutator_system
+from .skew import SkewPoly, coefficient_rows, hom_system
 
 
 def centralizer_basis(module: DrinfeldModule, s: int):
@@ -47,11 +47,12 @@ def centralizer_basis(module: DrinfeldModule, s: int):
     A-multiples of degree at most the cap n*s, and the reader coords(u)
     of the A-coordinates in it of any u in V, a list of s APoly.
 
-    One elimination of the commutator system (`echelon`) gives the free
-    columns of V, the centralizer below the cap; an element of V is fixed
-    by its values there. W, the span of the A-multiples of the basis so
-    far, is echelonized on those values by their tops (highest nonzero
-    free coordinate), each row carrying its combination of A-multiples.
+    One elimination of the system of u -> u phi_T - phi_T u
+    (`hom_system(phi_T, phi_T, cap)`, `echelon`) gives the free columns
+    of V, the centralizer below the cap; an element of V is fixed by its
+    values there. W, the span of the A-multiples of the basis so far, is
+    echelonized on those values by their tops (highest nonzero free
+    coordinate), each row carrying its combination of A-multiples.
     The null vector of free column f joins the basis, unchanged, exactly
     when f, taken in increasing order, is not a top of W (README, "End in
     one elimination"), so only the joining ones are built. The ledger
@@ -64,7 +65,7 @@ def centralizer_basis(module: DrinfeldModule, s: int):
     add, mul, neg = fq._add, fq._mul, fq._neg
     n, r = module.n, module.rank
     cap = n * s
-    free, null_vector = echelon(fq, commutator_system(module.phi_t, cap), (cap + 1) * n)
+    free, null_vector = echelon(fq, hom_system(module.phi_t, module.phi_t, cap), (cap + 1) * n)
     nf = len(free)
     at = [divmod(f, n) for f in free]  # (degree, coordinate) of each free column
     rows: dict[int, list] = {}  # top -> sparse row (index, value), 1 at top

@@ -7,12 +7,17 @@ isogenies u_I are produced. The right gcd returned here is normalized to
 have leading coefficient one; ideal generators are only defined up to a
 left unit, and fixing the monic representative makes results reproducible.
 
+Hom(phi, psi), the u with u phi_T = psi_T u, is F_q-linear in the
+tau-coefficients of u: `hom_system(phi_T, psi_T, cap)` is its matrix on u
+of degree at most cap. With psi = phi its kernel is the centralizer
+(End, `orders.centralizer_basis`); at cap 0 it is the constants c with
+c phi_T = psi_T c, the isomorphisms (`modules.find_isomorphism`).
+
 Where k has discrete-log tables (`FieldTower._tables`), products, right
-division and the commutator system run on logarithms: each operand is
-converted once, a term a_i * b_j^(q^i) is (log a_i + log b_j * q^i) mod
-(q^n - 1), and sums go through the Zech table. Zero coefficients are None
-there. Larger towers multiply and divide KElem by KElem, with the same
-results.
+division and the Hom system run on logarithms: each operand is converted
+once, a term a_i * b_j^(q^i) is (log a_i + log b_j * q^i) mod (q^n - 1),
+and sums go through the Zech table. Zero coefficients are None there.
+Larger towers multiply and divide KElem by KElem, with the same results.
 
 F_q-linear combinations sum v * S (phi_a, skew realizations, m(pi)) read
 the F_q tables on coefficient coordinates instead (`fq_combination`).
@@ -48,10 +53,6 @@ class SkewPoly:
     def tau_power(tower: FieldTower, j: int, coeff: KElem | None = None) -> SkewPoly:
         c = coeff if coeff is not None else tower.one
         return SkewPoly(tower, (tower.zero,) * j + (c,))
-
-    @staticmethod
-    def constant(c: KElem) -> SkewPoly:
-        return SkewPoly(c.tower, (c,))
 
     @property
     def degree(self) -> int:
@@ -286,21 +287,28 @@ def _rdivmod_logs(tab: _LogTables, n: int, rem: list, lb: list) -> tuple[list, l
     return quo, rem
 
 
-def commutator_system(f: SkewPoly, cap: int) -> list[tuple[int, list[int]]]:
-    """The F_q-matrix of u -> u f - f u on skew polynomials u of degree at
+def hom_system(f: SkewPoly, g: SkewPoly, cap: int) -> list[tuple[int, list[int]]]:
+    """The F_q-matrix of u -> u f - g u on skew polynomials u of degree at
     most cap, as sparse rows (lead, vals) in the row format of `linalg`: entry
     (d*n + m, i*n + comp) is coordinate m of the coefficient of tau^d in
-    the image of c tau^i, c = x^comp.
+    the image of c tau^i, c = x^comp. Its kernel is the u with u f = g u:
+    for f = g = phi_T the centralizer of phi_T, and for f = phi_T,
+    g = psi_T the isogenies phi -> psi of degree at most cap (constants
+    for cap = 0, the isomorphisms).
 
-    Column i*n + comp is read off coefficients: with f = sum g_j tau^j, the
-    coefficient of tau^(i+j) in c tau^i f - f c tau^i is
-    c g_j^(q^i) - g_j c^(q^j). So the rows of degree d span the columns
-    i*n + comp with d - deg f <= i <= min(d, cap).
+    Column i*n + comp is read off coefficients: with f = sum f_j tau^j and
+    g = sum g_j tau^j, the coefficient of tau^(i+j) in c tau^i f - g c tau^i
+    is c f_j^(q^i) - g_j c^(q^j). So, with r the larger degree of f and g,
+    the rows of degree d span the columns i*n + comp with
+    d - r <= i <= min(d, cap).
     """
+    f._check(g)
     tower = f.tower
     n = tower.n
-    g = f.coeffs
-    r = len(g) - 1
+    fs, gs = f.coeffs, g.coeffs
+    r = max(len(fs), len(gs)) - 1
+    fs += (tower.zero,) * (r + 1 - len(fs))
+    gs += (tower.zero,) * (r + 1 - len(gs))
     # block[d][(i - lo_d)*n + comp]: the coefficient of tau^d in the image
     # of x^comp tau^i, for lo_d = max(0, d - r)
     zero = tower.zero.coeffs
@@ -310,42 +318,58 @@ def commutator_system(f: SkewPoly, cap: int) -> list[tuple[int, list[int]]]:
     # i + j, and i - lo_(i+j) = min(i, r - j); its second term,
     # g_j c^(q^j), does not depend on i
     if tab is None:
+        # KElem arithmetic takes a zero f_j or g_j as it is
         monomials = [tower.elem([0] * comp + [1]) for comp in range(n)]
         terms = [
-            (j, gj, r - j, [(c, gj * c.frobq(j)) for c in monomials])
-            for j, gj in enumerate(g)
-            if gj
+            (j, fj, r - j, [(c, gj * c.frobq(j)) for c in monomials])
+            for j, (fj, gj) in enumerate(zip(fs, gs))
+            if fj or gj
         ]
         for i in range(cap + 1):
-            for j, gj, rj, cols in terms:
-                gj_frob = gj.frobq(i)
+            for j, fj, rj, cols in terms:
+                fj_frob = fj.frobq(i)
                 block = blocks[i + j]
                 k = (i if i < rj else rj) * n
                 for c, second in cols:
-                    block[k] = (c * gj_frob - second).coeffs
+                    block[k] = (c * fj_frob - second).coeffs
                     k += 1
     else:
         order, zech, qpow, exp = tab.order, tab.zech, tab.qpow, tab.exp
-        # logs of the monomials c = x^comp; below, a = log(c g_j^(q^i)) and
-        # b = log(-g_j c^(q^j))
+        # logs of the monomials c = x^comp; below, a = log(c f_j^(q^i)) and
+        # b = log(-g_j c^(q^j)). Terms with f_j and g_j both nonzero sum
+        # the two; a term with one of them zero takes it alone (`lone_f`,
+        # and `lone_g`, whose n entries are the same for every i)
         lx = [tab.log[(0,) * comp + (1,) + (0,) * (n - 1 - comp)] for comp in range(n)]
-        terms = [
-            (j, y, r - j, [(lc, (lc * qpow[j % n] + y + tab.neg) % order) for lc in lx])
-            for j, y in enumerate(_logs(tab, g))
-            if y is not None
-        ]
+        both, lone_f, lone_g = [], [], []
+        for j, (x, y) in enumerate(zip(_logs(tab, fs), _logs(tab, gs))):
+            if y is None:
+                if x is not None:
+                    lone_f.append((j, x, r - j))
+                continue
+            bs = [(lc * qpow[j % n] + y + tab.neg) % order for lc in lx]
+            if x is not None:
+                both.append((j, x, r - j, list(zip(lx, bs))))
+            else:
+                lone_g.append((j, r - j, [exp[b] for b in bs]))
         for i in range(cap + 1):
             qi = qpow[i % n]
-            for j, y, rj, cols in terms:
-                yqi = y * qi
+            for j, x, rj, cols in both:
+                xqi = x * qi
                 block = blocks[i + j]
                 k = (i if i < rj else rj) * n
                 for lc, b in cols:
-                    a = (lc + yqi) % order
+                    a = (lc + xqi) % order
                     s = zech[b - a]
                     if s is not None:
                         block[k] = exp[(a + s) % order]
                     k += 1
+            for j, x, rj in lone_f:
+                xqi = x * qi
+                k = (i if i < rj else rj) * n
+                blocks[i + j][k : k + n] = [exp[(lc + xqi) % order] for lc in lx]
+            for j, rj, entries in lone_g:
+                k = (i if i < rj else rj) * n
+                blocks[i + j][k : k + n] = entries
     rows = []
     for d, block in enumerate(blocks):
         lead = max(0, d - r) * n

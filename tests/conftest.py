@@ -16,6 +16,7 @@ from drinfeld import (
     act,
     first_irreducible,
     ideals_of_norm_degree,
+    is_isogeny,
 )
 from drinfeld.apoly import mat_det, mat_identity, mat_solve, poly_gcd
 
@@ -86,6 +87,13 @@ def rank3_example(f16):
 
 def rand_kelem(rng: random.Random, tower: FieldTower):
     return tower.elem([rng.randrange(tower.q) for _ in range(tower.n)])
+
+
+def rand_unit(rng: random.Random, tower: FieldTower):
+    while True:
+        c = rand_kelem(rng, tower)
+        if c:
+            return c
 
 
 def rand_skew(rng: random.Random, tower: FieldTower, maxdeg: int) -> SkewPoly:
@@ -265,18 +273,19 @@ def ref_coords_in_skew_basis(
 def ref_end_ring(phi: DrinfeldModule):
     """(skew basis, basis matrix) of End(phi) by the full-vector greedy the
     End build used before it read its basis off the free columns of one
-    elimination: every null vector of the commutator system is reduced in
-    a `TrailingEchelon` over all (cap + 1) * n coordinates, and the
-    coordinates of pi^i are solved by `ref_coords_in_skew_basis`."""
+    elimination: every null vector of the system of u -> u phi_T - phi_T u
+    (`hom_system(phi_T, phi_T, cap)`) is reduced in a `TrailingEchelon`
+    over all (cap + 1) * n coordinates, and the coordinates of pi^i are
+    solved by `ref_coords_in_skew_basis`."""
     from drinfeld.linalg import nullspace
-    from drinfeld.skew import commutator_system
+    from drinfeld.skew import hom_system
 
     tower, fq = phi.tower, phi.tower.fq
     n, r, s = phi.n, phi.rank, phi.profile().s
     assert s == r, "End is not commutative"
     cap = n * s
     ncols = (cap + 1) * n
-    sols = nullspace(fq, commutator_system(phi.phi_t, cap), ncols)
+    sols = nullspace(fq, hom_system(phi.phi_t, phi.phi_t, cap), ncols)
     basis = [SkewPoly.one(tower)]
     span = TrailingEchelon(fq, ncols)
     for j in range(cap // r + 1):
@@ -365,9 +374,10 @@ def dense_rows(rows, ncols: int) -> list[list[int]]:
     return out
 
 
-def assert_commutator_band(rows, n: int, r: int, cap: int) -> None:
-    """Each row of `skew.commutator_system` spans exactly the columns of its
-    band: degree d touches the unknowns of degrees max(0, d - r)..min(d, cap)."""
+def assert_hom_band(rows, n: int, r: int, cap: int) -> None:
+    """Each row of `skew.hom_system` spans exactly the columns of its band:
+    degree d touches the unknowns of degrees max(0, d - r)..min(d, cap), for
+    r the larger degree of its two skew polynomials."""
     for idx, (lead, vals) in enumerate(rows):
         d = idx // n
         assert lead == max(0, d - r) * n
@@ -408,6 +418,46 @@ def twist(phi: DrinfeldModule, c) -> DrinfeldModule:
         coeffs.append(c * g * cinv.frobq(i) if g else g)
     # twisting fixes t, so the characteristic prime carries over
     return DrinfeldModule.with_char_prime(phi.tower, SkewPoly(phi.tower, coeffs), phi.char_prime)
+
+
+def search_isomorphism(phi: DrinfeldModule, psi: DrinfeldModule):
+    """The first c of k^x, in the order of `FieldTower.elements`, with
+    c phi_T = psi_T c, or None: the exhaustive search `find_isomorphism`
+    ran before it solved the Hom system of degree 0, one skew product
+    per element of k."""
+    if phi.rank != psi.rank:
+        return None
+    for c in phi.tower.elements():
+        if c and is_isogeny(SkewPoly(phi.tower, (c,)), phi, psi):
+            return c
+    return None
+
+
+HOM_PAIR_KINDS = ("twisted", "isogenous", "f_j zero", "g_j zero", "unrelated")
+
+
+def hom_pair(rng: random.Random, tower: FieldTower, kind: str, max_rank: int = 3):
+    """(f, g), two skew polynomials of positive degree for `hom_system`:
+    "twisted" g = c f c^{-1}; "isogenous" g = f with every coefficient
+    raised to the q, so that tau f = g tau; "f_j zero" and "g_j zero" two
+    polynomials of one degree with every coefficient nonzero but one,
+    zero on one side only; "unrelated" two random ones of random degrees,
+    so that the larger one has terms the other lacks."""
+    r = rng.randrange(1, max_rank + 1)
+    if kind == "unrelated":
+        return rand_module(rng, tower, max_rank).phi_t, rand_module(rng, tower, max_rank).phi_t
+    f = SkewPoly(tower, [rand_unit(rng, tower) for _ in range(r + 1)])
+    if kind == "twisted":
+        return f, twist(DrinfeldModule(tower, f), rand_unit(rng, tower)).phi_t
+    if kind == "isogenous":
+        return f, SkewPoly(tower, [c.frobq(1) for c in f.coeffs])
+    g = SkewPoly(tower, [rand_unit(rng, tower) for _ in range(r + 1)])
+    j = rng.randrange(r)
+
+    def zeroed(h: SkewPoly) -> SkewPoly:
+        return SkewPoly(tower, h.coeffs[:j] + (tower.zero,) + h.coeffs[j + 1 :])
+
+    return (zeroed(f), g) if kind == "f_j zero" else (f, zeroed(g))
 
 
 def walk_twist_orbits(tower: FieldTower, rank: int, t) -> list[tuple[tuple, int]]:

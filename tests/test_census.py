@@ -21,6 +21,7 @@ from drinfeld import (
     characteristic_roots,
     endomorphism_ring,
     enumerate_modules,
+    minimal_poly_over_fq,
     same_isogeny_class,
     twist_orbit_key,
     validate_ideal_class_action,
@@ -37,6 +38,7 @@ from drinfeld.serialize import (
 )
 
 from conftest import (
+    _SPECS,
     get_tower,
     integral_ideals,
     rand_kelem,
@@ -53,6 +55,19 @@ def test_characteristic_roots_cover_divisor_degrees():
     assert [p.degree for p, _ in roots] == [1, 1, 2]
     for p, t in roots:
         assert not p.eval_in_k(t)
+
+
+@pytest.mark.parametrize("name", sorted(_SPECS) + ["f8192"])
+def test_characteristic_roots_match_the_every_element_scan(name):
+    """One minimal polynomial per Frobenius orbit keeps the roots of the
+    scan that computes one per element of k: the first root of each
+    prime in the order of `FieldTower.elements`."""
+    tower = tower_above_table_limit() if name == "f8192" else get_tower(name)
+    seen = {}
+    for a in tower.elements():
+        seen.setdefault(minimal_poly_over_fq(a), a)
+    want = sorted(seen.items(), key=lambda kv: (kv[0].degree, kv[0].text()))
+    assert characteristic_roots(tower) == want
 
 
 def test_prime_field_census_q2():

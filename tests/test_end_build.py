@@ -1,9 +1,9 @@
 """The End build against the full-vector greedy it replaced.
 
 `orders.build_endomorphism_ring` reads the basis off the free columns of
-one elimination of the commutator system and the coordinates of pi^i off
-the echelon of the A-multiples. `conftest.ref_end_ring` is the greedy
-before it: every null vector reduced in a `TrailingEchelon` over all
+one elimination of the commutator system (`hom_system(phi_T, phi_T, cap)`)
+and the coordinates of pi^i off the echelon of the A-multiples.
+`conftest.ref_end_ring` is the greedy before it: every null vector reduced in a `TrailingEchelon` over all
 coordinates, and `ref_coords_in_skew_basis` for pi^i. The skew basis and
 the basis matrix must be identical, on random modules of rank 2-4 over every
 test tower (F_16 over F_4 and F_{2^13}, without log tables, included) and

@@ -7,9 +7,10 @@ back-substitutes; the reduced row echelon form is unique, so it must
 return exactly what dense Gauss-Jordan elimination (`conftest.gauss_jordan`,
 the solver it replaced) returns: the same particular solution and the same
 null basis, on random systems (dense, banded, with zero rows,
-inconsistent, without rows) and on the commutator and m(x) systems of
-every test tower. Over F_2 `solve_linear` runs a second kernel on rows
-packed into ints (`_echelon_f2`); the answers read off it are checked
+inconsistent, without rows) and on the commutator systems
+(`hom_system(phi_T, phi_T, cap)`) and m(x) systems of every test tower.
+Over F_2 `solve_linear` runs a second kernel on rows packed into ints
+(`_echelon_f2`); the answers read off it are checked
 against those of the general kernel (`_echelon_fq`) and the dense oracle
 on random banded F_2 systems and on commutator systems over F_16 and
 F_256. Properties are checked too, with products recomputed
@@ -25,7 +26,7 @@ from drinfeld import Fq, invariants, linalg
 from drinfeld.invariants import minpoly_frobenius
 from drinfeld.linalg import _echelon_f2, _echelon_fq, nullspace, solve_linear
 from drinfeld.orders import centralizer_basis
-from drinfeld.skew import commutator_system
+from drinfeld.skew import hom_system
 
 from conftest import (
     _SPECS,
@@ -278,7 +279,7 @@ def test_kernel_matches_gauss_jordan_on_tower_systems(name, monkeypatch):
         minpoly_frobenius(module)
         assert len(seen) > before  # the m(x) system went through the spy
         cap = n * rng.randrange(1, module.rank + 1)
-        rows = commutator_system(module.phi_t, cap)
+        rows = hom_system(module.phi_t, module.phi_t, cap)
         ncols = (cap + 1) * n
         check_against_gauss_jordan(tower.fq, rows, [0] * len(rows), ncols)
         rhs = [rng.randrange(tower.q) for _ in rows]
@@ -300,7 +301,7 @@ def test_centralizer_solutions_are_reduced_trailing_echelon(name):
         s = module.profile().s
         cap = n * s
         ncols = (cap + 1) * n
-        sols = nullspace(tower.fq, commutator_system(module.phi_t, cap), ncols)
+        sols = nullspace(tower.fq, hom_system(module.phi_t, module.phi_t, cap), ncols)
         pivots = [max(i for i, v in enumerate(vec) if v) for vec in sols]
         assert pivots == sorted(set(pivots))
         for vec in sols:
@@ -371,7 +372,7 @@ def test_packed_f2_kernel_matches_general_kernel_on_commutator_systems(name):
     for _ in range(4):
         module = rand_module(rng, tower, max_rank=3)
         cap = n * module.rank
-        rows = commutator_system(module.phi_t, cap)
+        rows = hom_system(module.phi_t, module.phi_t, cap)
         ncols = (cap + 1) * n
         for rhs in ([0] * len(rows), [rng.randrange(2) for _ in rows]):
             packed = _solved(_echelon_f2(rows, rhs, ncols), ncols)
@@ -453,7 +454,7 @@ def test_null_vectors_on_demand_on_commutator_systems():
         for _ in range(3):
             module = rand_module(rng, tower, max_rank=3)
             ncols = (tower.n * module.rank + 1) * tower.n
-            rows = commutator_system(module.phi_t, tower.n * module.rank)
+            rows = hom_system(module.phi_t, module.phi_t, tower.n * module.rank)
             free, null_vector = linalg.echelon(tower.fq, rows, ncols)
             assert [null_vector(f) for f in free] == nullspace(tower.fq, rows, ncols)
 

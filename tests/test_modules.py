@@ -1,4 +1,6 @@
+import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -7,13 +9,26 @@ from drinfeld import (
     ContextError,
     DrinfeldModule,
     SkewPoly,
+    census_isomorphism_classes,
+    characteristic_roots,
     find_isomorphism,
     is_isogeny,
     roots_in_k,
     same_isogeny_class,
 )
+from drinfeld.linalg import echelon
+from drinfeld.skew import hom_system
 
-from conftest import get_tower, rand_kelem, rand_module, twist
+from conftest import (
+    _SPECS,
+    get_tower,
+    rand_kelem,
+    rand_module,
+    rand_unit,
+    search_isomorphism,
+    tower_above_table_limit,
+    twist,
+)
 
 
 def test_eval_at_T_is_phi_T(rank3_example):
@@ -101,7 +116,7 @@ def test_conjugation_coefficient_law():
         psi = twist(phi, c)
         for i in range(phi.rank + 1):
             assert psi.phi_t[i] == c ** (1 - tower.q**i) * phi.phi_t[i]
-        assert is_isogeny(SkewPoly.constant(c), phi, psi)
+        assert is_isogeny(SkewPoly(tower, (c,)), phi, psi)
 
 
 def test_twist_carries_the_characteristic_prime():
@@ -157,6 +172,99 @@ def test_isomorphism_rejects_outside_twist_orbit():
     if inside is not None:
         psi2 = DrinfeldModule(tower, SkewPoly.tau_power(tower, 2, inside))
         assert find_isomorphism(phi, psi2) is not None
+
+
+def wide_automorphism_module(rng: random.Random, tower) -> DrinfeldModule:
+    """A module with terms of phi_T only at multiples of e, the least
+    divisor e > 1 of n: c phi_T c^{-1} = phi_T for every c of F_(q^e), so
+    Aut(phi) is larger than F_q^x."""
+    e = next(d for d in range(2, tower.n + 1) if tower.n % d == 0)
+    r = e * rng.randrange(1, 3)
+    coeffs = [rand_kelem(rng, tower)] + [tower.zero] * (r - 1) + [rand_unit(rng, tower)]
+    for j in range(e, r, e):
+        coeffs[j] = rand_kelem(rng, tower)
+    phi = DrinfeldModule(tower, SkewPoly(tower, coeffs))
+    autos = [c for c in tower.elements() if c and is_isogeny(SkewPoly(tower, (c,)), phi, phi)]
+    assert len(autos) >= tower.q**e - 1
+    return phi
+
+
+@pytest.mark.parametrize("name", sorted(_SPECS))
+def test_find_isomorphism_matches_the_search(name):
+    """The solve of the degree-0 Hom system returns the c the exhaustive
+    search returns (`conftest.search_isomorphism`): the first in the order
+    of `FieldTower.elements`, also when many c conjugate phi to psi."""
+    tower = get_tower(name)
+    rng = random.Random(f"isomorphism-{name}")
+    phis = [rand_module(rng, tower, max_rank=3) for _ in range(6)]
+    if tower.n > 1:
+        phis += [wide_automorphism_module(rng, tower) for _ in range(4)]
+    pairs = []
+    for phi in phis:
+        # another module of the same rank and constant term
+        mid = [rand_kelem(rng, tower) for _ in range(phi.rank - 1)]
+        other = SkewPoly(tower, [phi.t] + mid + [rand_unit(rng, tower)])
+        pairs += [
+            (phi, phi),
+            (phi, twist(phi, rand_unit(rng, tower))),
+            (phi, DrinfeldModule(tower, other)),
+            (phi, rand_module(rng, tower, max_rank=3)),
+        ]
+    found = 0
+    for phi, psi in pairs:
+        c = find_isomorphism(phi, psi)
+        assert c == search_isomorphism(phi, psi)
+        if c is not None:
+            assert twist(phi, c).phi_t == psi.phi_t
+            found += 1
+    assert found >= 2 * len(phis)
+
+
+def test_find_isomorphism_above_the_table_limit():
+    tower = tower_above_table_limit()
+    rng = random.Random("isomorphism-above")
+    coeffs = [rand_kelem(rng, tower), rand_kelem(rng, tower), tower.one]
+    phi = DrinfeldModule(tower, SkewPoly(tower, coeffs))
+    psi = twist(phi, rand_unit(rng, tower))
+    c = find_isomorphism(phi, psi)
+    assert c is not None and c == search_isomorphism(phi, psi)
+
+
+def minimal_isogeny(phi: DrinfeldModule, psi: DrinfeldModule) -> SkewPoly:
+    """A nonzero u of least tau-degree D with u phi_T = psi_T u: the null
+    vector of the least free column of `hom_system(phi_T, psi_T, D)`, for
+    the least D whose system has one."""
+    tower = phi.tower
+    n = tower.n
+    for cap in itertools.count():
+        free, null_vector = echelon(tower.fq, hom_system(phi.phi_t, psi.phi_t, cap), (cap + 1) * n)
+        if free:
+            v = null_vector(free[0])
+            u = SkewPoly(tower, [tower.elem(v[d * n : d * n + n]) for d in range(cap + 1)])
+            assert u.degree == cap
+            return u
+
+
+@pytest.mark.parametrize(
+    ("name", "rank", "degrees"),
+    [("f9", 2, {1: 54}), ("f8", 3, {1: 200, 2: 228, 3: 104})],
+    ids=["f9-rank2", "f8-rank3"],
+)
+def test_minimal_isogeny_between_every_pair_of_census_members(name, rank, degrees):
+    """Every two members of an isogeny class of the F_9 rank-2 and F_8
+    rank-3 censuses (every root) are joined by an isogeny read off the Hom
+    system at the least degree that has one; the counts are the degrees
+    of the pairs."""
+    tower = get_tower(name)
+    found = Counter()
+    for _, t in characteristic_roots(tower):
+        for grp in census_isomorphism_classes(tower, rank, t).values():
+            members = [entry.rep for entry in grp.iso_classes]
+            for phi, psi in itertools.combinations(members, 2):
+                u = minimal_isogeny(phi, psi)
+                assert is_isogeny(u, phi, psi)
+                found[u.degree] += 1
+    assert found == degrees
 
 
 def test_same_isogeny_class():

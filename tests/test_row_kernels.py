@@ -1,11 +1,12 @@
 """The row kernels of the F_q scalar layer against the per-scalar `Fq` API
 and against skew products.
 
-`KElem` sums read the base field's tables a row at a time, and the
-centralizer system is read off the coefficients of phi_T instead of being
-built from skew products; both are checked against the plain definitions,
-the columns against products summed term by term (`ref_skew_mul`), not
-against the logarithm kernel that `SkewPoly` and the columns share.
+`KElem` sums read the base field's tables a row at a time, and the Hom
+system of u -> u f - g u (the centralizer's for f = g = phi_T) is read off
+the coefficients of f and g instead of being built from skew products;
+both are checked against the plain definitions, the columns against
+products summed term by term (`ref_skew_mul`), not against the logarithm
+kernel that `SkewPoly` and the columns share.
 """
 
 import random
@@ -14,13 +15,15 @@ import pytest
 
 from drinfeld import SkewPoly
 from drinfeld.orders import centralizer_basis
-from drinfeld.skew import commutator_system
+from drinfeld.skew import hom_system
 
 from conftest import (
+    HOM_PAIR_KINDS,
     _flatten_skew,
-    assert_commutator_band,
+    assert_hom_band,
     dense_rows,
     get_tower,
+    hom_pair,
     rand_kelem,
     rand_module,
     rand_skew,
@@ -56,34 +59,41 @@ def test_skew_difference_is_sum_with_negation(name):
         assert not f - f
 
 
+def check_hom_columns_against_products(f: SkewPoly, g: SkewPoly, cap: int) -> None:
+    tower = f.tower
+    rows = hom_system(f, g, cap)
+    height = cap + max(f.degree, g.degree)
+    n = tower.n
+    assert len(rows) == (height + 1) * n
+    assert_hom_band(rows, n, max(f.degree, g.degree), cap)
+    cols = [list(col) for col in zip(*dense_rows(rows, (cap + 1) * n))]
+    assert len(cols) == (cap + 1) * n
+    for i in range(cap + 1):
+        # every unit c of k, by F_q-linearity in c from the columns of
+        # the basis elements x^comp
+        for c in tower.elements():
+            if not c:
+                continue
+            u = SkewPoly.tau_power(tower, i, c)
+            want = _flatten_skew(ref_skew_mul(u, f) - ref_skew_mul(g, u), height)
+            got = [0] * len(want)
+            for comp, a in enumerate(c.coeffs):
+                col = cols[i * n + comp]
+                got = [tower.fq.add(x, tower.fq.mul(a, y)) for x, y in zip(got, col)]
+            assert got == want
+
+
 @pytest.mark.parametrize("name", ["f16", "f9", "f16e2"])
 def test_commutator_columns_match_skew_products(name):
     tower = get_tower(name)
     rng = random.Random(f"commutator-{name}")
     for _ in range(6):
-        module = rand_module(rng, tower, max_rank=3)
-        cap = module.n * rng.randrange(1, 4)
-        rows = commutator_system(module.phi_t, cap)
-        height = cap + module.rank
-        n = tower.n
-        assert len(rows) == (height + 1) * n
-        assert_commutator_band(rows, n, module.rank, cap)
-        cols = [list(col) for col in zip(*dense_rows(rows, (cap + 1) * n))]
-        assert len(cols) == (cap + 1) * n
-        phi = module.phi_t
-        for i in range(cap + 1):
-            # every unit c of k, by F_q-linearity in c from the columns of
-            # the basis elements x^comp
-            for c in tower.elements():
-                if not c:
-                    continue
-                u = SkewPoly.tau_power(tower, i, c)
-                want = _flatten_skew(ref_skew_mul(u, phi) - ref_skew_mul(phi, u), height)
-                got = [0] * len(want)
-                for comp, a in enumerate(c.coeffs):
-                    col = cols[i * n + comp]
-                    got = [tower.fq.add(x, tower.fq.mul(a, y)) for x, y in zip(got, col)]
-                assert got == want
+        phi = rand_module(rng, tower, max_rank=3).phi_t
+        check_hom_columns_against_products(phi, phi, tower.n * rng.randrange(1, 4))
+    # g as one more input: one pair of each kind
+    for kind in HOM_PAIR_KINDS:
+        f, g = hom_pair(rng, tower, kind, max_rank=3)
+        check_hom_columns_against_products(f, g, tower.n * rng.randrange(1, 3))
 
 
 def test_centralizer_basis_commutes_with_phi_t():

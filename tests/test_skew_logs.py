@@ -1,29 +1,33 @@
 """The logarithm kernels of k{tau} against the defining sums.
 
 On towers with discrete-log tables, `SkewPoly` products, right division
-and the commutator columns run on logarithms, with sums through the Zech
-table. Here they are checked against the same quantities computed by plain
+and the Hom columns run on logarithms, with sums through the Zech table.
+Here they are checked against the same quantities computed by plain
 `KElem` operations: products and Frobenius per term, coordinate-wise sums
 (`ref_skew_mul`). Forced cancellations (f*g - g*f, f - f, divisions with
 zero remainder) exercise the case 1 + gamma^z = 0 of the Zech table. The
-commutator system comes as sparse rows: each row's band is checked, then
-every entry of the matrix written out densely.
+Hom system of u -> u f - g u comes as sparse rows: each row's band is
+checked, then every entry of the matrix written out densely, for g = f
+(the commutator of the centralizer) and for the pairs of `hom_pair`.
 """
 
 import random
 
 import pytest
 
-from drinfeld import SkewPoly
+from drinfeld import FieldTower, SkewPoly, first_irreducible
+from drinfeld.fields import base_field
 from drinfeld.serialize import field_from_json, field_to_json
-from drinfeld.skew import commutator_system
+from drinfeld.skew import hom_system
 
 from conftest import (
     _SPECS,
+    HOM_PAIR_KINDS,
     _flatten_skew,
-    assert_commutator_band,
+    assert_hom_band,
     dense_rows,
     get_tower,
+    hom_pair,
     rand_kelem,
     rand_module,
     rand_nonzero_skew,
@@ -35,11 +39,30 @@ from conftest import (
 TABLE_TOWERS = sorted(_SPECS)
 
 
-def ref_commutator_entry(phi: SkewPoly, c, i: int, j: int):
-    """c g_j^(q^i) - g_j c^(q^j): the coefficient of tau^(i+j) in
-    c tau^i phi - phi c tau^i from the j-th term of phi."""
-    gj = phi[j]
-    return c * gj.frobq(i) - gj * c.frobq(j)
+def ref_hom_entry(f: SkewPoly, g: SkewPoly, c, i: int, j: int):
+    """c f_j^(q^i) - g_j c^(q^j): the coefficient of tau^(i+j) in
+    c tau^i f - g c tau^i from the j-th terms of f and g."""
+    return c * f[j].frobq(i) - g[j] * c.frobq(j)
+
+
+def check_hom_columns(f: SkewPoly, g: SkewPoly, cap: int) -> None:
+    """Every entry of `hom_system(f, g, cap)` against `ref_hom_entry`."""
+    tower = f.tower
+    n = tower.n
+    r = max(f.degree, g.degree)
+    rows = hom_system(f, g, cap)
+    assert len(rows) == (cap + r + 1) * n
+    assert_hom_band(rows, n, r, cap)
+    cols = list(zip(*dense_rows(rows, (cap + 1) * n)))
+    assert len(cols) == (cap + 1) * n
+    for i in range(cap + 1):
+        for comp in range(n):
+            c = tower.elem([0] * comp + [1])
+            want = [tower.zero] * (cap + r + 1)
+            for j in range(r + 1):
+                want[i + j] = want[i + j] + ref_hom_entry(f, g, c, i, j)
+            flat = _flatten_skew(SkewPoly(tower, want), cap + r)
+            assert list(cols[i * n + comp]) == flat
 
 
 def check_products_and_division(tower, rng, trials, maxdeg):
@@ -75,22 +98,12 @@ def test_commutator_columns_match_defining_entries(name):
     rng = random.Random(f"columns-{name}")
     n = tower.n
     for _ in range(4):
-        module = rand_module(rng, tower, max_rank=4)
-        phi = module.phi_t
-        cap = rng.randrange(0, 2 * n + 3)
-        rows = commutator_system(phi, cap)
-        assert len(rows) == (cap + module.rank + 1) * n
-        assert_commutator_band(rows, n, module.rank, cap)
-        cols = list(zip(*dense_rows(rows, (cap + 1) * n)))
-        assert len(cols) == (cap + 1) * n
-        for i in range(cap + 1):
-            for comp in range(n):
-                c = tower.elem([0] * comp + [1])
-                want = [tower.zero] * (cap + module.rank + 1)
-                for j in range(module.rank + 1):
-                    want[i + j] = want[i + j] + ref_commutator_entry(phi, c, i, j)
-                flat = _flatten_skew(SkewPoly(tower, want), cap + module.rank)
-                assert list(cols[i * n + comp]) == flat
+        phi = rand_module(rng, tower, max_rank=4).phi_t
+        check_hom_columns(phi, phi, rng.randrange(0, 2 * n + 3))
+    # g as one more input: one pair of each kind
+    for kind in HOM_PAIR_KINDS:
+        f, g = hom_pair(rng, tower, kind, max_rank=4)
+        check_hom_columns(f, g, rng.randrange(0, 2 * n + 3))
 
 
 def test_commutator_columns_above_the_table_limit():
@@ -98,9 +111,9 @@ def test_commutator_columns_above_the_table_limit():
     rng = random.Random("columns-above")
     phi = SkewPoly(tower, [rand_kelem(rng, tower) for _ in range(3)] + [tower.one])
     cap = 2
-    rows = commutator_system(phi, cap)
+    rows = hom_system(phi, phi, cap)
     assert len(rows) == (cap + 4) * tower.n
-    assert_commutator_band(rows, tower.n, 3, cap)
+    assert_hom_band(rows, tower.n, 3, cap)
     cols = list(zip(*dense_rows(rows, (cap + 1) * tower.n)))
     assert len(cols) == (cap + 1) * tower.n
     for i in range(cap + 1):
@@ -108,6 +121,21 @@ def test_commutator_columns_above_the_table_limit():
             u = SkewPoly.tau_power(tower, i, tower.elem([0] * comp + [1]))
             want = _flatten_skew(ref_skew_mul(u, phi) - ref_skew_mul(phi, u), cap + 3)
             assert list(cols[i * tower.n + comp]) == want
+    for kind in HOM_PAIR_KINDS:
+        f, g = hom_pair(rng, tower, kind, max_rank=3)
+        check_hom_columns(f, g, 1)
+
+
+def test_hom_columns_above_the_table_limit_in_odd_characteristic():
+    """F_{3^8}, past the table limit with -1 != 1, so the sign of the
+    g_j c^(q^j) that `hom_system` subtracts shows on the polynomial path."""
+    fq = base_field(3, 1, (0, 1))
+    tower = FieldTower(3, 1, [0, 1], 8, first_irreducible(fq, 8).coeffs)
+    assert tower._tables is None
+    rng = random.Random("columns-above-odd")
+    for kind in HOM_PAIR_KINDS:
+        f, g = hom_pair(rng, tower, kind, max_rank=2)
+        check_hom_columns(f, g, 1)
 
 
 @pytest.mark.parametrize("name", TABLE_TOWERS)
