@@ -231,12 +231,15 @@ def twist_orbit_key(module: DrinfeldModule) -> tuple:
 
 
 class IsoClass:
-    __slots__ = ("key", "rep", "size", "end_summary")
+    __slots__ = ("key", "rep", "size", "leader", "end_summary")
 
     def __init__(self, key: tuple, rep: DrinfeldModule, size: int = 0):
         self.key = key
         self.rep = rep
         self.size = size
+        # the least class of this class's sigma^d-orbit (`_frobenius_orbits`),
+        # whose profile and End summary it shares
+        self.leader = self
         # the summary of rep's End order, once `IsogenyClass.end` has read it
         self.end_summary: dict | None = None
 
@@ -257,11 +260,16 @@ class IsogenyClass:
         return end_index_bound(self.iso_classes[0].rep.profile().extension_field())
 
     def end(self, entry: IsoClass) -> dict:
-        """Endomorphism-ring record of a member's representative."""
+        """Endomorphism-ring record of a member's representative, read
+        once per sigma^d-orbit, for its leader: sigma^d maps End(leader)
+        onto End(member) and fixes pi, so the two have one pi-lattice."""
         if not self.profile_summary["commutative"]:
             return {"commutative": False}
         if entry.end_summary is None:
-            entry.end_summary = self._end_summary(entry.rep)
+            lead = entry.leader
+            if lead.end_summary is None:
+                lead.end_summary = self._end_summary(lead.rep)
+            entry.end_summary = lead.end_summary
         return entry.end_summary
 
     def _end_summary(self, rep: DrinfeldModule) -> dict:
@@ -283,13 +291,76 @@ class IsogenyClass:
         return known[1]
 
 
+def _frobenius_image_key(tab, steps: list[int], power: int, key: tuple) -> tuple:
+    """The key of the twist orbit of sigma^d(phi), for the class keyed by
+    `key`: sigma^d maps g_i = exp[e_i] to exp[e_i * power], with power =
+    q^d mod N, and fixes t (key[0]), which lies in F_(q^d)."""
+    logs = [None if not any(g) else tab.log[g] * power % tab.order for g in key[1:]]
+    return _orbit_key(tab, steps, key[0], logs)[0]
+
+
+def _frobenius_orbits(tower: FieldTower, rank: int, d: int, classes: list[IsoClass]) -> None:
+    """Set each class's `leader` to the least class of its orbit under
+    sigma^d, the q^d-power map of k, which fixes the root t of degree d
+    and maps the census of t onto itself, one twist orbit onto another.
+    `classes` are in key order. Raises CensusViolation when an image key
+    is not a key of the partition, or an orbit does not close within
+    n/d steps (sigma^n is the identity).
+
+    At rank 1 every class is its own orbit: sigma fixes each norm fibre.
+    So it is when d = n, where sigma^d is the identity."""
+    if rank == 1 or d == tower.n:
+        return
+    tab = _k_log_tables(tower)
+    steps = _twist_steps(tower, rank, tab.order)
+    power = tower.q**d % tab.order
+    by_key = {entry.key: entry for entry in classes}
+    for entry in classes:
+        if entry.leader is not entry:
+            continue
+        member = entry
+        for _ in range(tower.n // d):
+            member = by_key.get(_frobenius_image_key(tab, steps, power, member.key))
+            if member is None:
+                raise CensusViolation("a Frobenius image is not a class of the partition")
+            if member is entry:
+                break
+            member.leader = entry
+        else:
+            raise CensusViolation("a Frobenius orbit does not close")
+
+
+def _profile_summary(prof) -> dict:
+    """The isogeny-class fields of a Frobenius profile, as each class
+    record carries them."""
+    return {
+        "m": prof.min_poly_text(),
+        "m_tilde": prof.m_tilde_text(),
+        "s": prof.s,
+        "NK": prof.nk,
+        "H": prof.height,
+        "d": prof.d,
+        "n": prof.n,
+        "r": prof.r,
+        "ordinary": prof.is_ordinary,
+        "locally_maximal": prof.is_locally_maximal,
+        "commutative": prof.end_ring_commutative,
+    }
+
+
 def census_isomorphism_classes(
     tower: FieldTower, rank: int, t: KElem
 ) -> dict[str, IsogenyClass]:
     """Partition all census modules into isomorphism classes grouped by
     isogeny class, one twist orbit per class (`_twist_orbits`): nothing
     walks the q^(n*rank) candidates. Raises CensusViolation when the
-    orbit sizes do not add up to them."""
+    orbit sizes do not add up to them, or when sigma^d does not permute
+    the classes.
+
+    The Frobenius profile is built once per sigma^d-orbit of classes
+    (`_frobenius_orbits`), for its leader: m(x), the height and the
+    verdicts are invariant under sigma^d, which fixes A and pi. Every
+    member keeps its own key, representative and size."""
     check_census_rank(tower, rank)
     # every candidate has constant term t, so one characteristic prime
     char_prime = minimal_poly_over_fq(t)
@@ -301,29 +372,21 @@ def census_isomorphism_classes(
     units = tower.q**tower.n - 1
     if sum(c.size for c in classes) != tower.q ** (tower.n * (rank - 1)) * units:
         raise CensusViolation("partition sizes do not add up")
+    classes.sort(key=lambda e: e.key)
+    _frobenius_orbits(tower, rank, char_prime.degree, classes)
     out: dict[str, IsogenyClass] = {}
-    for entry in sorted(classes, key=lambda e: e.key):
+    # leader key -> its isogeny class; a leader precedes its orbit
+    group_of: dict[tuple, IsogenyClass] = {}
+    for entry in classes:
+        grp = group_of.get(entry.leader.key)
+        if grp is not None:
+            grp.iso_classes.append(entry)
+            continue
         prof = entry.rep.profile()
         mtext = prof.min_poly_text()
         grp = out.get(mtext)
         if grp is None:
-            grp = IsogenyClass(
-                mtext,
-                {
-                    "m": mtext,
-                    "m_tilde": prof.m_tilde_text(),
-                    "s": prof.s,
-                    "NK": prof.nk,
-                    "H": prof.height,
-                    "d": prof.d,
-                    "n": prof.n,
-                    "r": prof.r,
-                    "ordinary": prof.is_ordinary,
-                    "locally_maximal": prof.is_locally_maximal,
-                    "commutative": prof.end_ring_commutative,
-                },
-            )
-            out[mtext] = grp
+            grp = out[mtext] = IsogenyClass(mtext, _profile_summary(prof))
         else:
             for key_, val in (
                 ("H", prof.height),
@@ -336,6 +399,7 @@ def census_isomorphism_classes(
                         f"isogeny class {mtext}: member disagrees on {key_}"
                     )
         prof.corollary_checks()
+        group_of[entry.key] = grp
         grp.iso_classes.append(entry)
     return out
 

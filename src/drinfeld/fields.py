@@ -15,9 +15,10 @@ while KElem sums stay coordinate-wise. A tower loads the tables on its
 first such operation, and towers with the same defining data share them.
 Larger towers take the polynomial path, which also builds the tables:
 APoly products and powers reduced mod g, inverses by extended Euclid, and
-a -> a^q applied through the vectors x^(i*q) mod g (the q-power map is
-F_q-linear on k). F_q itself is built the same way over F_p: its product
-and inverse tables are read off the discrete-log tables of F_p[y]/(h).
+a -> a^(q^j) as one product by the matrix of x^(i*q^j) mod g (the q-power
+map is F_q-linear on k), kept per field definition. F_q itself is built
+the same way over F_p: its product and inverse tables are read off the
+discrete-log tables of F_p[y]/(h).
 The tower is immutable after construction and all element operations are
 pure, so values can be shared freely.
 """
@@ -43,19 +44,17 @@ def _vector(a: APoly, n: int) -> tuple[int, ...]:
     return a.coeffs + (0,) * (n - len(a.coeffs))
 
 
-def _poly_frob(fq: "Fq", vecs: list[tuple[int, ...]], a, j: int) -> tuple[int, ...]:
-    """a^(q^j), applying the F_q-linear q-power map (vecs[i] = x^(i*q)) j times."""
-    n = len(vecs)
-    for _ in range(j):
-        out = [0] * n
-        for i, ai in enumerate(a):
-            if ai:
-                vec = vecs[i]
-                for m in range(n):
-                    if vec[m]:
-                        out[m] = fq.add(out[m], fq.mul(ai, vec[m]))
-        a = tuple(out)
-    return a
+def _poly_frob(fq: "Fq", rows: tuple[tuple[int, ...], ...], a) -> tuple[int, ...]:
+    """a^(q^j) as one product of the coefficient vector a by the matrix
+    of the F_q-linear map a -> a^(q^j) (rows[i] = x^(i*q^j) mod g,
+    `_frob_matrix`), summed on the F_q tables row by row."""
+    add, mul = fq._add, fq._mul
+    out = (0,) * len(rows)
+    for ai, row in zip(a, rows):
+        if ai:
+            scaled = map(mul[ai].__getitem__, row)
+            out = tuple(map(list.__getitem__, map(add.__getitem__, out), scaled))
+    return out
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -271,6 +270,20 @@ def _log_tables(fq: Fq, g: tuple[int, ...]) -> _LogTables:
 
 
 @functools.cache
+def _frob_matrix(fq: Fq, g: tuple[int, ...], j: int) -> tuple[tuple[int, ...], ...]:
+    """The rows x^(i*q^j) mod g, 0 <= i < n, of the q^j-power map of
+    k = F_q[x]/(g), built once per definition and j, as the log tables
+    are, so a tower loaded again never rebuilds them."""
+    modulus = APoly(fq, g)
+    n = len(g) - 1
+    xqj = APoly.var(fq).powmod(fq.q**j, modulus)
+    rows = [APoly.one(fq)]
+    for _ in range(n - 1):
+        rows.append(rows[-1] * xqj % modulus)
+    return tuple(_vector(v, n) for v in rows)
+
+
+@functools.cache
 def _is_irreducible(fq: Fq, g: tuple[int, ...]) -> bool:
     """Ben-Or's verdict on the modulus g over F_q, decided once per
     definition: every request that loads a field builds its tower again."""
@@ -301,15 +314,6 @@ class FieldTower:
         self.g = g
         self.zero = KElem(self, (0,) * n)
         self.one = KElem(self, (1,) + (0,) * (n - 1))
-
-    @cached_property
-    def _frob_vectors(self) -> list[tuple[int, ...]]:
-        # vectors of x^(i*q) mod g; a -> a^q is F_q-linear through these
-        xq = APoly.var(self.fq).powmod(self.q, self._modulus)
-        vecs = [APoly.one(self.fq)]
-        for _ in range(self.n - 1):
-            vecs.append(vecs[-1] * xq % self._modulus)
-        return [_vector(v, self.n) for v in vecs]
 
     @cached_property
     def _tables(self) -> _LogTables | None:
@@ -432,7 +436,7 @@ class KElem:
         t = self.tower
         tab = t._tables
         if tab is None:
-            return KElem(t, _poly_frob(t.fq, t._frob_vectors, self.coeffs, j % t.n))
+            return KElem(t, _poly_frob(t.fq, _frob_matrix(t.fq, t.g, j % t.n), self.coeffs))
         la = tab.log.get(self.coeffs)
         if la is None:
             return self

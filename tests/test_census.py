@@ -32,7 +32,9 @@ from drinfeld.serialize import (
     dumps_canonical,
     endring_report,
     field_from_json,
+    field_to_json,
     kelem_from_json,
+    kelem_to_json,
     module_from_json,
     reduced_basis,
 )
@@ -271,6 +273,121 @@ def test_census_rank_is_checked_before_any_work(monkeypatch):
     with pytest.raises(ValueError):
         census_isomorphism_classes(f16, 0, f16.zero)
     assert calls == []
+
+
+# every census the suite builds: rank 2 over F_2 to F_16, F_9 and F_27,
+# rank 3 over F_3, F_8 and F_16
+SUITE_CENSUSES = [
+    ("f2", 2), ("f3", 2), ("f4", 2), ("f8", 2), ("f16", 2), ("f9", 2), ("f27", 2),
+    ("f3", 3), ("f8", 3), ("f16", 3),
+]
+
+
+@pytest.mark.parametrize("name,rank", SUITE_CENSUSES)
+def test_shared_profile_and_end_match_each_members_own(name, rank):
+    # a sigma^d-orbit's members take their leader's profile summary and End
+    # summary; each member's own, read the way the census read it for every
+    # class before it shared them, must be the same
+    tower = get_tower(name)
+    for _, t in characteristic_roots(tower):
+        for grp in census_isomorphism_classes(tower, rank, t).values():
+            assert grp.iso_classes[0].leader is grp.iso_classes[0]
+            for entry in grp.iso_classes:
+                assert entry.leader.key <= entry.key and entry.leader in grp.iso_classes
+                own = DrinfeldModule(tower, entry.rep.phi_t)
+                prof = own.profile()
+                assert census._profile_summary(prof) == grp.profile_summary
+                prof.corollary_checks()
+                if grp.profile_summary["commutative"]:
+                    assert grp._end_summary(own) == grp.end(entry)
+
+
+@pytest.mark.parametrize("name,profiles,classes", [("f16", 80, 108), ("f9", 117, 144)])
+def test_census_builds_one_profile_per_frobenius_orbit(monkeypatch, name, profiles, classes):
+    import drinfeld.invariants as invariants
+
+    built, summarised = [], []
+    real_profile = invariants.FrobeniusProfile.__init__
+    real_summary = census.IsogenyClass._end_summary
+    monkeypatch.setattr(
+        invariants.FrobeniusProfile,
+        "__init__",
+        lambda self, module: built.append(module) or real_profile(self, module),
+    )
+    monkeypatch.setattr(
+        census.IsogenyClass,
+        "_end_summary",
+        lambda self, rep: summarised.append(rep) or real_summary(self, rep),
+    )
+    tower = get_tower(name)
+    leaders, commutative_leaders, count = [], [], 0
+    for _, t in characteristic_roots(tower):
+        groups = census_isomorphism_classes(tower, 2, t)
+        count += len(census_records(tower, groups))
+        for grp in groups.values():
+            for entry in grp.iso_classes:
+                if entry.leader is entry:
+                    leaders.append(entry.rep)
+                    if grp.profile_summary["commutative"]:
+                        commutative_leaders.append(entry.rep)
+    assert count == classes
+    assert len(built) == profiles
+    assert sorted(map(id, built)) == sorted(map(id, leaders))
+    assert sorted(map(id, summarised)) == sorted(map(id, commutative_leaders))
+
+
+def test_frobenius_image_outside_the_partition_is_a_census_violation(monkeypatch):
+    f16 = get_tower("f16")
+    monkeypatch.setattr(
+        census, "_frobenius_image_key", lambda tab, steps, power, key: key + (key[-1],)
+    )
+    with pytest.raises(CensusViolation, match="not a class of the partition"):
+        census_isomorphism_classes(f16, 2, f16.zero)
+
+
+def test_frobenius_orbit_that_does_not_close_is_a_census_violation(monkeypatch):
+    # an image map that shifts every class to the next key: from the least
+    # class, n/d = 4 steps over 18 classes never come back
+    f16 = get_tower("f16")
+    keys = sorted(key for key, _ in census._twist_orbits(f16, 2, f16.zero))
+    shift = dict(zip(keys, keys[1:] + keys[:1]))
+    monkeypatch.setattr(census, "_frobenius_image_key", lambda tab, steps, power, key: shift[key])
+    with pytest.raises(CensusViolation, match="does not close"):
+        census_isomorphism_classes(f16, 2, f16.zero)
+
+
+def _isogeny_classes_of_root(tmp_path, field, t):
+    """m text -> the sorted (size, End summary) of its isomorphism
+    classes, from the CLI census of the root t."""
+    spec = tmp_path / "census.json"
+    spec.write_text(json.dumps({"field": field, "rank": 2, "t": t}))
+    out = tmp_path / "out.jsonl"
+    assert main(["census", "--input", str(spec), "--out", str(out), "--skip-validate"]) == 0
+    groups = {}
+    for line in out.read_text().splitlines()[1:]:
+        rec = json.loads(line)
+        groups.setdefault(rec["m"], []).append((rec["size"], dumps_canonical(rec["end"])))
+    return {m: sorted(members) for m, members in groups.items()}
+
+
+@pytest.mark.parametrize("name", ("f16", "f9"))
+def test_conjugate_root_has_the_same_isogeny_classes(tmp_path, name):
+    # sigma maps the census of t onto that of t^q, class to class, and
+    # fixes m(x) and End: a non-canonical conjugate root lists the same
+    # isogeny classes with the same sizes and End summaries
+    tower = get_tower(name)
+    field = field_to_json(tower)
+    conjugates = 0
+    for prime, t in characteristic_roots(tower):
+        if prime.degree == 1:
+            continue
+        conj = t.frobq(1)
+        assert conj != t and not prime.eval_in_k(conj)
+        assert _isogeny_classes_of_root(
+            tmp_path, field, kelem_to_json(tower, conj)
+        ) == _isogeny_classes_of_root(tmp_path, field, kelem_to_json(tower, t))
+        conjugates += 1
+    assert conjugates == {"f16": 4, "f9": 3}[name]
 
 
 @pytest.mark.parametrize("p,n", [(2, 13), (3, 9)])

@@ -11,10 +11,10 @@ import random
 import pytest
 
 from drinfeld import APoly, FieldTower, first_irreducible
-from drinfeld.fields import _LOG_TABLE_LIMIT, _poly_frob, _vector, base_field
+from drinfeld.fields import _LOG_TABLE_LIMIT, _frob_matrix, _poly_frob, _vector, base_field
 from drinfeld.serialize import field_from_json, field_to_json
 
-from conftest import get_tower, rand_kelem
+from conftest import get_tower, rand_kelem, tower_above_table_limit
 
 EXHAUSTIVE = ("f4", "f8", "f9", "f16e2", "f27")
 SAMPLED = ("f256", "f729")
@@ -38,7 +38,7 @@ def check_element(t, a):
     """inv, **, frobq(j) for every j, against the polynomial path."""
     order = t.q**t.n - 1
     for j in range(-1, t.n + 2):
-        want = _poly_frob(t.fq, t._frob_vectors, a.coeffs, j % t.n)
+        want = _poly_frob(t.fq, _frob_matrix(t.fq, t.g, j % t.n), a.coeffs)
         assert a.frobq(j).coeffs == want
         assert want == ref_pow(t, a.coeffs, t.q ** (j % t.n))
     exponents = [0, 1, 2, 3, t.q, order, order + 1, 2 * order + 5]
@@ -159,3 +159,24 @@ def test_tower_above_the_table_limit_takes_the_polynomial_path():
         assert a**-2 * a**2 == t.one
     with pytest.raises(ZeroDivisionError):
         t.zero.inv()
+
+
+def _tower_3_8():
+    fq = base_field(3, 1, (0, 1))
+    return FieldTower(3, 1, [0, 1], 8, first_irreducible(fq, 8).coeffs)
+
+
+@pytest.mark.parametrize("make", (tower_above_table_limit, _tower_3_8))
+def test_polynomial_frobenius_is_one_matrix_product_per_power(make):
+    # above the table limit a^(q^j) is one product by the kept matrix of
+    # x^(i q^j); it must equal j applications of a -> a^q, and a^(q^j)
+    t = make()
+    assert t._tables is None
+    rng = random.Random(13)
+    for _ in range(8):
+        a = rand_kelem(rng, t)
+        step = a
+        for j in range(t.n + 1):
+            assert a.frobq(j) == step
+            step = step.frobq(1)
+        assert a.frobq(3).coeffs == ref_pow(t, a.coeffs, t.q**3)

@@ -56,6 +56,7 @@ ALLOWED = {
     "skew.SkewPoly.zero": "rgcd_bezout starts its cofactors from it",
     "lattices.ALattice.scale": "FracIdeal.scale rescales its lattice with it",
     "orders.FracIdeal.scale": "act and colon rescale fractional ideals with it; CLI ideal specs are integral in End",
+    "fields.Fq.add": "the per-scalar reference the tests check KElem sums and the F_q elimination kernels against",
     "fields.Fq.sub": "the per-scalar reference the tests check APoly and KElem subtraction against",
     "serialize._where": "input errors name the file with it; the mix gives no malformed input",
     "serialize.module_to_json": "the inverse of module_from_json, for writing a module spec (tested round trip)",
