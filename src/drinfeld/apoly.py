@@ -381,13 +381,12 @@ def minimal_poly_over_fq(x: KElem) -> APoly:
     null vector of the first free column of that n x (n+1) system, whose
     columns before it are independent."""
     t = x.tower
-    from .linalg import nullspace
+    from .linalg import dense_system, nullspace
 
     pows = [t.one]
     for _ in range(t.n):
         pows.append(pows[-1] * x)
-    rows = [(0, [p.coeffs[i] for p in pows]) for i in range(t.n)]
-    return APoly(t.fq, nullspace(t.fq, rows, t.n + 1)[0])
+    return APoly(t.fq, nullspace(t.fq, dense_system(t.fq, [p.coeffs for p in pows]), t.n + 1)[0])
 
 
 # -- small dense matrices over APoly (rows of lists) --

@@ -18,7 +18,7 @@ The same object read as a polynomial in T over F_q[pi] has T-degree
 [Ftilde : K], and comparing ceil(n/(H d)) with [Ftilde : K]/d decides
 whether the minimal order A[pi] is locally maximal at pi. The profile
 checks m(pi) = 0 on its own, from the powers phi_{T^j} and not from the
-solver's rows.
+solver's system.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .extfield import ExtensionField
 from .linalg import solve_linear
 from .modules import DrinfeldModule
 from .render import poly_in_x_text
-from .skew import coefficient_rows, fq_combination
+from .skew import coefficient_system, fq_combination
 
 
 def _annihilator(module: DrinfeldModule, s: int):
@@ -45,11 +45,10 @@ def _annihilator(module: DrinfeldModule, s: int):
     cols = [module.phi_t_power(j).shift(n * i) for i in range(s) for j in range(bounds[i] + 1)]
     # r * bounds[i] + n * i >= n * s, so the columns reach the degree of pi^s
     height = max(f.degree for f in cols) + 1
-    rows = coefficient_rows(cols, height)
     # right-hand side: minus the coefficients of pi^s = tau^(n s)
-    rhs = [0] * len(rows)
+    rhs = [0] * (height * tower.n)
     rhs[n * s * tower.n] = fq.neg(1)
-    sol, null = solve_linear(fq, rows, rhs, len(cols))
+    sol, null = solve_linear(fq, coefficient_system(cols, height), rhs, len(cols))
     if sol is None:
         return None, null
     coeffs = []

@@ -1,42 +1,36 @@
 """Linear algebra over the base field F_q.
 
 Vectors hold canonical integer encodings of F_q scalars (see fields.Fq).
-A system is given by sparse rows: a row is a pair (lead, vals) whose
-entry in column lead + i is vals[i], and which is zero outside those
-columns. The systems of k{tau} are banded this way (the Hom system
+`solve_linear`, `nullspace` and `echelon` (which builds each null vector
+on request) read off the reduced row echelon form column by column: the
+particular solution is 0 at every free column, and the null vector of
+free column f is 1 at f and 0 at the other free columns. It is unique,
+so the answer depends on neither the kernel nor the order of the rows.
+
+For q > 2 a system is given by sparse rows: a row is a pair (lead, vals)
+whose entry in column lead + i is vals[i], and which is zero outside
+those columns. The systems of k{tau} are banded this way (the Hom system
 u phi_T = psi_T u of the centralizer and of isomorphisms, the columns
 phi_{T^j} tau^(n i) of m(x)), so a row stays a short list however many
-columns there are.
+columns there are. The kernel reduces the rows one at a time against
+the pivot rows found so far, from its leading column on: a row meets
+only pivots inside its own span [lead, last], widened by the span of
+each pivot it meets, so the fill stays inside the band and nothing is
+ever cleared upward. Back-substitution then solves the pivot columns
+from the highest down, over the pivot rows as they are. Row operations
+read the field's tables: for a multiplier c the row mul[c] is bound
+once, and a - c*b is add[a][mul[-c][b]].
 
-Each kernel runs one forward elimination and one back-substitution.
-Forward elimination takes the rows one at a time and reduces each
-against the pivot rows found so far, from its leading column on: a row
-meets only pivots inside its own span [lead, last], widened by the span
-of each pivot it meets, so the fill stays inside the band and nothing is
-ever cleared upward. A row that does not reduce to zero becomes the
-pivot row of its leading column. Back-substitution then solves the
-pivot columns one at a time, from the highest down, over the pivot rows
-as they are: the null vector of a free column f is 1 at f, 0 at the
-other free columns, and at a pivot column c < f whatever makes row c
-vanish; the particular solution is 0 at every free column and
-x[c] = prhs[c] - sum a_j x[j] at pivot column c. These are the reduced
-row echelon form read off column by column, which is unique, so the
-answer does not depend on the order of the rows. `solve_linear`,
-`nullspace` and `echelon` all read this one path; `echelon` leaves each
-null vector to its caller, who builds only the ones it needs. Row
-operations read the field's tables directly: for a multiplier c the row
-mul[c] is bound once, and a - c*b is add[a][mul[-c][b]].
-
-Over F_2 (q = 2; no option selects it) the same two steps run on packed
-rows (Albrecht, Bard and Hart, "Algorithm 898", ACM TOMS 2010): a row is
-one Python int with column j at bit ncols - j and the right-hand side at
-bit 0. A row operation is one XOR over the whole row, and the leading
-column is read off int.bit_length(). In back-substitution pivot column c
-takes the parity of its row against the bits solved so far; the
-particular solution is the null vector of the right-hand side's column,
-so it starts from bit 0 set, and pivot column c takes that parity XOR its
-right-hand-side bit. The packed format never leaves this module: callers
-pass (lead, vals) for every q, and both kernels return the same answer.
+Over F_2 (no option selects it) a system is given by its columns, each
+one Python int whose bit i is its entry in row i (`pack`; a skew
+polynomial's column holds coordinate m of its tau^d coefficient at bit
+d*n + m); the right-hand side is packed the same way. The kernel
+(Albrecht, Bard and Hart, "Algorithm 898", ACM TOMS 2010) reduces the
+columns in order against the pivot columns so far, keyed by their
+highest bit, with one XOR per step on the column and on the mask of the
+columns it sums. A column that reduces to zero is free, and its mask is
+its null vector: only pivot columns are ever added in. The right-hand
+side's mask is the particular solution.
 """
 
 from __future__ import annotations
@@ -44,39 +38,40 @@ from __future__ import annotations
 from .fields import Fq
 
 
-def solve_linear(fq: Fq, rows, rhs: list[int], ncols: int):
-    """Solve A*x = b over F_q, for A given by sparse rows (lead, vals) on
-    ncols columns.
-
-    Returns (particular solution, nullspace basis), or (None, nullspace
-    basis) when the system is inconsistent. The particular solution has
-    every free variable zero; the basis holds one vector per free column
-    f, in increasing order of f, which is 1 at f and 0 at the other free
-    columns: the reduced row echelon form read off column by column.
-    """
-    free, vector, consistent = _kernel(fq, rows, rhs, ncols)
+def solve_linear(fq: Fq, system, rhs, ncols: int):
+    """Solve A*x = b over F_q, for a system A on ncols columns and b a list
+    with an entry per row: the particular solution and the null basis, in
+    increasing order of the free columns, or None and the null basis when
+    the system is inconsistent."""
+    free, vector, consistent = _kernel(fq, system, rhs, ncols)
     return (vector(ncols) if consistent else None), [vector(f) for f in free]
 
 
-def echelon(fq: Fq, rows, ncols: int):
-    """(free columns, null_vector) of the homogeneous system given by
-    sparse rows (lead, vals) on ncols columns, after one forward
-    elimination: the free columns increase, and null_vector(f) is the
-    vector of free column f in `solve_linear`'s null basis."""
-    return _kernel(fq, rows, [0] * len(rows), ncols)[:2]
+def echelon(fq: Fq, system, ncols: int):
+    """(free columns, null_vector) of the homogeneous system on ncols
+    columns, after one forward elimination: the free columns increase,
+    and null_vector(f) is the vector of free column f in `solve_linear`'s
+    null basis."""
+    return _kernel(fq, system, None, ncols)[:2]
 
 
-def nullspace(fq: Fq, rows, ncols: int) -> list[list[int]]:
-    """Basis of the kernel of the matrix given by sparse rows (lead, vals)
-    on ncols columns."""
-    free, null_vector = echelon(fq, rows, ncols)
+def nullspace(fq: Fq, system, ncols: int) -> list[list[int]]:
+    """Basis of the kernel of the matrix given as a system on ncols columns."""
+    free, null_vector = echelon(fq, system, ncols)
     return [null_vector(f) for f in free]
 
 
-def _kernel(fq: Fq, rows, rhs: list[int], ncols: int):
+def dense_system(fq: Fq, cols) -> list:
+    """The system whose column j is the vector cols[j], all of one length."""
     if fq.q == 2:
-        return _echelon_f2(rows, rhs, ncols)
-    return _echelon_fq(fq, rows, rhs, ncols)
+        return [pack(col) for col in cols]
+    return [(0, row) for row in zip(*cols)]
+
+
+def _kernel(fq: Fq, system, rhs, ncols: int):
+    if fq.q == 2:
+        return _echelon_f2(system, pack(rhs or ()), ncols)
+    return _echelon_fq(fq, system, rhs or [0] * len(system), ncols)
 
 
 # bytes of 0/1 scalars -> the ASCII digits int(..., 2) reads, and back
@@ -84,48 +79,44 @@ _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 _BITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-def _echelon_f2(rows, rhs: list[int], ncols: int):
-    """The kernel over F_2 on packed rows: an int holds column j at bit
-    ncols - j and the right-hand side at bit 0, so a row operation is one
-    XOR and a row's leading column is read off its bit length.
+def pack(bits) -> int:
+    """The int whose bit i is bits[i], for F_2 scalars 0 and 1."""
+    return int(b"0" + bytes(bits)[::-1].translate(_DIGITS), 2)
 
-    Returns (free, vector, consistent): the free columns in increasing
-    order, vector(f) the null vector of free column f and vector(ncols)
-    the particular solution, and whether the system is consistent."""
-    # piv[L]: the pivot row of bit length L (leading column ncols + 1 - L),
-    # 0 for none. piv[1] stays 0, so a row reduced to its right-hand side
-    # stops there.
-    piv = [0] * (ncols + 2)
-    consistent = True
-    for (lead, vals), b in zip(rows, rhs):
-        w = b
-        if vals:
-            w |= int(bytes(vals).translate(_DIGITS), 2) << (ncols + 1 - lead - len(vals))
-        while w:
+
+def _echelon_f2(cols: list[int], rhs: int, ncols: int):
+    """The kernel over F_2 on column ints. Returns (free, vector,
+    consistent): the free columns in increasing order, vector(f) the null
+    vector of free column f and vector(ncols) the particular solution, and
+    whether the system is consistent."""
+    # column j (j = ncols: the right-hand side) is reduced as
+    # col << ncols + 1 | 1 << j, so one XOR updates it and its mask, and it
+    # has reduced to zero once its bit length is ncols + 1 or less
+    low = ncols + 1
+    cols = cols + [rhs]
+    piv = [0] * (max(cols).bit_length() + low + 1)  # the pivot of each bit length
+    masks = {}  # free column -> its null vector; ncols -> the solution
+    for j, col in enumerate(cols):
+        w = col << low | 1 << j
+        top = w.bit_length()
+        while top > low and piv[top]:
+            w ^= piv[top]
             top = w.bit_length()
-            p = piv[top]
-            if not p:
-                break
-            w ^= p
-        if w == 1:
-            consistent = False
-        elif w:
+        if top > low:
             piv[top] = w
+        else:
+            masks[j] = w
 
     def vector(f: int) -> list[int]:
-        x = 1 << (ncols - f)
-        for L in range(ncols + 2 - f, ncols + 2):
-            if piv[L] and (piv[L] & x).bit_count() & 1:
-                x |= 1 << (L - 1)
-        # a leading 1 keeps the leading zero columns, and is cut off
-        return list(format(x >> 1 | 1 << ncols, "b").encode()[1:].translate(_BITS))
+        # a leading 1 keeps the zero columns at the top, and is cut off
+        return list(format(masks[f] | 1 << ncols, "b")[:0:-1].encode().translate(_BITS))
 
-    return [f for f in range(ncols) if not piv[ncols + 1 - f]], vector, consistent
+    return [j for j in masks if j < ncols], vector, ncols in masks
 
 
 def _echelon_fq(fq: Fq, rows, rhs: list[int], ncols: int):
-    """The kernel over any F_q, on the field's tables. Returns what
-    `_echelon_f2` returns."""
+    """The kernel over any F_q, on the field's tables and sparse rows.
+    Returns what `_echelon_f2` returns."""
     add, mul, neg = fq._add, fq._mul, fq._neg
     # the pivot row of column c is 1 at c, sup[c] its other nonzero
     # entries (j, a_j), c < j <= top[c], and prhs[c] its right-hand side;

@@ -142,8 +142,9 @@ def find_isomorphism(phi: DrinfeldModule, psi: DrinfeldModule) -> KElem | None:
     if phi.rank != psi.rank:
         return None
     tower = phi.tower
-    rows = [(0, vals[::-1]) for _, vals in hom_system(phi.phi_t, psi.phi_t, 0)]
-    free, null_vector = echelon(tower.fq, rows, tower.n)
+    system = hom_system(phi.phi_t, psi.phi_t, 0)
+    system = system[::-1] if tower.q == 2 else [(0, vals[::-1]) for _, vals in system]
+    free, null_vector = echelon(tower.fq, system, tower.n)
     if not free:
         return None
     c = tower.elem(null_vector(free[0])[::-1])

@@ -36,9 +36,9 @@ from .errors import (
 )
 from .extfield import ExtensionField
 from .lattices import ALattice
-from .linalg import echelon, nullspace
+from .linalg import dense_system, echelon, nullspace
 from .modules import DrinfeldModule, is_isogeny
-from .skew import SkewPoly, coefficient_rows, hom_system
+from .skew import SkewPoly, coefficient_system, hom_system
 
 
 def centralizer_basis(module: DrinfeldModule, s: int):
@@ -370,7 +370,7 @@ def right_divisible_combinations(
             if a:
                 rem = (module.phi_t * rem).rdivmod(u)[1]
             cols.append(rem)
-    kernel = nullspace(fq, coefficient_rows(cols, u.degree), len(cols))
+    kernel = nullspace(fq, coefficient_system(cols, u.degree), len(cols))
     return [[APoly(fq, vec[j * deg : (j + 1) * deg]) for j in range(len(starts))] for vec in kernel]
 
 
@@ -539,18 +539,13 @@ class FracIdeal:
             nunk = s * degc
             # condition: sum_j w_j * rho[j][k] = 0 mod chi, per k and
             # coordinate: row ((k*s + m)*degc + i), column j*degc + a
-            rows_sys = [[0] * nunk for _ in range(s * s * degc)]
+            cols_sys = []
             for j in range(s):
                 for a in range(degc):
                     ta = APoly(fq, [0] * a + [1])
-                    col = j * degc + a
-                    for k in range(s):
-                        for m in range(s):
-                            entry = (rho[j][k][m] * ta) % chi
-                            base = (k * s + m) * degc
-                            for i, v in enumerate(entry.coeffs):
-                                rows_sys[base + i][col] = v
-            kernel = nullspace(fq, [(0, row) for row in rows_sys], nunk)
+                    entries = [((e * ta) % chi).coeffs for row in rho[j] for e in row]
+                    cols_sys.append([c for e in entries for c in e + (0,) * (degc - len(e))])
+            kernel = nullspace(fq, dense_system(fq, cols_sys), nunk)
             gens = []
             for w in kernel:
                 wpolys = [APoly(fq, w[j * degc : (j + 1) * degc]) for j in range(s)]

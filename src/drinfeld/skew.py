@@ -9,9 +9,10 @@ left unit, and fixing the monic representative makes results reproducible.
 
 Hom(phi, psi), the u with u phi_T = psi_T u, is F_q-linear in the
 tau-coefficients of u: `hom_system(phi_T, psi_T, cap)` is its matrix on u
-of degree at most cap. With psi = phi its kernel is the centralizer
-(End, `orders.centralizer_basis`); at cap 0 it is the constants c with
-c phi_T = psi_T c, the isomorphisms (`modules.find_isomorphism`).
+of degree at most cap, a system of `linalg` (over F_2, column ints). With
+psi = phi its kernel is the centralizer (End, `orders.centralizer_basis`);
+at cap 0 it is the constants c with c phi_T = psi_T c, the isomorphisms
+(`modules.find_isomorphism`).
 
 Where k has discrete-log tables (`FieldTower._tables`), products, right
 division and the Hom system run on logarithms: each operand is converted
@@ -25,10 +26,12 @@ the F_q tables on coefficient coordinates instead (`fq_combination`).
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 
 from .errors import ContextError, EmptyIdeal
 from .fields import FieldTower, KElem, _LogTables
+from .linalg import pack
 
 
 class SkewPoly:
@@ -220,6 +223,12 @@ def fq_combination(tower: FieldTower, terms) -> Iterator[KElem]:
         yield KElem(tower, acc)
 
 
+@functools.cache
+def _packed_exp(tab: _LogTables) -> list[int]:
+    """exp[i] packed (`linalg.pack`) for F_2 systems, once per table."""
+    return [pack(v) for v in tab.exp]
+
+
 def _logs(tab: _LogTables, coeffs) -> list[int | None]:
     """The logarithms of KElem coefficients, None for zero."""
     get = tab.log.get
@@ -287,14 +296,14 @@ def _rdivmod_logs(tab: _LogTables, n: int, rem: list, lb: list) -> tuple[list, l
     return quo, rem
 
 
-def hom_system(f: SkewPoly, g: SkewPoly, cap: int) -> list[tuple[int, list[int]]]:
+def hom_system(f: SkewPoly, g: SkewPoly, cap: int) -> list:
     """The F_q-matrix of u -> u f - g u on skew polynomials u of degree at
-    most cap, as sparse rows (lead, vals) in the row format of `linalg`: entry
-    (d*n + m, i*n + comp) is coordinate m of the coefficient of tau^d in
-    the image of c tau^i, c = x^comp. Its kernel is the u with u f = g u:
-    for f = g = phi_T the centralizer of phi_T, and for f = phi_T,
-    g = psi_T the isogenies phi -> psi of degree at most cap (constants
-    for cap = 0, the isomorphisms).
+    most cap, as a system of `linalg` (sparse rows (lead, vals), or column
+    ints over F_2): entry (d*n + m, i*n + comp) is coordinate m of the
+    coefficient of tau^d in the image of c tau^i, c = x^comp. Its kernel is
+    the u with u f = g u: for f = g = phi_T the centralizer of phi_T, and
+    for f = phi_T, g = psi_T the isogenies phi -> psi of degree at most
+    cap (constants for cap = 0, the isomorphisms).
 
     Column i*n + comp is read off coefficients: with f = sum f_j tau^j and
     g = sum g_j tau^j, the coefficient of tau^(i+j) in c tau^i f - g c tau^i
@@ -310,8 +319,9 @@ def hom_system(f: SkewPoly, g: SkewPoly, cap: int) -> list[tuple[int, list[int]]
     fs += (tower.zero,) * (r + 1 - len(fs))
     gs += (tower.zero,) * (r + 1 - len(gs))
     # block[d][(i - lo_d)*n + comp]: the coefficient of tau^d in the image
-    # of x^comp tau^i, for lo_d = max(0, d - r)
-    zero = tower.zero.coeffs
+    # of x^comp tau^i, for lo_d = max(0, d - r); packed over F_2
+    f2 = tower.q == 2
+    zero = 0 if f2 else tower.zero.coeffs
     blocks = [[zero] * ((min(d, cap) - max(0, d - r) + 1) * n) for d in range(cap + r + 1)]
     tab = tower._tables
     # the entry of (i, j, comp) lies at (i - lo_(i+j))*n + comp of block
@@ -331,10 +341,12 @@ def hom_system(f: SkewPoly, g: SkewPoly, cap: int) -> list[tuple[int, list[int]]
                 block = blocks[i + j]
                 k = (i if i < rj else rj) * n
                 for c, second in cols:
-                    block[k] = (c * fj_frob - second).coeffs
+                    v = (c * fj_frob - second).coeffs
+                    block[k] = pack(v) if f2 else v
                     k += 1
     else:
-        order, zech, qpow, exp = tab.order, tab.zech, tab.qpow, tab.exp
+        order, zech, qpow = tab.order, tab.zech, tab.qpow
+        exp = _packed_exp(tab) if f2 else tab.exp
         # logs of the monomials c = x^comp; below, a = log(c f_j^(q^i)) and
         # b = log(-g_j c^(q^j)). Terms with f_j and g_j both nonzero sum
         # the two; a term with one of them zero takes it alone (`lone_f`,
@@ -370,21 +382,26 @@ def hom_system(f: SkewPoly, g: SkewPoly, cap: int) -> list[tuple[int, list[int]]
             for j, rj, entries in lone_g:
                 k = (i if i < rj else rj) * n
                 blocks[i + j][k : k + n] = entries
-    rows = []
-    for d, block in enumerate(blocks):
-        lead = max(0, d - r) * n
-        rows += [(lead, list(row)) for row in zip(*block)]
-    return rows
+    if f2:
+        # column k takes its entry of degree d at bits d*n .. d*n + n - 1
+        cols = [0] * ((cap + 1) * n)
+        for d, block in enumerate(blocks):
+            for k, v in enumerate(block, max(0, d - r) * n):
+                cols[k] |= v << d * n
+        return cols
+    return [(max(0, d - r) * n, list(row)) for d, block in enumerate(blocks) for row in zip(*block)]
 
 
-def coefficient_rows(cols: list[SkewPoly], height: int) -> list[tuple[int, list[int]]]:
+def coefficient_system(cols: list[SkewPoly], height: int) -> list:
     """The F_q-matrix whose column c is the coefficient vector of cols[c],
-    each of degree below height, as sparse rows (lead, vals) in the row
-    format of `linalg`: row d*n + m holds coordinate m of the coefficients
+    each of degree below height, as a system of `linalg`. Over F_2 column c
+    is packed; otherwise row d*n + m holds coordinate m of the coefficients
     of tau^d and spans the columns from the first to the last one with a
     nonzero coefficient of tau^d.
     """
     tower = cols[0].tower
+    if tower.q == 2:
+        return [pack([v for c in f.coeffs for v in c.coeffs]) for f in cols]
     n = tower.n
     zero = tower.zero.coeffs
     first: list[int | None] = [None] * height
@@ -400,10 +417,7 @@ def coefficient_rows(cols: list[SkewPoly], height: int) -> list[tuple[int, list[
         if lead is None:
             rows += [(0, []) for _ in range(n)]
             continue
-        block = []
-        for c in range(lead, last[d] + 1):
-            f = cols[c].coeffs
-            block.append(f[d].coeffs if d < len(f) else zero)
+        block = [f.coeffs[d].coeffs if d < len(f.coeffs) else zero for f in cols[lead : last[d] + 1]]
         rows += [(lead, list(row)) for row in zip(*block)]
     return rows
 

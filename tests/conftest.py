@@ -143,7 +143,7 @@ def ladder_minpoly(phi: DrinfeldModule) -> list[APoly]:
     `minpoly_frobenius` found m(x) before it solved the degree-r system
     first."""
     from drinfeld.linalg import solve_linear
-    from drinfeld.skew import coefficient_rows
+    from drinfeld.skew import coefficient_system
 
     tower, fq = phi.tower, phi.tower.fq
     n, r = phi.n, phi.rank
@@ -154,11 +154,10 @@ def ladder_minpoly(phi: DrinfeldModule) -> list[APoly]:
             for i in range(s)
             for j in range(bounds[i] + 1)
         ]
-        target = SkewPoly.tau_power(tower, n * s)
-        rows = coefficient_rows(cols, max(c.degree for c in cols + [target]) + 1)
-        rhs = [0] * len(rows)
-        rhs[n * s * tower.n] = fq.neg(1)
-        sol, null = solve_linear(fq, rows, rhs, len(cols))
+        target = SkewPoly.tau_power(tower, n * s, -tower.one)
+        height = max(c.degree for c in cols + [target]) + 1
+        system = coefficient_system(cols, height)
+        sol, null = solve_linear(fq, system, _flatten_skew(target, height - 1), len(cols))
         if sol is None:
             continue
         assert not null, "minimal polynomial solution is not unique"
@@ -246,7 +245,7 @@ def ref_coords_in_skew_basis(
     the cap that its build certifies. This is the separate F_q solve that
     `coords_in_skew_basis` ran before it read End's own echelon."""
     from drinfeld.linalg import solve_linear
-    from drinfeld.skew import coefficient_rows
+    from drinfeld.skew import coefficient_system
 
     fq = module.tower.fq
     if not u:
@@ -260,8 +259,8 @@ def ref_coords_in_skew_basis(
             cols.append(module.phi_t_power(a) * b)
     if not cols:
         return None
-    rows = coefficient_rows(cols, u.degree + 1)
-    sol, _ = solve_linear(fq, rows, _flatten_skew(u, u.degree), len(cols))
+    system = coefficient_system(cols, u.degree + 1)
+    sol, _ = solve_linear(fq, system, _flatten_skew(u, u.degree), len(cols))
     if sol is None:
         return None
     polys: list[list[int]] = [[] for _ in basis]
@@ -374,14 +373,33 @@ def dense_rows(rows, ncols: int) -> list[list[int]]:
     return out
 
 
-def assert_hom_band(rows, n: int, r: int, cap: int) -> None:
-    """Each row of `skew.hom_system` spans exactly the columns of its band:
-    degree d touches the unknowns of degrees max(0, d - r)..min(d, cap), for
-    r the larger degree of its two skew polynomials."""
-    for idx, (lead, vals) in enumerate(rows):
+def assert_hom_band(system, n: int, r: int, cap: int) -> None:
+    """`skew.hom_system` keeps to its band, for r the larger degree of its
+    two skew polynomials: each sparse row of degree d spans exactly the
+    unknowns of degrees max(0, d - r)..min(d, cap), and over F_2 the column
+    of an unknown of degree i has no bit outside the degrees i..i + r."""
+    if isinstance(system[0], int):
+        assert len(system) == (cap + 1) * n
+        for k, col in enumerate(system):
+            i = k // n
+            assert col >> (i + r + 1) * n == 0 and col & ((1 << i * n) - 1) == 0
+        return
+    assert len(system) == (cap + r + 1) * n
+    for idx, (lead, vals) in enumerate(system):
         d = idx // n
         assert lead == max(0, d - r) * n
         assert lead + len(vals) == (min(d, cap) + 1) * n
+
+
+def hom_columns(system, n: int, r: int, cap: int) -> list[list[int]]:
+    """The columns of `skew.hom_system(f, g, cap)` written out densely, one
+    entry per row d*n + m up to degree cap + r, after `assert_hom_band`:
+    read off the sparse rows, or over F_2 off the bits of each column."""
+    assert_hom_band(system, n, r, cap)
+    height = (cap + r + 1) * n
+    if isinstance(system[0], int):
+        return [[col >> b & 1 for b in range(height)] for col in system]
+    return [list(col) for col in zip(*dense_rows(system, (cap + 1) * n))]
 
 
 def rand_apoly(rng: random.Random, fq, maxdeg: int) -> APoly:

@@ -9,22 +9,26 @@ the solver it replaced) returns: the same particular solution and the same
 null basis, on random systems (dense, banded, with zero rows,
 inconsistent, without rows) and on the commutator systems
 (`hom_system(phi_T, phi_T, cap)`) and m(x) systems of every test tower.
-Over F_2 `solve_linear` runs a second kernel on rows packed into ints
-(`_echelon_f2`); the answers read off it are checked
-against those of the general kernel (`_echelon_fq`) and the dense oracle
-on random banded F_2 systems and on commutator systems over F_16 and
-F_256. Properties are checked too, with products recomputed
-through the per-scalar `Fq` API, which the row kernels of `linalg`
-bypass, and ranks against sympy.
+Over F_2 a system is its columns, each packed into one int (`pack`), and
+`solve_linear` runs the column-elimination kernel (`_echelon_f2`); its
+answers are checked against those of the general kernel (`_echelon_fq`,
+run at q = 2 on the same matrix as sparse rows) and the dense oracle, on
+random F_2 systems (inconsistent, with zero and repeated columns, all
+columns free, none free) and on every F_2 system the library builds over
+the F_2 test towers and F_{2^13}: m(x), Hom at cap n*s and at cap 0,
+right divisibility, colon and minimal polynomials over F_q. Properties
+are checked too, with products recomputed through the per-scalar `Fq`
+API, which the row kernels of `linalg` bypass, and ranks against sympy.
 """
 
 import random
+import sys
 
 import pytest
 
-from drinfeld import Fq, invariants, linalg
+from drinfeld import DrinfeldModule, Fq, SkewPoly, invariants, linalg
 from drinfeld.invariants import minpoly_frobenius
-from drinfeld.linalg import _echelon_f2, _echelon_fq, nullspace, solve_linear
+from drinfeld.linalg import _echelon_f2, _echelon_fq, nullspace, pack, solve_linear
 from drinfeld.orders import centralizer_basis
 from drinfeld.skew import hom_system
 
@@ -35,6 +39,7 @@ from conftest import (
     gauss_jordan,
     get_tower,
     integral_ideals,
+    rand_kelem,
     rand_module,
     tower_above_table_limit,
 )
@@ -73,6 +78,26 @@ def as_sparse(rows):
     return [(0, row) for row in rows]
 
 
+def as_system(fq, rows, ncols):
+    """Sparse rows (lead, vals) as the system `linalg` takes: unchanged for
+    q > 2, and over F_2 the matrix's columns packed into ints."""
+    if fq.q != 2:
+        return rows
+    return [pack(col) for col in zip(*dense_rows(rows, ncols))] or [0] * ncols
+
+
+def unpack_system(fq, system, rhs, ncols):
+    """The dense rows and right-hand side of a system of `linalg` (rhs
+    None: zero). Over F_2 row i is bit i of the columns, up to the highest
+    bit set in a column or the right-hand side."""
+    if fq.q != 2:
+        return dense_rows(system, ncols), rhs if rhs is not None else [0] * len(system)
+    rhs = list(rhs or [])
+    nrows = max([len(rhs)] + [col.bit_length() for col in system])
+    rhs += [0] * (nrows - len(rhs))
+    return [[col >> i & 1 for col in system] for i in range(nrows)], rhs
+
+
 def row_rank(fq, rows, nc):
     ech = TrailingEchelon(fq, nc)
     for row in rows:
@@ -93,14 +118,14 @@ def test_solution_and_nullspace(name):
     for fq, rng, rows, nc in systems(name):
         x0 = [rng.randrange(fq.q) for _ in range(nc)]
         rhs = mat_vec(fq, rows, x0)
-        sol, null = solve_linear(fq, as_sparse(rows), rhs, nc)
+        sol, null = solve_linear(fq, as_system(fq, as_sparse(rows), nc), rhs, nc)
         assert sol is not None and mat_vec(fq, rows, sol) == rhs
         for v in null:
             assert mat_vec(fq, rows, v) == [0] * len(rows)
         # the null vectors are independent and complete the rank
         assert row_rank(fq, null, nc) == len(null)
         assert row_rank(fq, rows, nc) + len(null) == nc
-        assert nullspace(fq, as_sparse(rows), nc) == null
+        assert nullspace(fq, as_system(fq, as_sparse(rows), nc), nc) == null
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -112,7 +137,7 @@ def test_inconsistent_system_returns_none(name):
         extra = [fq.add(u, v) for u, v in zip(rows[a], rows[b])]
         rhs = [rng.randrange(fq.q) for _ in rows]
         bad = fq.add(fq.add(rhs[a], rhs[b]), 1)
-        sol, null = solve_linear(fq, as_sparse(rows + [extra]), rhs + [bad], nc)
+        sol, null = solve_linear(fq, as_system(fq, as_sparse(rows + [extra]), nc), rhs + [bad], nc)
         assert sol is None
         assert len(null) == nc - row_rank(fq, rows, nc)
 
@@ -160,7 +185,7 @@ def test_rank_and_nullspace_against_sympy(p):
     for _ in range(CASES):
         m, nc = rng.randrange(1, 8), rng.randrange(1, 8)
         rows = rand_matrix(rng, fq, m, nc)
-        _, null = solve_linear(fq, as_sparse(rows), [0] * m, nc)
+        _, null = solve_linear(fq, as_system(fq, as_sparse(rows), nc), [0] * m, nc)
         ref = DomainMatrix([[dom(v) for v in row] for row in rows], (m, nc), dom)
         assert nc - len(null) == ref.rank()
         ech = TrailingEchelon(fq, nc)
@@ -182,11 +207,13 @@ DIFF_FIELDS = {
 }
 
 
-def check_against_gauss_jordan(fq, rows, rhs, ncols):
-    """solve_linear's answer, asserted equal to dense Gauss-Jordan's."""
-    got = solve_linear(fq, rows, rhs, ncols)
+def check_against_gauss_jordan(fq, system, rhs, ncols):
+    """solve_linear's answer on a system of `linalg` (rhs None: zero),
+    asserted equal to dense Gauss-Jordan's."""
+    rows, rhs = unpack_system(fq, system, rhs, ncols)
+    got = solve_linear(fq, system, rhs, ncols)
     if rows:
-        want = gauss_jordan(fq, dense_rows(rows, ncols), rhs)
+        want = gauss_jordan(fq, rows, rhs)
     else:
         # without rows the oracle sees no columns: every column is free
         want = [0] * ncols, [[int(i == j) for j in range(ncols)] for i in range(ncols)]
@@ -237,7 +264,7 @@ def test_kernel_matches_gauss_jordan_on_random_systems():
     @hypothesis.given(_random_systems())
     def run(case):
         fq, rows, rhs, ncols, shape = case
-        sol, null = check_against_gauss_jordan(fq, rows, rhs, ncols)
+        sol, null = check_against_gauss_jordan(fq, as_system(fq, rows, ncols), rhs, ncols)
         if shape == "inconsistent":
             assert sol is None
         for vec in null:
@@ -250,7 +277,7 @@ def test_kernel_matches_gauss_jordan_on_random_systems():
 def test_kernel_without_rows(name):
     fq = DIFF_FIELDS[name]
     for ncols in range(5):
-        check_against_gauss_jordan(fq, [], [], ncols)
+        check_against_gauss_jordan(fq, as_system(fq, [], ncols), [], ncols)
 
 
 def _tower(name):
@@ -279,11 +306,11 @@ def test_kernel_matches_gauss_jordan_on_tower_systems(name, monkeypatch):
         minpoly_frobenius(module)
         assert len(seen) > before  # the m(x) system went through the spy
         cap = n * rng.randrange(1, module.rank + 1)
-        rows = hom_system(module.phi_t, module.phi_t, cap)
+        system = hom_system(module.phi_t, module.phi_t, cap)
         ncols = (cap + 1) * n
-        check_against_gauss_jordan(tower.fq, rows, [0] * len(rows), ncols)
-        rhs = [rng.randrange(tower.q) for _ in rows]
-        check_against_gauss_jordan(tower.fq, rows, rhs, ncols)
+        check_against_gauss_jordan(tower.fq, system, None, ncols)
+        rhs = [rng.randrange(tower.q) for _ in range((cap + module.rank + 1) * n)]
+        check_against_gauss_jordan(tower.fq, system, rhs, ncols)
 
 
 @pytest.mark.parametrize("name", ["f4", "f9", "f16", "f16e2", "f27"])
@@ -348,19 +375,76 @@ def _f2_banded_systems(rng, count):
         yield rows, rhs, ncols
 
 
-def test_packed_f2_kernel_matches_general_kernel_and_oracle():
+def _check_f2_kernels(rows, rhs, ncols):
+    """The column kernel on the packed columns of sparse F_2 rows, asserted
+    equal to the general kernel on the rows, to dense Gauss-Jordan and to
+    `solve_linear`; returns the answer."""
     fq = FIELDS["F2"]
+    cols = as_system(fq, rows, ncols)
+    got = _solved(_echelon_f2(cols, pack(rhs), ncols), ncols)
+    assert got == _solved(_echelon_fq(fq, rows, rhs, ncols), ncols)
+    if rows:
+        assert got == gauss_jordan(fq, dense_rows(rows, ncols), rhs)
+    assert solve_linear(fq, cols, rhs, ncols) == got
+    return got
+
+
+def test_packed_f2_kernel_matches_general_kernel_and_oracle():
     rng = random.Random("packed-f2")
     seen = {"inconsistent": 0, "zero row": 0, "trailing zero": 0, "free tail": 0}
     for rows, rhs, ncols in _f2_banded_systems(rng, 600):
-        got = _solved(_echelon_f2(rows, rhs, ncols), ncols)
-        assert got == _solved(_echelon_fq(fq, rows, rhs, ncols), ncols)
-        assert got == gauss_jordan(fq, dense_rows(rows, ncols), rhs)
-        assert solve_linear(fq, rows, rhs, ncols) == got
+        got = _check_f2_kernels(rows, rhs, ncols)
         seen["inconsistent"] += got[0] is None
         seen["zero row"] += any(not any(vals) for _, vals in rows)
         seen["trailing zero"] += any(vals and not vals[-1] for _, vals in rows)
         seen["free tail"] += max(lead for lead, _ in rows) < ncols - 1
+    assert all(seen.values()), seen
+
+
+def _f2_column_systems(rng, count):
+    """Random F_2 systems drawn by columns: zero columns, repeats and sums
+    of earlier columns among random ones; every fourth system has only
+    zero columns (all free), every fourth independent columns (none
+    free), and every third right-hand side lies outside the span."""
+    for idx in range(count):
+        ncols, nrows = rng.randrange(0, 24), rng.randrange(1, 30)
+        cols = []
+        for j in range(ncols):
+            kind = {1: "zero", 2: "independent"}.get(idx % 4)
+            kind = kind or rng.choice(["zero", "repeat", "sum", "random", "random"])
+            if kind == "independent":
+                # highest bit j: independent of the columns before it
+                col = [rng.randrange(2) for _ in range(j)] + [1]
+            elif kind == "zero" or not cols:
+                col = [0] * nrows
+            elif kind == "repeat":
+                col = list(rng.choice(cols))
+            elif kind == "sum":
+                col = [u ^ v for u, v in zip(rng.choice(cols), rng.choice(cols))]
+            else:
+                col = [rng.randrange(2) for _ in range(nrows)]
+            cols.append(col)
+        nrows = max([nrows] + [len(col) for col in cols])
+        cols = [col + [0] * (nrows - len(col)) for col in cols]
+        rows = [(0, list(row)) for row in zip(*cols)] or [(0, [])] * nrows
+        if idx % 3 == 0:
+            rhs = [rng.randrange(2) for _ in range(nrows)]
+        else:
+            x = [rng.randrange(2) for _ in range(ncols)]
+            rhs = [sum(a & b for a, b in zip(vals, x)) & 1 for _, vals in rows]
+        yield rows, rhs, ncols, cols
+
+
+def test_f2_column_kernel_on_random_columns():
+    rng = random.Random("f2-columns")
+    seen = {"inconsistent": 0, "zero column": 0, "repeated column": 0, "all free": 0, "none free": 0}
+    for rows, rhs, ncols, cols in _f2_column_systems(rng, 800):
+        sol, null = _check_f2_kernels(rows, rhs, ncols)
+        seen["inconsistent"] += sol is None
+        seen["zero column"] += any(not any(col) for col in cols)
+        seen["repeated column"] += len(set(map(tuple, cols))) < ncols
+        seen["all free"] += ncols > 0 and len(null) == ncols
+        seen["none free"] += ncols > 0 and not null
     assert all(seen.values()), seen
 
 
@@ -372,27 +456,91 @@ def test_packed_f2_kernel_matches_general_kernel_on_commutator_systems(name):
     for _ in range(4):
         module = rand_module(rng, tower, max_rank=3)
         cap = n * module.rank
-        rows = hom_system(module.phi_t, module.phi_t, cap)
+        cols = hom_system(module.phi_t, module.phi_t, cap)
         ncols = (cap + 1) * n
-        for rhs in ([0] * len(rows), [rng.randrange(2) for _ in rows]):
-            packed = _solved(_echelon_f2(rows, rhs, ncols), ncols)
+        nrows = (cap + module.rank + 1) * n
+        assert len(cols) == ncols and max(cols).bit_length() <= nrows
+        rows = [(0, [col >> i & 1 for col in cols]) for i in range(nrows)]
+        for rhs in ([0] * nrows, [rng.randrange(2) for _ in range(nrows)]):
+            packed = _solved(_echelon_f2(cols, pack(rhs), ncols), ncols)
             assert packed == _solved(_echelon_fq(tower.fq, rows, rhs, ncols), ncols)
 
 
-def test_solve_linear_packs_rows_only_over_f2(monkeypatch):
+def test_solve_linear_eliminates_columns_only_over_f2(monkeypatch):
     calls = []
 
-    def spy(rows, rhs, ncols):
+    def spy(cols, rhs, ncols):
         calls.append(ncols)
-        return _echelon_f2(rows, rhs, ncols)
+        return _echelon_f2(cols, rhs, ncols)
 
     monkeypatch.setattr(linalg, "_echelon_f2", spy)
     rows = [(0, [1, 1]), (1, [1, 0])]
     for name in ("F2", "F4", "F3"):
-        assert solve_linear(FIELDS[name], rows, [1, 0], 3) == (
-            gauss_jordan(FIELDS[name], dense_rows(rows, 3), [1, 0])
+        fq = FIELDS[name]
+        assert solve_linear(fq, as_system(fq, rows, 3), [1, 0], 3) == (
+            gauss_jordan(fq, dense_rows(rows, 3), [1, 0])
         )
     assert calls == [3]
+
+
+F2_TOWERS = [name for name in sorted(_SPECS) if _SPECS[name][:2] == (2, 1)] + ["f8192"]
+
+
+@pytest.mark.parametrize("name", F2_TOWERS)
+def test_f2_systems_of_every_builder_match_general_kernel_and_gauss_jordan(name, monkeypatch):
+    """Every system that reaches `linalg` over an F_2 tower, whoever built
+    it: m(x) (`_annihilator`), Hom at cap n*s (`centralizer_basis`) and at
+    cap 0 (`find_isomorphism`), right divisibility (End by right
+    divisibility and the annihilator of `act`), the colon of two ideals,
+    and the minimal polynomial over F_q of a module's constant term. Each
+    answer of the column kernel is asserted equal to the general kernel's
+    on the same matrix as sparse rows, and to dense Gauss-Jordan's."""
+    from drinfeld import act, orders
+    from drinfeld.modules import find_isomorphism
+
+    tower = _tower(name)
+    fq = tower.fq
+    assert fq.q == 2
+    kernel = linalg._kernel
+    seen: dict[str, int] = {}
+
+    def spy(fq, system, rhs, ncols):
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] == "drinfeld.linalg":
+            frame = frame.f_back
+        seen[frame.f_code.co_name] = seen.get(frame.f_code.co_name, 0) + 1
+        got = kernel(fq, system, rhs, ncols)
+        rows, dense_rhs = unpack_system(fq, system, rhs, ncols)
+        want = _solved(_echelon_fq(fq, as_sparse(rows), dense_rhs, ncols), ncols)
+        assert _solved(got, ncols) == want
+        if rows:
+            assert want == gauss_jordan(fq, rows, dense_rhs)
+        return got
+
+    monkeypatch.setattr(linalg, "_kernel", spy)
+    rng = random.Random(f"f2-builders-{name}")
+    max_rank = 2 if tower.n > 4 else 3
+    for _ in range(3):
+        phi = rand_module(rng, tower, max_rank=max_rank)
+        prof = phi.profile()
+        c = rand_kelem(rng, tower)
+        if c:
+            twist = [c.inv() * a * c.frobq(i) for i, a in enumerate(phi.phi_t.coeffs)]
+            psi = DrinfeldModule(tower, SkewPoly(tower, twist))
+            assert find_isomorphism(phi, psi) is not None
+        if prof.s != phi.rank:
+            continue
+        end = orders.endomorphism_ring(phi)
+        f = orders.end_index_bound(end.ext)
+        if f is not None:
+            assert orders.end_pi_lattice(phi, f) == end.pi_lattice
+        ideals = [i for i in integral_ideals(end, 1) if i.norm_poly().degree > 0][:2]
+        for ideal in ideals:
+            act(phi, ideal)
+            assert ideal.colon(ideal).contains_one()
+    want = {"_annihilator", "centralizer_basis", "find_isomorphism", "right_divisible_combinations", "colon"}
+    want.add("minimal_poly_over_fq")
+    assert want <= set(seen), seen
 
 
 # -- null vectors on demand --
@@ -435,9 +583,10 @@ def test_null_vectors_on_demand_match_the_null_basis(name):
     rng = random.Random(f"null-on-demand-{name}")
     seen = {"inconsistent": 0, "zero row": 0, "no free column": 0}
     for rows, rhs, ncols in _banded_systems(rng, fq, 300):
-        sol, null = solve_linear(fq, rows, rhs, ncols)
-        assert nullspace(fq, rows, ncols) == null
-        free, null_vector = linalg.echelon(fq, rows, ncols)
+        system = as_system(fq, rows, ncols)
+        sol, null = solve_linear(fq, system, rhs, ncols)
+        assert nullspace(fq, system, ncols) == null
+        free, null_vector = linalg.echelon(fq, system, ncols)
         assert free == [max(i for i, v in enumerate(vec) if v) for vec in null]
         # in reverse order too: no vector depends on one built before it
         assert [null_vector(f) for f in reversed(free)] == null[::-1]
@@ -470,10 +619,10 @@ def test_orders_nullspaces_match_gauss_jordan(monkeypatch, rank3_example):
 
     seen: dict[str, int] = {}
 
-    def spy(fq, rows, ncols):
+    def spy(fq, system, ncols):
         caller = sys._getframe(1).f_code.co_name
         seen[caller] = seen.get(caller, 0) + 1
-        return check_against_gauss_jordan(fq, rows, [0] * len(rows), ncols)[1]
+        return check_against_gauss_jordan(fq, system, None, ncols)[1]
 
     monkeypatch.setattr(orders, "nullspace", spy)
     phi = rank3_example

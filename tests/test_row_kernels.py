@@ -20,9 +20,8 @@ from drinfeld.skew import hom_system
 from conftest import (
     HOM_PAIR_KINDS,
     _flatten_skew,
-    assert_hom_band,
-    dense_rows,
     get_tower,
+    hom_columns,
     hom_pair,
     rand_kelem,
     rand_module,
@@ -61,12 +60,9 @@ def test_skew_difference_is_sum_with_negation(name):
 
 def check_hom_columns_against_products(f: SkewPoly, g: SkewPoly, cap: int) -> None:
     tower = f.tower
-    rows = hom_system(f, g, cap)
     height = cap + max(f.degree, g.degree)
     n = tower.n
-    assert len(rows) == (height + 1) * n
-    assert_hom_band(rows, n, max(f.degree, g.degree), cap)
-    cols = [list(col) for col in zip(*dense_rows(rows, (cap + 1) * n))]
+    cols = hom_columns(hom_system(f, g, cap), n, max(f.degree, g.degree), cap)
     assert len(cols) == (cap + 1) * n
     for i in range(cap + 1):
         # every unit c of k, by F_q-linearity in c from the columns of
