@@ -3,10 +3,11 @@
 For a nonzero integral ideal I of E = End_k(phi), the left ideal
 k{tau} I is principal with a monic generator u_I (a right gcd of skew
 realizations of the HNF basis of I). Conjugation by u_I produces the
-acted module. The annihilator J = k{tau} I cap E is computed by a
-finite F_q-linear divisibility condition modulo chi(E/I) E, and I is a
-kernel ideal exactly when J = I; otherwise an element of J \\ I is
-returned as a witness.
+acted module. The annihilator J = k{tau} I cap E contains I, so it is
+J = I + ker(E/I -> k{tau}/k{tau} u_I), a finite F_q-linear
+divisibility condition on E/I. I is a kernel ideal exactly when that
+kernel is zero, and then J = I is returned without a lattice;
+otherwise an element of J \\ I is returned as a witness.
 """
 
 from __future__ import annotations
@@ -78,9 +79,7 @@ def act(phi: DrinfeldModule, ideal: FracIdeal) -> IdealActionResult:
     # psi_T[0] = t^(q^v) for v the tau-valuation of u: a Frobenius
     # conjugate of t, so the characteristic prime carries over
     psi = DrinfeldModule.with_char_prime(phi.tower, psi_t, phi.char_prime)
-    ann = annihilator_ideal(order, integral, u)
-    if not ann.lattice.contains_lattice(integral.lattice):
-        raise InternalError("annihilator does not contain the ideal")
+    ann = _annihilator(order, integral, u, gens)
     kernel = ann == integral
     witness = None
     if not kernel:
@@ -94,30 +93,34 @@ def act(phi: DrinfeldModule, ideal: FracIdeal) -> IdealActionResult:
 
 
 def annihilator_ideal(order: AOrder, integral: FracIdeal, u: SkewPoly) -> FracIdeal:
-    """J = {w in E : u_I right-divides w} = k{tau} I cap E.
+    """J = {w in E : u_I right-divides w} = k{tau} I cap E, for u_I a
+    right divisor of every element of the integral ideal I.
 
-    The divisibility condition is F_q-linear and descends to E / chi E
-    for chi = chi(E/I), which contains the ideal, so the computation is
-    finite-dimensional; the result is re-spanned with chi E.
+    J contains I, so J = I + ker(E/I -> k{tau}/k{tau} u_I): for d_j the
+    diagonal of I's HNF, the T^a e_j with a < deg d_j are an F_q-basis
+    of E/I, and the kernel is solved on their remainders by u_I. An
+    empty kernel (I is a kernel ideal) returns I itself; otherwise the
+    lifted kernel vectors are re-spanned with I. InternalError when u_I
+    does not right-divide a generator of I.
     """
-    module = order.module
-    if module is None or order.skew_basis is None:
-        raise InternalError("order carries no skew realization")
-    fq = order.fq
-    s = order.s
-    if u.degree == 0:
-        # unit generator: the whole order annihilates
-        return order.unit_ideal()
-    chi = integral.norm_poly()
-    degc = chi.degree
-    gens = right_divisible_combinations(module, order.skew_basis, u, degc) if degc > 0 else []
-    zero = APoly.zero(fq)
-    one = APoly.one(fq)
-    for j in range(s):
-        v = [zero] * s
-        v[j] = chi if degc > 0 else one
-        gens.append(v)
-    lat = ALattice.from_generators(fq, s, gens)
+    gens = [skew_realization(order, list(col)) for col in integral.lattice.cols]
+    return _annihilator(order, integral, u, gens)
+
+
+def _annihilator(
+    order: AOrder, integral: FracIdeal, u: SkewPoly, gens: list[SkewPoly]
+) -> FracIdeal:
+    """`annihilator_ideal` on the skew realizations gens of I's HNF
+    columns."""
+    for g in gens:
+        if g.rdivmod(u)[1]:
+            raise InternalError("u_I does not right-divide a generator of the ideal")
+    cols = integral.lattice.cols
+    degs = [cols[j][j].degree for j in range(order.s)]
+    lifts = right_divisible_combinations(order.module, order.skew_basis, u, degs)
+    if not lifts:
+        return integral
+    lat = ALattice.from_generators(order.fq, order.s, [list(c) for c in cols] + lifts)
     return FracIdeal(order, lat)
 
 

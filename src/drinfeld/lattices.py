@@ -17,21 +17,32 @@ from .fields import Fq
 
 
 def _hnf_reduce(fq: Fq, dim: int, gens: list[list[APoly]]) -> list[list[APoly]]:
-    """Column-style HNF of the A-span of the given vectors."""
+    """Column-style HNF of the A-span of the given vectors.
+
+    Row by row from the last: the active column (nonzero in the row) of
+    least degree there is the pivot, and every other active column is
+    reduced against it, until one is left. Columns not yet placed are
+    zero below the current row, so only rows up to it are updated."""
     work = [list(g) for g in gens if any(g)]
     placed: list[list[APoly] | None] = [None] * dim
     for row in range(dim - 1, -1, -1):
         active = [c for c in work if c[row]]
-        while len(active) > 1:
-            active.sort(key=lambda c: c[row].degree, reverse=True)
-            a, b = active[0], active[1]
-            q, _ = divmod(a[row], b[row])
-            for i in range(dim):
-                a[i] = a[i] - q * b[i]
-            if not a[row]:
-                active = [c for c in active if c[row]]
         if not active:
             raise RankError(f"generators do not span rank {dim} at row {row}")
+        while len(active) > 1:
+            piv = min(active, key=lambda c: c[row].degree)
+            lead = piv[row]
+            upper = [(i, piv[i]) for i in range(row) if piv[i]]
+            left = [piv]
+            for c in active:
+                if c is piv:
+                    continue
+                q, c[row] = divmod(c[row], lead)
+                for i, e in upper:
+                    c[i] = c[i] - q * e
+                if c[row]:
+                    left.append(c)
+            active = left
         piv = active[0]
         work = [c for c in work if c is not piv]
         inv = fq.inv(piv[row].lc())

@@ -353,10 +353,10 @@ def build_endomorphism_ring(module: DrinfeldModule) -> AOrder:
 
 
 def right_divisible_combinations(
-    module: DrinfeldModule, starts: list[SkewPoly], u: SkewPoly, deg: int
+    module: DrinfeldModule, starts: list[SkewPoly], u: SkewPoly, degs: list[int]
 ) -> list[list[APoly]]:
-    """An F_q-basis of the vectors (c_j) with deg c_j < deg for which u
-    right-divides sum_j phi_{c_j} * starts[j], each c_j an APoly.
+    """An F_q-basis of the vectors (c_j) with deg c_j < degs[j] for which
+    u right-divides sum_j phi_{c_j} * starts[j], each c_j an APoly.
 
     Right-divisibility by u is F_q-linear, so the system has one column
     per c_j coefficient: rem(phi_{T^a} * starts[j], u). Left multiples of
@@ -364,14 +364,18 @@ def right_divisible_combinations(
     b)) and each division is of degree below deg u + r."""
     fq = module.tower.fq
     cols = []
-    for b in starts:
-        rem = b.rdivmod(u)[1]
+    for b, deg in zip(starts, degs):
         for a in range(deg):
-            if a:
-                rem = (module.phi_t * rem).rdivmod(u)[1]
+            rem = (module.phi_t * rem if a else b).rdivmod(u)[1]
             cols.append(rem)
+    if not cols:
+        return []
     kernel = nullspace(fq, coefficient_system(cols, u.degree), len(cols))
-    return [[APoly(fq, vec[j * deg : (j + 1) * deg]) for j in range(len(starts))] for vec in kernel]
+    offsets = list(itertools.accumulate(degs, initial=0))
+    return [
+        [APoly(fq, vec[offsets[j] : offsets[j + 1]]) for j in range(len(starts))]
+        for vec in kernel
+    ]
 
 
 def end_index_bound(ext: ExtensionField) -> APoly | None:
@@ -412,7 +416,7 @@ def end_pi_lattice(module: DrinfeldModule, f: APoly) -> ALattice:
     if f.degree <= 0:
         return ALattice.identity(fq, s)
     pis = [SkewPoly.tau_power(module.tower, module.n * j) for j in range(s)]
-    gens = right_divisible_combinations(module, pis, module(f), f.degree)
+    gens = right_divisible_combinations(module, pis, module(f), [f.degree] * s)
     zero = APoly.zero(fq)
     for j in range(s):
         gens.append([f if i == j else zero for i in range(s)])

@@ -12,6 +12,7 @@ from drinfeld import (
     FieldTower,
     Fq,
     InternalError,
+    RankError,
     SkewPoly,
     act,
     first_irreducible,
@@ -306,6 +307,40 @@ def ref_end_ring(phi: DrinfeldModule):
     det, adj_t = mat_solve(p_t, mat_identity(fq, s))
     assert det
     return basis, ([list(row) for row in adj_t], det)
+
+
+def ref_hnf_reduce(fq, dim: int, gens: list[list[APoly]]) -> list[list[APoly]]:
+    """Column-style HNF by the loop `lattices._hnf_reduce` used first:
+    per row, the two active columns of highest degree there are reduced
+    one against the other, over every row, until one column is left."""
+    work = [list(g) for g in gens if any(g)]
+    placed: list[list[APoly] | None] = [None] * dim
+    for row in range(dim - 1, -1, -1):
+        active = [c for c in work if c[row]]
+        while len(active) > 1:
+            active.sort(key=lambda c: c[row].degree, reverse=True)
+            a, b = active[0], active[1]
+            q, _ = divmod(a[row], b[row])
+            for i in range(dim):
+                a[i] = a[i] - q * b[i]
+            if not a[row]:
+                active = [c for c in active if c[row]]
+        if not active:
+            raise RankError(f"generators do not span rank {dim} at row {row}")
+        piv = active[0]
+        work = [c for c in work if c is not piv]
+        inv = fq.inv(piv[row].lc())
+        if inv != 1:
+            piv = [c.scale(inv) for c in piv]
+        placed[row] = piv
+    cols = [list(placed[j]) for j in range(dim)]
+    for j in range(dim):
+        for i in range(j - 1, -1, -1):
+            q, _ = divmod(cols[j][i], cols[i][i])
+            if q:
+                for m in range(i + 1):
+                    cols[j][m] = cols[j][m] - q * cols[i][m]
+    return cols
 
 
 def gauss_jordan(fq, rows: list[list[int]], rhs: list[int]):

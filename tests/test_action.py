@@ -19,7 +19,15 @@ from drinfeld import (
     transport_ideal,
 )
 
-from conftest import gauss_jordan, get_tower, integral_ideals, is_kernel_ideal, rand_apoly
+from conftest import (
+    _SPECS,
+    gauss_jordan,
+    get_tower,
+    integral_ideals,
+    is_kernel_ideal,
+    rand_apoly,
+    rand_kelem,
+)
 
 
 @pytest.fixture(scope="module")
@@ -271,3 +279,91 @@ def test_act_image_keeps_the_characteristic_prime(ex38):
             image = act(phi, ideal).image
             assert image.char_prime == minimal_poly_over_fq(image.t)
             assert image.char_prime == phi.char_prime
+
+
+def _commutative_module(tower, rank, rng):
+    """The first random module of the rank over tower whose End is
+    commutative, so `act` applies."""
+    for _ in range(200):
+        coeffs = [rand_kelem(rng, tower) for _ in range(rank)]
+        top = rand_kelem(rng, tower)
+        if not top:
+            continue
+        phi = DrinfeldModule(tower, SkewPoly(tower, coeffs + [top]))
+        if phi.profile().s == rank:
+            return phi
+    raise AssertionError(f"no rank-{rank} module with commutative End over {tower}")
+
+
+def _oracle_cases(phi, end, ideal):
+    """(name, module, order, ideals): End of a rank-2 and a rank-3 module
+    over every conftest tower, with its ideals of norm degree at most 2;
+    and End and A[pi] of the rank-3 F_16 module with the non-kernel ideal,
+    with their ideals of norm degree at most 3 (A[pi] has non-kernel
+    ideals from norm degree 3 on)."""
+    from drinfeld import minimal_frobenius_order
+
+    rng = random.Random(307)
+    for name in sorted(_SPECS):
+        tower = get_tower(name)
+        for rank in (2, 3):
+            module = _commutative_module(tower, rank, rng)
+            order = endomorphism_ring(module)
+            yield name, module, order, list(integral_ideals(order, 2))
+    minimal = minimal_frobenius_order(phi.profile(), phi)
+    yield "ex38", phi, end, [ideal] + list(integral_ideals(end, 3))
+    yield "ex38-A[pi]", phi, minimal, list(integral_ideals(minimal, 3))
+
+
+def test_annihilator_on_e_mod_i_matches_the_direct_products(ex38, monkeypatch):
+    """J = I + ker(E/I -> k{tau}/k{tau}u_I) against `_direct_annihilator`
+    (the divisibility system on E/chi E, re-spanned with chi E): equal
+    lattices, kernel verdicts and witnesses, and no lattice built for a
+    kernel ideal."""
+    from drinfeld import ALattice, annihilator_ideal
+
+    built = []
+    from_generators = ALattice.from_generators
+
+    def spy(*args, **kwargs):
+        built.append(args)
+        return from_generators(*args, **kwargs)
+
+    monkeypatch.setattr(ALattice, "from_generators", staticmethod(spy))
+    nonkernel_orders = set()
+    for name, phi, order, ideals in _oracle_cases(*ex38):
+        assert ideals
+        for ideal in ideals:
+            result = act(phi, ideal)
+            integral = ideal.scaled_integral()
+            want = _direct_annihilator(order, integral, result.u)
+            built.clear()
+            ann = annihilator_ideal(order, integral, result.u)
+            assert ann == want == result.annihilator, (name, ideal)
+            assert result.is_kernel == (want == integral)
+            if result.is_kernel:
+                assert result.witness is None and not built, (name, ideal)
+            else:
+                first = next(c for c in want.lattice.cols if not integral.contains(list(c)))
+                assert result.witness == list(first)
+                nonkernel_orders.add(name)
+    assert len(nonkernel_orders) > 1, nonkernel_orders
+
+
+def test_u_must_right_divide_every_generator_of_the_ideal(ex38, monkeypatch):
+    """u_J of J = T I, strictly inside I, does not right-divide every
+    generator of I: `annihilator_ideal` and `act` raise InternalError
+    rather than solve on E/I with it."""
+    from drinfeld import InternalError, annihilator_ideal
+    from drinfeld import action
+
+    phi, end, ideal = ex38
+    tt = APoly(end.fq, [0, 1])
+    smaller = ideal.mul_elem([tt] + [APoly.zero(end.fq)] * (end.s - 1))
+    assert ideal.lattice.contains_lattice(smaller.lattice) and smaller != ideal
+    u_smaller = act(phi, smaller).u
+    with pytest.raises(InternalError, match="right-divide"):
+        annihilator_ideal(end, ideal, u_smaller)
+    monkeypatch.setattr(action, "rgcd", lambda gens: u_smaller)
+    with pytest.raises(InternalError, match="right-divide"):
+        act(phi, ideal)

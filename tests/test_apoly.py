@@ -24,6 +24,7 @@ from conftest import (
     rand_apoly,
     rand_nonzero_apoly,
     ratfunc_mul,
+    ref_hnf_reduce,
 )
 
 
@@ -138,6 +139,102 @@ def test_hnf_rank_error():
     zero = APoly.zero(fq)
     with pytest.raises(RankError):
         ALattice.from_generators(fq, 2, [[one, zero], [one, zero]])
+
+
+def _hnf_or_rank_error(hnf, fq, dim, gens):
+    try:
+        return hnf(fq, dim, gens)
+    except RankError:
+        return RankError
+
+
+def test_hnf_kernel_matches_the_reference_loop():
+    """`_hnf_reduce` pivots on the least degree and updates only the rows
+    above; the HNF is unique, so it must agree with the reference loop on
+    random generator sets: zero vectors, rank-deficient spans (RankError
+    from both) and entries of degree 20 and more."""
+    from drinfeld.lattices import _hnf_reduce
+
+    rng = random.Random(71)
+    seen = {"zero vector": 0, "rank error": 0, "degree swell": 0}
+    for fq in (fq2(), fq3(), get_tower("f16e2").fq):
+        for _ in range(120):
+            dim = rng.randrange(1, 5)
+            swell = rng.randrange(4) == 0
+            gens = []
+            for _ in range(rng.randrange(max(dim - 1, 1), dim + 4)):
+                kind = rng.randrange(6)
+                if kind == 0:
+                    gens.append([APoly.zero(fq)] * dim)
+                    continue
+                vec = [rand_apoly(rng, fq, 3) for _ in range(dim)]
+                if swell:
+                    vec = [e * rand_apoly(rng, fq, 12) * rand_apoly(rng, fq, 12) for e in vec]
+                gens.append(vec)
+            got = _hnf_or_rank_error(_hnf_reduce, fq, dim, gens)
+            assert got == _hnf_or_rank_error(ref_hnf_reduce, fq, dim, gens)
+            seen["zero vector"] += any(not any(g) for g in gens)
+            seen["rank error"] += got is RankError
+            seen["degree swell"] += got is not RankError and swell and max(
+                e.degree for g in gens for e in g
+            ) >= 20
+    assert all(v >= 5 for v in seen.values()), seen
+
+
+# rank-3 modules of the benchmark's `queries` (seed 5) whose End is not
+# A[pi], so `gorenstein_conductor` takes the ideal products of
+# `_dual_conductor`, with HNF entries of degree up to 37
+QUERIES_END_ORDERS = [
+    (
+        {"p": 3, "e": 1, "h": [0, 1], "n": 4, "g": [1, 0, 1, 1, 1]},
+        [[2, 1, 2, 2], [2, 1, 1, 2], [0, 0, 1, 2], [2, 1, 2, 0]],
+    ),
+    (
+        {"p": 2, "e": 1, "h": [0, 1], "n": 6, "g": [1, 0, 0, 0, 0, 1, 1]},
+        [[0, 0, 0, 1, 1, 0], [1, 0, 1, 0, 1, 0], [1, 0, 0, 1, 0, 1], [1, 0, 1, 0, 1, 1]],
+    ),
+    (
+        {"p": 2, "e": 1, "h": [0, 1], "n": 8, "g": [1, 0, 0, 0, 1, 1, 0, 1, 1]},
+        [
+            [1, 0, 0, 0, 0, 1, 0, 0],
+            [1, 0, 0, 1, 0, 0, 1, 0],
+            [0, 0, 0, 1, 1, 1, 1, 1],
+            [1, 1, 1, 0, 0, 1, 0, 0],
+        ],
+    ),
+    (
+        {"p": 3, "e": 1, "h": [0, 1], "n": 6, "g": [1, 0, 0, 0, 1, 1, 1]},
+        [[0, 0, 1, 2, 0, 0], [2, 0, 2, 2, 0, 1], [0, 2, 0, 0, 0, 1], [1, 1, 2, 2, 0, 0]],
+    ),
+]
+
+
+def test_hnf_kernel_matches_the_reference_loop_on_queries_end_orders(monkeypatch):
+    """Every HNF of the End build and the Gorenstein conductor of rank-3
+    `queries` modules, each compared with the reference loop."""
+    from drinfeld import DrinfeldModule, SkewPoly, endomorphism_ring, gorenstein_conductor
+    from drinfeld import lattices
+    from drinfeld.serialize import field_from_json
+
+    hnf = lattices._hnf_reduce
+    degrees = []
+
+    def spy(fq, dim, gens):
+        got = _hnf_or_rank_error(hnf, fq, dim, gens)
+        assert got == _hnf_or_rank_error(ref_hnf_reduce, fq, dim, gens)
+        degrees.append(max(e.degree for g in gens for e in g))
+        if got is RankError:
+            raise RankError("rank-deficient generators")
+        return got
+
+    monkeypatch.setattr(lattices, "_hnf_reduce", spy)
+    for field, phi_t in QUERIES_END_ORDERS:
+        tower = field_from_json(field)
+        phi = DrinfeldModule(tower, SkewPoly(tower, [tower.elem(c) for c in phi_t]))
+        end = endomorphism_ring(phi)
+        assert end.pi_lattice != ALattice.identity(end.fq, 3)
+        gorenstein_conductor(end)
+    assert max(degrees) >= 30, degrees
 
 
 def test_lattice_index_basics():

@@ -633,11 +633,22 @@ GOLDEN_ENDRING_DIGESTS = {
     ),
 }
 
-# sha256 of `ideal-act` reports (module, ideal), recorded with the
-# full-vector greedy End build: the benchmark's queries act only over
-# F_81. End != A[pi] (basis tau-degrees 0, 8, 10) and the generator
-# (T + 1) b_0 + b_1 + T b_2 reaches T * b_2
+# sha256 of `ideal-act` reports (module, ideal). "f256-rank3" was recorded
+# with the full-vector greedy End build: the benchmark's queries act only
+# over F_81. End != A[pi] (basis tau-degrees 0, 8, 10) and the generator
+# (T + 1) b_0 + b_1 + T b_2 reaches T * b_2. "f16-rank3-nonkernel" is the
+# non-kernel ideal (e_2, e_3) of demo 02, recorded while the annihilator
+# was still solved on E / chi E: it pins the witness (T+1)^2 and the
+# annihilator norm T^2+1 of the branch that re-spans a lattice
 GOLDEN_IDEAL_ACT_DIGESTS = {
+    "f16-rank3-nonkernel": (
+        {
+            "field": {"p": 2, "e": 1, "h": [0, 1], "n": 4, "g": [1, 1, 0, 0, 1]},
+            "phi_T": [[0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 1], [1, 0, 0, 0]],
+        },
+        {"generators": [[[1], [1], []], [[], [], [1]]]},
+        "a3fe4eaa0385407f88fcfa36e567ec8c959e8068e2c520f253200f7552010376",
+    ),
     "f256-rank3": (
         {
             "field": {"p": 2, "e": 1, "h": [0, 1], "n": 8, "g": [1, 0, 0, 0, 1, 1, 0, 1, 1]},

@@ -48,6 +48,7 @@ CENSUSES = {
 # "module.qualname" -> why it stays although the mix does not reach it
 ALLOWED = {
     "modules.find_isomorphism": "public API: one solve of the degree-0 Hom system; action tests compare images with it",
+    "action.annihilator_ideal": "public API: the annihilator for a given u_I; act calls its body _annihilator with the realizations it already built",
     "action.transport_ideal": "the ideal action beyond the ordinary/prime-field corollary will call it",
     "skew.rgcd_bezout": "public API: right Bezout coefficients of rgcd, tested as an acceptance criterion",
     "census.enumerate_modules": "public API: the modules a census enumerates, tested as an acceptance criterion",
