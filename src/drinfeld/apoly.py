@@ -381,12 +381,13 @@ def minimal_poly_over_fq(x: KElem) -> APoly:
     null vector of the first free column of that n x (n+1) system, whose
     columns before it are independent."""
     t = x.tower
-    from .linalg import dense_system, nullspace
+    from .linalg import dense_system, echelon
 
     pows = [t.one]
     for _ in range(t.n):
         pows.append(pows[-1] * x)
-    return APoly(t.fq, nullspace(t.fq, dense_system(t.fq, [p.coeffs for p in pows]), t.n + 1)[0])
+    free, null_vector = echelon(t.fq, dense_system(t.fq, [p.coeffs for p in pows]), t.n + 1)
+    return APoly(t.fq, null_vector(free[0]))
 
 
 # -- small dense matrices over APoly (rows of lists) --

@@ -1,18 +1,16 @@
 """Frobenius invariants of a Drinfeld module.
 
 The minimal polynomial m(x) of pi = tau^n over F is found by
-degree-bounded linear algebra over F_q. For a degree s' dividing the rank
-r, the system
-
-    pi^{s'} + sum_{i<s'} phi_{c_i} pi^i = 0,  deg c_i <= ceil((s'-i) n / r),
-
-has the phi_{T^j} tau^{n i} as columns. It is solved for s' = r first. If
-the true degree s is smaller, m itself is a nonzero solution of the
-homogeneous degree-r system, because its coefficient bounds
-ceil((s-i) n / r) are at most ceil((r-i) n / r). So a unique solution
-certifies s = r, and it is m(x): one solve when End is commutative, with
-no separate factorization. Only a non-unique answer goes on to the proper
-divisors of r in ascending order, where the first solvable degree wins.
+degree-bounded linear algebra over F_q: one homogeneous system whose
+columns are the phi_{T^j} tau^(n i) for i = 0, ..., r and
+j <= ceil((r-i) n / r), in that order (at i = r only pi^r itself). Every
+nonzero P with A-coefficients and P(pi) = 0 is a multiple of m in F[x],
+so no dependence among the columns has x-degree below s, and m fits the
+columns because its coefficients obey deg c_i <= ceil((s-i) n / r)
+(Gekeler, "On finite Drinfeld modules", J. Algebra 1991). Hence the
+first free column of the echelon is pi^s, and its null vector is m(x),
+monic in x, whether s = r or s < r: one elimination, with no
+factorization and no search over the divisors of r.
 
 The same object read as a polynomial in T over F_q[pi] has T-degree
 [Ftilde : K], and comparing ceil(n/(H d)) with [Ftilde : K]/d decides
@@ -24,40 +22,15 @@ solver's system.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import accumulate
 
 from .apoly import APoly
 from .errors import InternalError
 from .extfield import ExtensionField
-from .linalg import solve_linear
+from .linalg import echelon
 from .modules import DrinfeldModule
 from .render import poly_in_x_text
 from .skew import coefficient_system, fq_combination
-
-
-def _annihilator(module: DrinfeldModule, s: int):
-    """The solution of pi^s + sum_{i<s} phi_{c_i} pi^i = 0 in polynomials
-    c_i with deg c_i <= ceil((s-i) n / r), as (c_0, ..., c_{s-1}, 1) or
-    None when there is none, and the nullspace basis of the system."""
-    tower = module.tower
-    fq = tower.fq
-    n, r = module.n, module.rank
-    bounds = [-((-(s - i) * n) // r) for i in range(s)]
-    cols = [module.phi_t_power(j).shift(n * i) for i in range(s) for j in range(bounds[i] + 1)]
-    # r * bounds[i] + n * i >= n * s, so the columns reach the degree of pi^s
-    height = max(f.degree for f in cols) + 1
-    # right-hand side: minus the coefficients of pi^s = tau^(n s)
-    rhs = [0] * (height * tower.n)
-    rhs[n * s * tower.n] = fq.neg(1)
-    sol, null = solve_linear(fq, coefficient_system(cols, height), rhs, len(cols))
-    if sol is None:
-        return None, null
-    coeffs = []
-    pos = 0
-    for b in bounds:
-        coeffs.append(APoly(fq, sol[pos : pos + b + 1]))
-        pos += b + 1
-    coeffs.append(APoly.one(fq))
-    return coeffs, null
 
 
 def minpoly_frobenius(module: DrinfeldModule) -> list[APoly]:
@@ -66,21 +39,21 @@ def minpoly_frobenius(module: DrinfeldModule) -> list[APoly]:
     Works for any module; commutativity of the endomorphism ring is not
     required.
     """
-    r = module.rank
-    coeffs, null = _annihilator(module, r)
-    if coeffs is None:
-        # x^(r-s) m(x) solves the degree-r system whenever m does
+    fq = module.tower.fq
+    n, r = module.n, module.rank
+    bounds = [-((-(r - i) * n) // r) for i in range(r + 1)]
+    # column starts[i] is pi^i, the first of block i
+    starts = list(accumulate((b + 1 for b in bounds), initial=0))
+    cols = [module.phi_t_power(j).shift(n * i) for i in range(r + 1) for j in range(bounds[i] + 1)]
+    height = max(f.degree for f in cols) + 1
+    free, null_vector = echelon(fq, coefficient_system(cols, height), starts[-1])
+    if not free:
         raise InternalError("no annihilating polynomial found up to degree r")
-    if not null:
-        return coeffs
-    for s in range(1, r):
-        if r % s == 0:
-            coeffs, null = _annihilator(module, s)
-            if coeffs is not None:
-                break
-    if coeffs is None or null:
-        raise InternalError("minimal polynomial solution is not unique")
-    return coeffs
+    if free[0] not in starts:
+        raise InternalError("the first dependence among the powers of pi is not monic in x")
+    s = starts.index(free[0])
+    m = null_vector(free[0])
+    return [APoly(fq, m[starts[i] : starts[i + 1]]) for i in range(s + 1)]
 
 
 def transpose_bivariate(coeffs: list[APoly]) -> list[APoly]:

@@ -177,8 +177,16 @@ def shared_module(tower: FieldTower, phi_t: SkewPoly) -> DrinfeldModule:
 def module_from_json(data: dict) -> DrinfeldModule:
     json_keys(data, ("field", "phi_T"))
     tower = field_from_json(json_field(data, "field", json_object))
-    coeffs = json_field(data, "phi_T", lambda v: [kelem_from_json(tower, c) for c in _array(v)])
+    coeffs = json_field(data, "phi_T", lambda v: _phi_t_coeffs(tower, v))
     return shared_module(tower, SkewPoly(tower, coeffs))
+
+
+def _phi_t_coeffs(tower: FieldTower, v) -> list[KElem]:
+    # the last entry gives the rank: a zero there would be read as a lower rank
+    coeffs = [kelem_from_json(tower, c) for c in _array(v)]
+    if coeffs and not coeffs[-1]:
+        raise ValueError("the last entry, the coefficient of tau^r, must be nonzero")
+    return coeffs
 
 
 def ideal_vectors_from_json(fq, data: dict) -> list[list[APoly]]:

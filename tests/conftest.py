@@ -20,6 +20,7 @@ from drinfeld import (
     is_isogeny,
 )
 from drinfeld.apoly import mat_det, mat_identity, mat_solve, poly_gcd
+from drinfeld.linalg import echelon, pack
 
 _TOWER_CACHE: dict[str, FieldTower] = {}
 
@@ -137,13 +138,55 @@ def ref_image(phi: DrinfeldModule, a: APoly) -> SkewPoly:
     return ref_fq_combination(phi.tower, [(c, phi.phi_t_power(j)) for j, c in enumerate(a.coeffs)])
 
 
+def rhs_column_rows(fq, rows, rhs: list[int], ncols: int) -> list:
+    """Sparse rows (lead, vals) on ncols columns, one entry of rhs per row,
+    with -rhs[i] appended to row i as column ncols."""
+    assert len(rhs) == len(rows)
+    out = []
+    for (lead, vals), b in zip(rows, rhs):
+        if b:
+            vals = list(vals) + [0] * (ncols - lead - len(vals)) + [fq.neg(b)]
+        out.append((lead, vals))
+    return out
+
+
+def with_rhs_column(fq, system, rhs: list[int], ncols: int) -> list:
+    """A system of `linalg` on ncols columns with -rhs appended as column
+    ncols, in the system's own format: one more packed column over F_2
+    (where -b = b), and otherwise `rhs_column_rows`."""
+    if fq.q == 2:
+        return list(system) + [pack(rhs)]
+    return rhs_column_rows(fq, system, rhs, ncols)
+
+
+def read_solution(kernel, ncols: int):
+    """A*x = b read off the (free, null_vector) of [A | -b] on ncols + 1
+    columns: the solution that is 0 at every free column of A and A's null
+    basis, in increasing order of the free columns; or None and the null
+    basis when column ncols is a pivot, so that the system is
+    inconsistent."""
+    free, null_vector = kernel
+    null = [null_vector(f)[:ncols] for f in free if f < ncols]
+    if free and free[-1] == ncols:
+        return null_vector(ncols)[:ncols], null
+    return None, null
+
+
+def solve_by_echelon(fq, system, rhs: list[int], ncols: int):
+    """A*x = b for a system A of `linalg` on ncols columns and b a list with
+    an entry per row, by one `echelon` of A with -b appended as its last
+    column (`with_rhs_column`, `read_solution`): the answer `solve_linear`
+    gave before `linalg` held homogeneous systems only."""
+    return read_solution(echelon(fq, with_rhs_column(fq, system, rhs, ncols), ncols + 1), ncols)
+
+
 def ladder_minpoly(phi: DrinfeldModule) -> list[APoly]:
     """m(x) by the ascending ladder over the divisors s of the rank, each
-    system built from the SkewPoly columns phi_{T^j} tau^(n i): the first
-    solvable degree wins, and it must solve uniquely. This is how
-    `minpoly_frobenius` found m(x) before it solved the degree-r system
-    first."""
-    from drinfeld.linalg import solve_linear
+    system built from the SkewPoly columns phi_{T^j} tau^(n i) with pi^s
+    on the right-hand side (`solve_by_echelon`): the first solvable degree
+    wins, and it must solve uniquely. This is how `minpoly_frobenius`
+    found m(x) before it read m off the first free column of one
+    homogeneous system."""
     from drinfeld.skew import coefficient_system
 
     tower, fq = phi.tower, phi.tower.fq
@@ -158,7 +201,7 @@ def ladder_minpoly(phi: DrinfeldModule) -> list[APoly]:
         target = SkewPoly.tau_power(tower, n * s, -tower.one)
         height = max(c.degree for c in cols + [target]) + 1
         system = coefficient_system(cols, height)
-        sol, null = solve_linear(fq, system, _flatten_skew(target, height - 1), len(cols))
+        sol, null = solve_by_echelon(fq, system, _flatten_skew(target, height - 1), len(cols))
         if sol is None:
             continue
         assert not null, "minimal polynomial solution is not unique"
@@ -244,8 +287,8 @@ def ref_coords_in_skew_basis(
     or None if u is not in its A-span, by one solve on the phi_{T^a} b_j
     of degree at most deg u: for End, coordinates respect degrees up to
     the cap that its build certifies. This is the separate F_q solve that
-    `coords_in_skew_basis` ran before it read End's own echelon."""
-    from drinfeld.linalg import solve_linear
+    `coords_in_skew_basis` ran before it read End's own echelon, here by
+    `solve_by_echelon`."""
     from drinfeld.skew import coefficient_system
 
     fq = module.tower.fq
@@ -261,7 +304,7 @@ def ref_coords_in_skew_basis(
     if not cols:
         return None
     system = coefficient_system(cols, u.degree + 1)
-    sol, _ = solve_linear(fq, system, _flatten_skew(u, u.degree), len(cols))
+    sol, _ = solve_by_echelon(fq, system, _flatten_skew(u, u.degree), len(cols))
     if sol is None:
         return None
     polys: list[list[int]] = [[] for _ in basis]

@@ -1,12 +1,21 @@
 """The F_q-combination kernel and the Frobenius profile built on it,
-against the SkewPoly-sum and divisor-ladder oracles of conftest."""
+against the SkewPoly-sum and divisor-ladder oracles of conftest.
+
+`minpoly_frobenius` reads m(x) off the first free column of one
+homogeneous system; the ladder (`conftest.ladder_minpoly`) solves each
+divisor degree of the rank with pi^s on the right-hand side. They must
+agree on random modules, on every census class with s < r of five small
+censuses, and on every monic rank-4 module over F_4, and the two guards
+of the single solve (no free column; a first free column that is not a
+power of pi) must raise."""
 
 import itertools
 import random
 
 import pytest
 
-from drinfeld import APoly, DrinfeldModule, SkewPoly, minpoly_frobenius, skew_realization
+from drinfeld import APoly, DrinfeldModule, SkewPoly, invariants, linalg, minpoly_frobenius, skew_realization
+from drinfeld.census import census_isomorphism_classes, characteristic_roots
 from drinfeld.errors import InternalError
 from drinfeld.invariants import FrobeniusProfile
 from drinfeld.skew import fq_combination
@@ -126,6 +135,47 @@ def test_single_solve_on_every_monic_rank4_module_over_f4():
         assert m == ladder_minpoly(phi)
         degrees.add(len(m) - 1)
     assert degrees == {2, 4}
+
+
+def test_single_solve_on_every_census_class_below_the_rank():
+    # the census classes with s < r, where the first free column is pi^s
+    # and not the monic column pi^r: 2 over F_4, 6 over F_9 and 3 over
+    # F_16 at rank 2, 2 over F_8 at rank 3 and 4 over F_4 at rank 4
+    found = {}
+    for name, rank in (("f4", 2), ("f9", 2), ("f16", 2), ("f8", 3), ("f4", 4)):
+        tower = get_tower(name)
+        for _, t in characteristic_roots(tower):
+            for group in census_isomorphism_classes(tower, rank, t).values():
+                for entry in group.iso_classes:
+                    m = minpoly_frobenius(entry.rep)
+                    if len(m) - 1 < rank:
+                        assert m == ladder_minpoly(entry.rep)
+                        found[name, rank] = found.get((name, rank), 0) + 1
+    assert found == {("f4", 2): 2, ("f9", 2): 6, ("f16", 2): 3, ("f8", 3): 2, ("f4", 4): 4}
+
+
+def test_single_solve_raises_without_a_free_column(monkeypatch):
+    tower = get_tower("f9")
+    phi = DrinfeldModule(tower, SkewPoly(tower, [tower.gen(), tower.zero, tower.one]))
+    monkeypatch.setattr(invariants, "echelon", lambda fq, system, ncols: ([], None))
+    with pytest.raises(InternalError, match="no annihilating polynomial"):
+        minpoly_frobenius(phi)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 4])
+def test_single_solve_raises_when_the_first_dependence_is_not_monic(rank, monkeypatch):
+    # a first free column one before pi^s is the last column of block
+    # s - 1, never a power of pi: its vector is not monic in x
+    tower = get_tower("f4")
+    phi = DrinfeldModule(tower, SkewPoly(tower, [tower.gen()] + [tower.zero] * (rank - 1) + [tower.one]))
+
+    def shifted(fq, system, ncols):
+        free, null_vector = linalg.echelon(fq, system, ncols)
+        return [free[0] - 1] + free, null_vector
+
+    monkeypatch.setattr(invariants, "echelon", shifted)
+    with pytest.raises(InternalError, match="not monic in x"):
+        minpoly_frobenius(phi)
 
 
 def test_validate_rejects_a_corrupted_min_poly():

@@ -1,24 +1,28 @@
-"""F_q linear algebra: the elimination kernel `solve_linear` on sparse
-rows (lead, vals), `nullspace`, the null vectors `echelon` builds on
-request, and `conftest.TrailingEchelon`, the echelon of the End oracle.
+"""F_q linear algebra: the elimination kernel of `echelon` on sparse rows
+(lead, vals), `nullspace`, the null vectors `echelon` builds on request,
+and `conftest.TrailingEchelon`, the echelon of the End oracle.
 
-The kernel reduces rows by forward elimination inside their bands and
-back-substitutes; the reduced row echelon form is unique, so it must
-return exactly what dense Gauss-Jordan elimination (`conftest.gauss_jordan`,
-the solver it replaced) returns: the same particular solution and the same
-null basis, on random systems (dense, banded, with zero rows,
-inconsistent, without rows) and on the commutator systems
-(`hom_system(phi_T, phi_T, cap)`) and m(x) systems of every test tower.
-Over F_2 a system is its columns, each packed into one int (`pack`), and
-`solve_linear` runs the column-elimination kernel (`_echelon_f2`); its
-answers are checked against those of the general kernel (`_echelon_fq`,
-run at q = 2 on the same matrix as sparse rows) and the dense oracle, on
-random F_2 systems (inconsistent, with zero and repeated columns, all
-columns free, none free) and on every F_2 system the library builds over
-the F_2 test towers and F_{2^13}: m(x), Hom at cap n*s and at cap 0,
-right divisibility, colon and minimal polynomials over F_q. Properties
-are checked too, with products recomputed through the per-scalar `Fq`
-API, which the row kernels of `linalg` bypass, and ranks against sympy.
+`linalg` holds homogeneous systems only. A system A*x = b is solved here
+by `conftest.solve_by_echelon`: one `echelon` of A with -b appended as
+its last column, in the system's own format, where the system is
+inconsistent exactly when that column is a pivot. The kernel reduces
+rows by forward elimination inside their bands and back-substitutes; the
+reduced row echelon form is unique, so it must return exactly what dense
+Gauss-Jordan elimination (`conftest.gauss_jordan`, the solver it
+replaced) returns: the same particular solution and the same null basis,
+on random systems (dense, banded, with zero rows, inconsistent, without
+rows) and on the commutator systems (`hom_system(phi_T, phi_T, cap)`) and
+m(x) systems of every test tower. Over F_2 a system is its columns, each
+packed into one int (`pack`), and `echelon` runs the column-elimination
+kernel (`_echelon_f2`); its answers are checked against those of the
+general kernel (`_echelon_fq`, run at q = 2 on the same matrix as sparse
+rows) and the dense oracle, on random F_2 systems (inconsistent, with
+zero and repeated columns, all columns free, none free) and on every F_2
+system the library builds over the F_2 test towers and F_{2^13}: m(x),
+Hom at cap n*s and at cap 0, right divisibility, colon and minimal
+polynomials over F_q. Properties are checked too, with products
+recomputed through the per-scalar `Fq` API, which the row kernels of
+`linalg` bypass, and ranks against sympy.
 """
 
 import random
@@ -28,7 +32,7 @@ import pytest
 
 from drinfeld import DrinfeldModule, Fq, SkewPoly, invariants, linalg
 from drinfeld.invariants import minpoly_frobenius
-from drinfeld.linalg import _echelon_f2, _echelon_fq, nullspace, pack, solve_linear
+from drinfeld.linalg import _echelon_f2, _echelon_fq, nullspace, pack
 from drinfeld.orders import centralizer_basis
 from drinfeld.skew import hom_system
 
@@ -41,6 +45,9 @@ from conftest import (
     integral_ideals,
     rand_kelem,
     rand_module,
+    read_solution,
+    rhs_column_rows,
+    solve_by_echelon,
     tower_above_table_limit,
 )
 
@@ -118,7 +125,7 @@ def test_solution_and_nullspace(name):
     for fq, rng, rows, nc in systems(name):
         x0 = [rng.randrange(fq.q) for _ in range(nc)]
         rhs = mat_vec(fq, rows, x0)
-        sol, null = solve_linear(fq, as_system(fq, as_sparse(rows), nc), rhs, nc)
+        sol, null = solve_by_echelon(fq, as_system(fq, as_sparse(rows), nc), rhs, nc)
         assert sol is not None and mat_vec(fq, rows, sol) == rhs
         for v in null:
             assert mat_vec(fq, rows, v) == [0] * len(rows)
@@ -137,7 +144,7 @@ def test_inconsistent_system_returns_none(name):
         extra = [fq.add(u, v) for u, v in zip(rows[a], rows[b])]
         rhs = [rng.randrange(fq.q) for _ in rows]
         bad = fq.add(fq.add(rhs[a], rhs[b]), 1)
-        sol, null = solve_linear(fq, as_system(fq, as_sparse(rows + [extra]), nc), rhs + [bad], nc)
+        sol, null = solve_by_echelon(fq, as_system(fq, as_sparse(rows + [extra]), nc), rhs + [bad], nc)
         assert sol is None
         assert len(null) == nc - row_rank(fq, rows, nc)
 
@@ -145,6 +152,19 @@ def test_inconsistent_system_returns_none(name):
 def test_nullspace_of_no_rows_is_everything():
     fq = FIELDS["F3"]
     assert nullspace(fq, [], 3) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+
+
+def test_echelon_of_empty_systems():
+    # an F_2 system with no columns, and F_q systems with no rows: every
+    # column is free and its null vector is a unit vector
+    assert linalg.echelon(FIELDS["F2"], [], 0)[0] == [] and nullspace(FIELDS["F2"], [], 0) == []
+    for name in ("F3", "F4", "F9"):
+        fq = FIELDS[name]
+        assert linalg.echelon(fq, [], 0)[0] == [] and nullspace(fq, [], 0) == []
+        free, null_vector = linalg.echelon(fq, [], 4)
+        assert free == [0, 1, 2, 3]
+        assert [null_vector(f) for f in free] == [[int(i == j) for j in range(4)] for i in range(4)]
+        assert nullspace(fq, [], 4) == [null_vector(f) for f in free]
 
 
 @pytest.mark.parametrize("name", FIELDS)
@@ -185,7 +205,7 @@ def test_rank_and_nullspace_against_sympy(p):
     for _ in range(CASES):
         m, nc = rng.randrange(1, 8), rng.randrange(1, 8)
         rows = rand_matrix(rng, fq, m, nc)
-        _, null = solve_linear(fq, as_system(fq, as_sparse(rows), nc), [0] * m, nc)
+        null = nullspace(fq, as_system(fq, as_sparse(rows), nc), nc)
         ref = DomainMatrix([[dom(v) for v in row] for row in rows], (m, nc), dom)
         assert nc - len(null) == ref.rank()
         ech = TrailingEchelon(fq, nc)
@@ -208,10 +228,12 @@ DIFF_FIELDS = {
 
 
 def check_against_gauss_jordan(fq, system, rhs, ncols):
-    """solve_linear's answer on a system of `linalg` (rhs None: zero),
-    asserted equal to dense Gauss-Jordan's."""
+    """`solve_by_echelon`'s answer on a system of `linalg` (rhs None: zero),
+    asserted equal to dense Gauss-Jordan's; its null basis is also the
+    system's own `nullspace`."""
     rows, rhs = unpack_system(fq, system, rhs, ncols)
-    got = solve_linear(fq, system, rhs, ncols)
+    got = solve_by_echelon(fq, system, rhs, ncols)
+    assert nullspace(fq, system, ncols) == got[1]
     if rows:
         want = gauss_jordan(fq, rows, rhs)
     else:
@@ -287,18 +309,23 @@ def _tower(name):
 @pytest.mark.parametrize("name", sorted(_SPECS) + ["f8192"])
 def test_kernel_matches_gauss_jordan_on_tower_systems(name, monkeypatch):
     """The commutator systems of the centralizer and every m(x) system
-    `minpoly_frobenius` solves, on each test tower and on F_{2^13}, which
-    builds them without log tables."""
+    `minpoly_frobenius` eliminates, each as it is and with a random
+    right-hand side, on each test tower and on F_{2^13}, which builds them
+    without log tables."""
     tower = _tower(name)
     n = tower.n
     max_rank = 2 if n > 6 else 3
     seen = []
+    rhs_rng = random.Random(f"tower-systems-rhs-{name}")
 
-    def spy(fq, rows, rhs, ncols):
+    def spy(fq, system, ncols):
         seen.append(ncols)
-        return check_against_gauss_jordan(fq, rows, rhs, ncols)
+        check_against_gauss_jordan(fq, system, None, ncols)
+        rows, _ = unpack_system(fq, system, None, ncols)
+        check_against_gauss_jordan(fq, system, [rhs_rng.randrange(fq.q) for _ in rows], ncols)
+        return linalg.echelon(fq, system, ncols)
 
-    monkeypatch.setattr(invariants, "solve_linear", spy)
+    monkeypatch.setattr(invariants, "echelon", spy)
     rng = random.Random(f"tower-systems-{name}")
     for _ in range(2):
         module = rand_module(rng, tower, max_rank=max_rank)
@@ -341,11 +368,16 @@ def test_centralizer_solutions_are_reduced_trailing_echelon(name):
             assert len(centralizer_basis(module, s)[0]) == s
 
 
-def _solved(kernel, ncols):
-    """`solve_linear`'s answer read off one kernel's (free, vector,
-    consistent) alone."""
-    free, vector, consistent = kernel
-    return (vector(ncols) if consistent else None), [vector(f) for f in free]
+def _f2_solved(cols, rhs, ncols):
+    """A*x = b by the column kernel alone, on the packed columns of A and
+    b: `conftest.read_solution` of [A | -b] (-b = b over F_2)."""
+    return read_solution(_echelon_f2(cols + [pack(rhs)], ncols + 1), ncols)
+
+
+def _fq_solved(fq, rows, rhs, ncols):
+    """A*x = b by the general kernel alone, on the sparse rows of A with
+    -b appended (`conftest.rhs_column_rows`)."""
+    return read_solution(_echelon_fq(fq, rhs_column_rows(fq, rows, rhs, ncols), ncols + 1), ncols)
 
 
 def _f2_banded_systems(rng, count):
@@ -377,15 +409,15 @@ def _f2_banded_systems(rng, count):
 
 def _check_f2_kernels(rows, rhs, ncols):
     """The column kernel on the packed columns of sparse F_2 rows, asserted
-    equal to the general kernel on the rows, to dense Gauss-Jordan and to
-    `solve_linear`; returns the answer."""
+    equal to the general kernel on the rows and to dense Gauss-Jordan, and
+    its null basis to the homogeneous `nullspace`; returns the answer."""
     fq = FIELDS["F2"]
     cols = as_system(fq, rows, ncols)
-    got = _solved(_echelon_f2(cols, pack(rhs), ncols), ncols)
-    assert got == _solved(_echelon_fq(fq, rows, rhs, ncols), ncols)
+    got = _f2_solved(cols, rhs, ncols)
+    assert got == _fq_solved(fq, rows, rhs, ncols)
     if rows:
         assert got == gauss_jordan(fq, dense_rows(rows, ncols), rhs)
-    assert solve_linear(fq, cols, rhs, ncols) == got
+    assert nullspace(fq, cols, ncols) == got[1]
     return got
 
 
@@ -462,25 +494,25 @@ def test_packed_f2_kernel_matches_general_kernel_on_commutator_systems(name):
         assert len(cols) == ncols and max(cols).bit_length() <= nrows
         rows = [(0, [col >> i & 1 for col in cols]) for i in range(nrows)]
         for rhs in ([0] * nrows, [rng.randrange(2) for _ in range(nrows)]):
-            packed = _solved(_echelon_f2(cols, pack(rhs), ncols), ncols)
-            assert packed == _solved(_echelon_fq(tower.fq, rows, rhs, ncols), ncols)
+            assert _f2_solved(cols, rhs, ncols) == _fq_solved(tower.fq, rows, rhs, ncols)
 
 
-def test_solve_linear_eliminates_columns_only_over_f2(monkeypatch):
+def test_echelon_eliminates_columns_only_over_f2(monkeypatch):
     calls = []
 
-    def spy(cols, rhs, ncols):
+    def spy(cols, ncols):
         calls.append(ncols)
-        return _echelon_f2(cols, rhs, ncols)
+        return _echelon_f2(cols, ncols)
 
     monkeypatch.setattr(linalg, "_echelon_f2", spy)
     rows = [(0, [1, 1]), (1, [1, 0])]
     for name in ("F2", "F4", "F3"):
         fq = FIELDS[name]
-        assert solve_linear(fq, as_system(fq, rows, 3), [1, 0], 3) == (
+        assert solve_by_echelon(fq, as_system(fq, rows, 3), [1, 0], 3) == (
             gauss_jordan(fq, dense_rows(rows, 3), [1, 0])
         )
-    assert calls == [3]
+    # three columns and the right-hand side's
+    assert calls == [4]
 
 
 F2_TOWERS = [name for name in sorted(_SPECS) if _SPECS[name][:2] == (2, 1)] + ["f8192"]
@@ -489,35 +521,40 @@ F2_TOWERS = [name for name in sorted(_SPECS) if _SPECS[name][:2] == (2, 1)] + ["
 @pytest.mark.parametrize("name", F2_TOWERS)
 def test_f2_systems_of_every_builder_match_general_kernel_and_gauss_jordan(name, monkeypatch):
     """Every system that reaches `linalg` over an F_2 tower, whoever built
-    it: m(x) (`_annihilator`), Hom at cap n*s (`centralizer_basis`) and at
+    it: m(x) (`minpoly_frobenius`), Hom at cap n*s (`centralizer_basis`) and at
     cap 0 (`find_isomorphism`), right divisibility (End by right
     divisibility and the annihilator of `act`), the colon of two ideals,
     and the minimal polynomial over F_q of a module's constant term. Each
-    answer of the column kernel is asserted equal to the general kernel's
-    on the same matrix as sparse rows, and to dense Gauss-Jordan's."""
+    null basis of the column kernel is asserted equal to the general
+    kernel's on the same matrix as sparse rows, and to dense
+    Gauss-Jordan's."""
     from drinfeld import act, orders
     from drinfeld.modules import find_isomorphism
 
     tower = _tower(name)
     fq = tower.fq
     assert fq.q == 2
-    kernel = linalg._kernel
+    kernel = linalg._echelon_f2
     seen: dict[str, int] = {}
 
-    def spy(fq, system, rhs, ncols):
+    def null_basis(result):
+        free, null_vector = result
+        return free, [null_vector(f) for f in free]
+
+    def spy(system, ncols):
         frame = sys._getframe(1)
         while frame.f_globals["__name__"] == "drinfeld.linalg":
             frame = frame.f_back
         seen[frame.f_code.co_name] = seen.get(frame.f_code.co_name, 0) + 1
-        got = kernel(fq, system, rhs, ncols)
-        rows, dense_rhs = unpack_system(fq, system, rhs, ncols)
-        want = _solved(_echelon_fq(fq, as_sparse(rows), dense_rhs, ncols), ncols)
-        assert _solved(got, ncols) == want
+        got = kernel(system, ncols)
+        rows, zeros = unpack_system(fq, system, None, ncols)
+        want = null_basis(_echelon_fq(fq, as_sparse(rows), ncols))
+        assert null_basis(got) == want
         if rows:
-            assert want == gauss_jordan(fq, rows, dense_rhs)
+            assert want[1] == gauss_jordan(fq, rows, zeros)[1]
         return got
 
-    monkeypatch.setattr(linalg, "_kernel", spy)
+    monkeypatch.setattr(linalg, "_echelon_f2", spy)
     rng = random.Random(f"f2-builders-{name}")
     max_rank = 2 if tower.n > 4 else 3
     for _ in range(3):
@@ -538,7 +575,7 @@ def test_f2_systems_of_every_builder_match_general_kernel_and_gauss_jordan(name,
         for ideal in ideals:
             act(phi, ideal)
             assert ideal.colon(ideal).contains_one()
-    want = {"_annihilator", "centralizer_basis", "find_isomorphism", "right_divisible_combinations", "colon"}
+    want = {"minpoly_frobenius", "centralizer_basis", "find_isomorphism", "right_divisible_combinations", "colon"}
     want.add("minimal_poly_over_fq")
     assert want <= set(seen), seen
 
@@ -578,13 +615,14 @@ def _banded_systems(rng, fq, count):
 def test_null_vectors_on_demand_match_the_null_basis(name):
     """`echelon` gives the free columns and each null vector by itself:
     they must be the pivots (highest nonzero coordinates) and the vectors
-    of `solve_linear`'s null basis, whatever the right-hand side."""
+    of the null basis `solve_by_echelon` reads with any right-hand side
+    appended."""
     fq = FIELDS[name]
     rng = random.Random(f"null-on-demand-{name}")
     seen = {"inconsistent": 0, "zero row": 0, "no free column": 0}
     for rows, rhs, ncols in _banded_systems(rng, fq, 300):
         system = as_system(fq, rows, ncols)
-        sol, null = solve_linear(fq, system, rhs, ncols)
+        sol, null = solve_by_echelon(fq, system, rhs, ncols)
         assert nullspace(fq, system, ncols) == null
         free, null_vector = linalg.echelon(fq, system, ncols)
         assert free == [max(i for i, v in enumerate(vec) if v) for vec in null]

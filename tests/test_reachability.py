@@ -59,6 +59,7 @@ ALLOWED = {
     "orders.FracIdeal.scale": "act and colon rescale fractional ideals with it; CLI ideal specs are integral in End",
     "fields.Fq.add": "the per-scalar reference the tests check KElem sums and the F_q elimination kernels against",
     "fields.Fq.sub": "the per-scalar reference the tests check APoly and KElem subtraction against",
+    "fields.Fq.neg": "the per-scalar reference the tests negate right-hand sides and check negation against",
     "serialize._where": "input errors name the file with it; the mix gives no malformed input",
     "serialize.module_to_json": "the inverse of module_from_json, for writing a module spec (tested round trip)",
 }

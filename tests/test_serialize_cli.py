@@ -444,12 +444,20 @@ def test_cli_invalid_spec_after_a_valid_one(tmp_path, capsys, fresh_modules):
             tmp_path, "reducible.json", dict(EX38_MODULE, field=dict(EX38_FIELD, g=[1, 0, 0, 0, 1]))
         ),
         "digit": _write(tmp_path, "digit.json", dict(EX38_MODULE, phi_T=[[0, 2], [1]])),
+        # a zero tau^r coefficient is not read as a lower rank
+        "zero top": _write(
+            tmp_path, "zero-top.json", dict(EX38_MODULE, phi_T=[[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]])
+        ),
     }
     for name, path in bad.items():
         shared_module.cache_clear()
         assert main(["analyze", "--input", path]) == 2
         alone = capsys.readouterr()
         assert alone.out == "" and alone.err.startswith("input error: ")
+        if name == "zero top":
+            assert alone.err == (
+                f"input error: {path}: field 'phi_T': the last entry, the coefficient of tau^r, must be nonzero\n"
+            )
         assert main(["analyze", "--input", mod]) == 0
         capsys.readouterr()
         # twice: a failed construction is not cached
