@@ -14,9 +14,8 @@ from __future__ import annotations
 
 from .apoly import APoly
 from .errors import EmptyIdeal, InternalError
-from .lattices import ALattice
 from .modules import DrinfeldModule
-from .orders import AOrder, FracIdeal, endomorphism_ring, right_divisible_combinations
+from .orders import AOrder, FracIdeal, endomorphism_ring, right_divisible_span
 from .skew import SkewPoly, fq_combination, rgcd
 
 
@@ -98,10 +97,11 @@ def annihilator_ideal(order: AOrder, integral: FracIdeal, u: SkewPoly) -> FracId
 
     J contains I, so J = I + ker(E/I -> k{tau}/k{tau} u_I): for d_j the
     diagonal of I's HNF, the T^a e_j with a < deg d_j are an F_q-basis
-    of E/I, and the kernel is solved on their remainders by u_I. An
-    empty kernel (I is a kernel ideal) returns I itself; otherwise the
-    lifted kernel vectors are re-spanned with I. InternalError when u_I
-    does not right-divide a generator of I.
+    of E/I, and the kernel is solved on their remainders by u_I
+    (`right_divisible_span` over E's skew basis). An empty kernel (I is
+    a kernel ideal) returns I itself; otherwise the lifted kernel vectors
+    are re-spanned with I. InternalError when u_I does not right-divide a
+    generator of I.
     """
     gens = [skew_realization(order, list(col)) for col in integral.lattice.cols]
     return _annihilator(order, integral, u, gens)
@@ -115,13 +115,8 @@ def _annihilator(
     for g in gens:
         if g.rdivmod(u)[1]:
             raise InternalError("u_I does not right-divide a generator of the ideal")
-    cols = integral.lattice.cols
-    degs = [cols[j][j].degree for j in range(order.s)]
-    lifts = right_divisible_combinations(order.module, order.skew_basis, u, degs)
-    if not lifts:
-        return integral
-    lat = ALattice.from_generators(order.fq, order.s, [list(c) for c in cols] + lifts)
-    return FracIdeal(order, lat)
+    lat = right_divisible_span(order.module, order.skew_basis, u, integral.lattice.cols)
+    return integral if lat is None else FracIdeal(order, lat)
 
 
 def end_comparison(result: IdealActionResult) -> dict:

@@ -24,6 +24,7 @@ from .census import (
 )
 from .errors import AlgebraError, CensusViolation, TooLarge
 from .serialize import (
+    SpecError,
     analyze_report,
     dumps_canonical,
     endring_report,
@@ -95,7 +96,7 @@ class _InputObject(dict):
         self.path = path
 
     def __missing__(self, key):
-        raise ValueError(f"{self.path}: missing field {key!r}")
+        raise SpecError(f"{self.path}: missing field {key!r}")
 
 
 def _load_json(path: str) -> dict:
@@ -129,7 +130,7 @@ def _emit_report(report: dict, args) -> None:
 def _run_census(args) -> int:
     data = _load_json(args.input)
     json_keys(data, ("field", "rank", "t"))
-    tower = field_from_json(json_field(data, "field", json_object))
+    tower = json_field(data, "field", lambda v: field_from_json(json_object(v)))
     rank = data["rank"]
     check_census_rank(tower, rank)
     if "t" in data and data["t"] is not None:

@@ -352,30 +352,33 @@ def build_endomorphism_ring(module: DrinfeldModule) -> AOrder:
     )
 
 
-def right_divisible_combinations(
-    module: DrinfeldModule, starts: list[SkewPoly], u: SkewPoly, degs: list[int]
-) -> list[list[APoly]]:
-    """An F_q-basis of the vectors (c_j) with deg c_j < degs[j] for which
-    u right-divides sum_j phi_{c_j} * starts[j], each c_j an APoly.
+def right_divisible_span(
+    module: DrinfeldModule, starts: list[SkewPoly], u: SkewPoly, basis, den: APoly | None = None
+) -> ALattice | None:
+    """J = I + {sum_j c_j e_j : u right-divides sum_j phi_{c_j} * starts[j]}
+    over den, where starts[j] realizes the order's basis element e_j in
+    k{tau}, I is the ideal whose HNF columns are basis (diagonal d_j), and
+    u right-divides every element of I; None when J = I.
 
-    Right-divisibility by u is F_q-linear, so the system has one column
-    per c_j coefficient: rem(phi_{T^a} * starts[j], u). Left multiples of
-    u stay in k{tau} u, so rem(phi_{T^(a+1)} b) = rem(phi_T rem(phi_{T^a}
-    b)) and each division is of degree below deg u + r."""
-    fq = module.tower.fq
+    Right-divisibility by u is F_q-linear, and the T^a e_j with a < deg d_j
+    are an F_q-basis of E/I, so J / I is the kernel of a system with one
+    column per c_j coefficient: rem(phi_{T^a} * starts[j], u). Left
+    multiples of u stay in k{tau} u, so rem(phi_{T^(a+1)} b) = rem(phi_T
+    rem(phi_{T^a} b)) and each division is of degree below deg u + r. The
+    kernel's lifts (deg c_j < deg d_j) are spanned with I's columns."""
+    fq, s = module.tower.fq, len(basis)
+    degs = [basis[j][j].degree for j in range(s)]
     cols = []
     for b, deg in zip(starts, degs):
         for a in range(deg):
             rem = (module.phi_t * rem if a else b).rdivmod(u)[1]
             cols.append(rem)
-    if not cols:
-        return []
-    kernel = nullspace(fq, coefficient_system(cols, u.degree), len(cols))
+    kernel = nullspace(fq, coefficient_system(cols, u.degree), len(cols)) if cols else []
+    if not kernel:
+        return None
     offsets = list(itertools.accumulate(degs, initial=0))
-    return [
-        [APoly(fq, vec[offsets[j] : offsets[j + 1]]) for j in range(len(starts))]
-        for vec in kernel
-    ]
+    lifts = [[APoly(fq, vec[offsets[j] : offsets[j + 1]]) for j in range(s)] for vec in kernel]
+    return ALattice.from_generators(fq, s, [list(c) for c in basis] + lifts, den)
 
 
 def end_index_bound(ext: ExtensionField) -> APoly | None:
@@ -403,24 +406,21 @@ def end_pi_lattice(module: DrinfeldModule, f: APoly) -> ALattice:
 
     End(phi) = f^-1 {w in A[pi] : phi_f right-divides w}: w = e phi_f for
     e in End(phi), and conversely w = e phi_f commuting with phi_T makes e
-    commute with it (k{tau} has no zero divisors). f A[pi] satisfies the
-    condition, so it is solved modulo f: w = sum c_j(T) pi^j with
-    deg c_j < deg f (`right_divisible_combinations`), re-spanned with
-    f A[pi] over the denominator f (Garai and Papikian's divisibility
-    test for rank 2, "Computing endomorphism rings and Frobenius matrices
-    of Drinfeld modules", J. Number Theory 2022)."""
+    commute with it (k{tau} has no zero divisors). So f End(phi) is the
+    annihilator of the A[pi]-ideal f A[pi] with u = phi_f
+    (`right_divisible_span` over the starts pi^j, with denominator f), and
+    End(phi) = A[pi] exactly when f A[pi] is a kernel ideal (Garai and
+    Papikian's divisibility test for rank 2, "Computing endomorphism rings
+    and Frobenius matrices of Drinfeld modules", J. Number Theory 2022)."""
     s = module.profile().s
     if s != module.rank:
         raise NonCommutativeEndomorphisms(f"[Ftilde:F] = {s} < rank {module.rank}")
     fq = module.tower.fq
-    if f.degree <= 0:
-        return ALattice.identity(fq, s)
     pis = [SkewPoly.tau_power(module.tower, module.n * j) for j in range(s)]
-    gens = right_divisible_combinations(module, pis, module(f), [f.degree] * s)
     zero = APoly.zero(fq)
-    for j in range(s):
-        gens.append([f if i == j else zero for i in range(s)])
-    return ALattice.from_generators(fq, s, gens, f)
+    f_a_pi = [[f if i == j else zero for i in range(s)] for j in range(s)]
+    lat = right_divisible_span(module, pis, module(f), f_a_pi, f)
+    return ALattice.identity(fq, s) if lat is None else lat
 
 
 def minimal_frobenius_order(profile, module: DrinfeldModule) -> AOrder:
@@ -456,14 +456,7 @@ class FracIdeal:
         vecs = [list(v) for v in vectors]
         if not any(any(c for c in v) for v in vecs):
             raise EmptyIdeal("no nonzero generators")
-        gens = []
-        for v in vecs:
-            for i in range(order.s):
-                basis_vec = [APoly.zero(order.fq)] * order.s
-                basis_vec[i] = APoly.one(order.fq)
-                gens.append(order.mul_coords(basis_vec, v))
-        lat = ALattice.from_generators(order.fq, order.s, gens, den)
-        return FracIdeal(order, lat)
+        return _product_ideal(order, vecs, mat_identity(order.fq, order.s), den)
 
     def is_integral(self) -> bool:
         return self.lattice.den.degree == 0
@@ -494,22 +487,15 @@ class FracIdeal:
     def mul(self, other: FracIdeal) -> FracIdeal:
         if self.order is not other.order and self.order != other.order:
             raise InternalError("ideal product across different orders")
-        gens = []
-        for a in self.lattice.cols:
-            for b in other.lattice.cols:
-                gens.append(self.order.mul_coords(list(a), list(b)))
-        lat = ALattice.from_generators(
-            self.order.fq, self.order.s, gens, self.lattice.den * other.lattice.den
-        )
-        return FracIdeal(self.order, lat)
+        den = self.lattice.den * other.lattice.den
+        return _product_ideal(self.order, self.lattice.cols, other.lattice.cols, den)
 
     def mul_elem(self, coords: list[APoly], den: APoly | None = None) -> FracIdeal:
         """The ideal I * u for an element u given in order coordinates."""
         if not any(coords):
             raise EmptyIdeal("multiplication by zero element")
-        gens = [self.order.mul_coords(list(a), coords) for a in self.lattice.cols]
         d = self.lattice.den if den is None else self.lattice.den * den
-        return FracIdeal(self.order, ALattice.from_generators(self.order.fq, self.order.s, gens, d))
+        return _product_ideal(self.order, self.lattice.cols, [coords], d)
 
     def colon(self, other: FracIdeal) -> FracIdeal:
         """(self : other) = {x in Ftilde : x * other <= self}."""
@@ -613,6 +599,13 @@ class FracIdeal:
 
     def __repr__(self) -> str:
         return f"FracIdeal({self.lattice!r})"
+
+
+def _product_ideal(order: AOrder, xs, ys, den: APoly | None) -> FracIdeal:
+    """The ideal spanned by every product x * y of integral coordinate
+    vectors, over den: the HNF of the products."""
+    gens = [order.mul_coords(x, y) for x in xs for y in ys]
+    return FracIdeal(order, ALattice.from_generators(order.fq, order.s, gens, den))
 
 
 # -- Gorenstein testing: monogenic orders, then the trace dual --

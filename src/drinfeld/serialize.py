@@ -39,6 +39,12 @@ def dumps_canonical(obj) -> str:
 # -- input values --
 
 
+class SpecError(ValueError):
+    """An input error that names its field and, for objects read by the
+    CLI, its file; `json_field` passes it on unchanged from a nested
+    object."""
+
+
 def _where(data: dict) -> str:
     """The file prefix of an input error, for objects read by the CLI."""
     path = getattr(data, "path", None)
@@ -51,8 +57,10 @@ def json_field(data: dict, key: str, parse):
     value = data[key]
     try:
         return parse(value)
+    except SpecError:
+        raise
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{_where(data)}field {key!r}: {exc}") from None
+        raise SpecError(f"{_where(data)}field {key!r}: {exc}") from None
 
 
 def json_keys(data: dict, known: tuple[str, ...]) -> None:
@@ -61,7 +69,7 @@ def json_keys(data: dict, known: tuple[str, ...]) -> None:
     for key in data:
         if key not in known:
             expected = ", ".join(repr(k) for k in known)
-            raise ValueError(f"{_where(data)}unknown field {key!r} (expected {expected})")
+            raise SpecError(f"{_where(data)}unknown field {key!r} (expected {expected})")
 
 
 def _integer(v) -> int:
@@ -176,7 +184,7 @@ def shared_module(tower: FieldTower, phi_t: SkewPoly) -> DrinfeldModule:
 
 def module_from_json(data: dict) -> DrinfeldModule:
     json_keys(data, ("field", "phi_T"))
-    tower = field_from_json(json_field(data, "field", json_object))
+    tower = json_field(data, "field", lambda v: field_from_json(json_object(v)))
     coeffs = json_field(data, "phi_T", lambda v: _phi_t_coeffs(tower, v))
     return shared_module(tower, SkewPoly(tower, coeffs))
 
@@ -184,7 +192,9 @@ def module_from_json(data: dict) -> DrinfeldModule:
 def _phi_t_coeffs(tower: FieldTower, v) -> list[KElem]:
     # the last entry gives the rank: a zero there would be read as a lower rank
     coeffs = [kelem_from_json(tower, c) for c in _array(v)]
-    if coeffs and not coeffs[-1]:
+    if len(coeffs) < 2:
+        raise ValueError("expected at least two entries, for a positive tau-degree")
+    if not coeffs[-1]:
         raise ValueError("the last entry, the coefficient of tau^r, must be nonzero")
     return coeffs
 

@@ -12,12 +12,14 @@ from drinfeld import (
     DrinfeldModule,
     NonCommutativeEndomorphisms,
     SkewPoly,
+    act,
     census_isomorphism_classes,
     characteristic_roots,
     end_index_bound,
     end_pi_lattice,
     endomorphism_ring,
     lattice_index,
+    minimal_frobenius_order,
     prime_divisors,
 )
 from drinfeld.apoly import mat_det
@@ -123,6 +125,32 @@ def test_divisibility_lattice_matches_centralizer_on_census(name, rank, classes,
                 compared += done
                 bigger += more
     assert (compared, bigger) == (classes, nontrivial)
+
+
+@pytest.mark.parametrize(
+    "name, rank, classes, nonminimal", [("f4", 2, 15, 6), ("f9", 2, 138, 36), ("f16", 2, 98, 30), ("f8", 3, 278, 88)]
+)
+def test_end_is_minimal_exactly_when_f_a_pi_is_a_kernel_ideal(name, rank, classes, nonminimal):
+    """The bridge between End by divisibility and kernel ideals, through
+    the public API: f End(phi) <= A[pi] for the index bound f, and it is
+    the annihilator of the A[pi]-ideal f A[pi]. So `act` on f A[pi] is
+    kernel exactly when End(phi) = A[pi], and its annihilator is End's
+    pi-lattice scaled by f, on every commutative class with separable m."""
+    tower = get_tower(name)
+    seen = {True: 0, False: 0}
+    for _, t in characteristic_roots(tower):
+        for grp in census_isomorphism_classes(tower, rank, t).values():
+            f = grp.index_bound
+            if not grp.profile_summary["commutative"] or f is None:
+                continue
+            for entry in grp.iso_classes:
+                rep = entry.rep
+                ideal = minimal_frobenius_order(rep.profile(), rep).unit_ideal().scale(f)
+                result = act(rep, ideal)
+                assert result.is_kernel == grp.end(entry)["is_minimal"], rep
+                assert result.annihilator.lattice == end_pi_lattice(rep, f).scale(f), rep
+                seen[result.is_kernel] += 1
+    assert (seen[True] + seen[False], seen[False]) == (classes, nonminimal)
 
 
 def test_inseparable_class_falls_back_to_the_centralizer():

@@ -575,7 +575,7 @@ def test_f2_systems_of_every_builder_match_general_kernel_and_gauss_jordan(name,
         for ideal in ideals:
             act(phi, ideal)
             assert ideal.colon(ideal).contains_one()
-    want = {"minpoly_frobenius", "centralizer_basis", "find_isomorphism", "right_divisible_combinations", "colon"}
+    want = {"minpoly_frobenius", "centralizer_basis", "find_isomorphism", "right_divisible_span", "colon"}
     want.add("minimal_poly_over_fq")
     assert want <= set(seen), seen
 
@@ -648,7 +648,7 @@ def test_null_vectors_on_demand_on_commutator_systems():
 
 def test_orders_nullspaces_match_gauss_jordan(monkeypatch, rank3_example):
     """The null bases `orders` solves for End by right divisibility, for
-    the annihilator of `act` (both `right_divisible_combinations`) and
+    the annihilator of `act` (both `right_divisible_span`) and
     for the colon of two ideals, each asserted equal to dense
     Gauss-Jordan's."""
     import sys
@@ -672,4 +672,4 @@ def test_orders_nullspaces_match_gauss_jordan(monkeypatch, rank3_example):
         act(phi, ideal)
     for ideal in ideals[:2]:
         assert ideal.colon(ideal).contains_one()
-    assert seen["right_divisible_combinations"] > len(ideals) and seen["colon"] >= 2, seen
+    assert seen["right_divisible_span"] > len(ideals) and seen["colon"] >= 2, seen

@@ -436,34 +436,55 @@ def test_cli_session_builds_profile_and_end_once(
     assert warm == cold
 
 
+# the malformed field specs of both commands, each with the one line that
+# names the file and the field (the field checks run in the constructors)
+BAD_FIELDS = {
+    "reducible": (dict(EX38_FIELD, g=[1, 0, 0, 0, 1]), "g is reducible over F_q"),
+    "p = 4": (dict(EX38_FIELD, p=4), "p = 4 is not prime"),
+    "n = 0": (dict(EX38_FIELD, n=0), "n must be at least 1"),
+    "non-monic g": (dict(EX38_FIELD, g=[1, 1, 0, 0, 0]), "g must be monic of degree n"),
+}
+
+
 def test_cli_invalid_spec_after_a_valid_one(tmp_path, capsys, fresh_modules):
     mod = _write(tmp_path, "mod.json", EX38_MODULE)
+    short = "expected at least two entries, for a positive tau-degree"
     bad = {
-        "constant": _write(tmp_path, "constant.json", dict(EX38_MODULE, phi_T=[[0, 1]])),
-        "reducible": _write(
-            tmp_path, "reducible.json", dict(EX38_MODULE, field=dict(EX38_FIELD, g=[1, 0, 0, 0, 1]))
-        ),
-        "digit": _write(tmp_path, "digit.json", dict(EX38_MODULE, phi_T=[[0, 2], [1]])),
+        "constant": (dict(EX38_MODULE, phi_T=[[0, 1]]), f"field 'phi_T': {short}"),
+        "empty": (dict(EX38_MODULE, phi_T=[]), f"field 'phi_T': {short}"),
+        "digit": (dict(EX38_MODULE, phi_T=[[0, 2], [1]]), "field 'phi_T': expected an integer in [0, 2), got 2"),
         # a zero tau^r coefficient is not read as a lower rank
-        "zero top": _write(
-            tmp_path, "zero-top.json", dict(EX38_MODULE, phi_T=[[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]])
+        "zero top": (
+            dict(EX38_MODULE, phi_T=[[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]]),
+            "field 'phi_T': the last entry, the coefficient of tau^r, must be nonzero",
         ),
     }
-    for name, path in bad.items():
+    for name, (field, message) in BAD_FIELDS.items():
+        bad[name] = (dict(EX38_MODULE, field=field), f"field 'field': {message}")
+    for name, (spec, message) in bad.items():
+        path = _write(tmp_path, f"{name.replace(' ', '_')}.json", spec)
         shared_module.cache_clear()
         assert main(["analyze", "--input", path]) == 2
         alone = capsys.readouterr()
-        assert alone.out == "" and alone.err.startswith("input error: ")
-        if name == "zero top":
-            assert alone.err == (
-                f"input error: {path}: field 'phi_T': the last entry, the coefficient of tau^r, must be nonzero\n"
-            )
+        assert alone.out == "" and alone.err == f"input error: {path}: {message}\n", name
         assert main(["analyze", "--input", mod]) == 0
         capsys.readouterr()
         # twice: a failed construction is not cached
         for _ in range(2):
             assert main(["analyze", "--input", path]) == 2, name
             assert capsys.readouterr() == alone
+
+
+def test_cli_census_invalid_field_names_file_and_field(tmp_path, capsys):
+    good = _write(tmp_path, "census.json", {"field": SMALL_FIELDS[2], "rank": 2})
+    for name, (field, message) in BAD_FIELDS.items():
+        path = _write(tmp_path, f"{name.replace(' ', '_')}.json", {"field": field, "rank": 2})
+        assert main(["census", "--input", path, "--skip-validate"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: {path}: field 'field': {message}\n", name
+        assert main(["census", "--input", good, "--skip-validate"]) == 0
+        capsys.readouterr()
 
 
 def test_cli_noncommutative_endring_fails_alike_twice(tmp_path, capsys, fresh_modules):
@@ -606,7 +627,7 @@ def test_cli_input_errors(tmp_path, capsys):
         assert captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("input error: ")
         if field["e"] < 1:
-            assert captured.err == "input error: e must be at least 1\n"
+            assert captured.err == f"input error: {mod}: field 'field': e must be at least 1\n"
     # valid JSON that is not an object, as a module, an ideal, a census
     # spec, or the field inside either
     mod = _write(tmp_path, "mod.json", EX38_MODULE)
