@@ -491,8 +491,8 @@ def validate_ideal_class_action(group: IsogenyClass) -> dict:
     # End(base) = A[pi]; the centralizer's basis of it is kept, not the
     # power basis of `minimal_frobenius_order`: it is degree-reduced, so
     # the norm forms of `lin_equiv` are cheaper (the power basis gives the
-    # same output with 6% more APoly products on the validated F_9 rank-2
-    # census, nearly all of them in `_norm_hits`)
+    # same output with 10% more APoly products, 52,848 against 47,907, on
+    # the validated F_9 rank-2 census, nearly all of them in `_norm_hits`)
     order = endomorphism_ring(base)
 
     iso_keys = {entry.key for entry in group.iso_classes}

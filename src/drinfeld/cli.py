@@ -131,8 +131,12 @@ def _run_census(args) -> int:
     data = _load_json(args.input)
     json_keys(data, ("field", "rank", "t"))
     tower = json_field(data, "field", lambda v: field_from_json(json_object(v)))
-    rank = data["rank"]
-    check_census_rank(tower, rank)
+
+    def parse_rank(v):
+        check_census_rank(tower, v)
+        return v
+
+    rank = json_field(data, "rank", parse_rank)
     if "t" in data and data["t"] is not None:
         roots = [(None, json_field(data, "t", lambda v: kelem_from_json(tower, v)))]
     else:

@@ -244,6 +244,23 @@ class AOrder:
             out.append(c)
         return out
 
+    @cached_property
+    def norm_form(self) -> dict[tuple[int, ...], APoly]:
+        """N(sum x_m e_m) = det(sum x_m M_m) as a form of degree s in the
+        coordinates x_m of the basis e_m, M_m = table[m] the matrix of
+        multiplication by e_m: a map from every exponent tuple of degree s
+        to its coefficient, built once per order (`_norm_form` substitutes
+        into it). The determinant is multilinear in the rows, so each
+        monomial collects the determinants det(M_sigma(r)[r]) of the s^s
+        row choices sigma with its exponents."""
+        s = self.s
+        form: dict[tuple[int, ...], APoly] = {}
+        for sigma in itertools.product(range(s), repeat=s):
+            exps = tuple(sigma.count(i) for i in range(s))
+            d = mat_det([self.table[i][r] for r, i in enumerate(sigma)])
+            form[exps] = form[exps] + d if exps in form else d
+        return form
+
     def skew_term(self, j: int, a: int) -> SkewPoly:
         """phi_{T^a} * skew_basis[j], kept per order: the skew realization
         of T^a times the j-th basis element."""
@@ -780,20 +797,50 @@ def _closed_under_order(order: AOrder, cols, basis_vecs) -> bool:
 
 
 def _norm_form(order: AOrder, cols) -> dict[tuple[int, ...], APoly]:
-    """N(sum c_i w_i) = det(sum c_i M_i) as a form of degree s in the c_i,
-    for integral vectors w_i with multiplication matrices M_i: a map from
-    exponent tuples to coefficients. The determinant is multilinear in
-    the rows, so each monomial collects the determinants
-    det(M_sigma(r)[r]) of the row choices sigma with its exponents."""
+    """N(sum c_i w_i) as a form of degree s in the c_i, for integral
+    vectors w_i = cols[i] in the order's basis: a map from every exponent
+    tuple of degree s to its coefficient, zero coefficients included.
+
+    It is the order's `norm_form` N(sum x_m e_m) with the linear forms
+    x_m = sum_i cols[i][m] c_i substituted, one coordinate x_m at a time:
+    an exact identity of polynomials, so no determinant is taken per
+    call."""
     s = order.s
-    basis_vecs = mat_identity(order.fq, s)
-    mats = [[order.mul_coords(w, e) for e in basis_vecs] for w in cols]
-    form: dict[tuple[int, ...], APoly] = {}
-    for sigma in itertools.product(range(s), repeat=s):
-        exps = tuple(sigma.count(i) for i in range(s))
-        d = mat_det([mats[i][r] for r, i in enumerate(sigma)])
-        form[exps] = form[exps] + d if exps in form else d
-    return form
+    base = s + 1
+
+    def code(exps, shift=0):
+        # exponents as base-(s+1) digits: c_1..c_s, then x_1..x_s; every
+        # term has total degree s, so adding exponents adds codes
+        return sum(e * base ** (shift + i) for i, e in enumerate(exps))
+
+    terms = {code(exps, s): coef for exps, coef in order.norm_form.items() if coef}
+    for m in range(s):
+        unit = base ** (s + m)
+        lin = [(base**i, col[m]) for i, col in enumerate(cols) if col[m]]
+        # powers[k], k >= 1: x_m^k as (code over the c_i, coefficient) pairs
+        powers = [None, lin]
+        subst: dict[int, APoly] = {}
+        for key, coef in terms.items():
+            k = key // unit % base
+            if not k:
+                subst[key] = subst[key] + coef if key in subst else coef
+                continue
+            while len(powers) <= k:
+                power: dict[int, APoly] = {}
+                for e, a in powers[-1]:
+                    for step, l in lin:
+                        prod = a * l
+                        e2 = e + step
+                        power[e2] = power[e2] + prod if e2 in power else prod
+                powers.append(list(power.items()))
+            key -= k * unit
+            for e, a in powers[k]:
+                prod = coef * a
+                e2 = key + e
+                subst[e2] = subst[e2] + prod if e2 in subst else prod
+        terms = {key: coef for key, coef in subst.items() if coef}
+    zero = APoly.zero(order.fq)
+    return {exps: terms.get(code(exps), zero) for exps in order.norm_form}
 
 
 @lru_cache(maxsize=16)
@@ -824,46 +871,80 @@ def _norm_hits(form: dict[tuple[int, ...], APoly], values: tuple, want: APoly):
     tie does not cancel), a tie above it only if S = 0 (it cancels and
     may land lower); every other c has the wrong degree. The sieve drops
     only candidates of the wrong degree, so the hits and their order are
-    those of building form(c) for every vector."""
+    those of building form(c) for every vector.
+
+    Since lc(c^k) = lc(c)^k, S depends on (deg c, lc(c)) alone: each
+    prefix decides the sieve once per such pair, skips the last
+    coordinate when no pair passes, and otherwise walks the list of the
+    values with a passing pair, built once per call for each set of
+    passing pairs (and whether the prefix is nonzero), in the order of
+    `values`."""
     s = len(next(iter(form)))
     fq = want.fq
     add, mul = fq._add, fq._mul
     terms = [(exps, coef) for exps, coef in form.items() if coef]
-    degrees = range(-1, max(c.degree for c, _, _ in values) + 1)
+    # the last value has every digit nonzero: the largest degree
+    degrees = range(-1, values[-1][0].degree + 1)
+    # lc(c^k) = lc(c)^k, so S depends on lc(c) alone: lc_pows[a][k] = a^k
+    lc_pows = []
+    for a in range(fq.q):
+        pows = [1]
+        for _ in range(s):
+            pows.append(mul[pows[-1]][a])
+        lc_pows.append(pows)
+    target = want.degree
+    # ((deg c, lc(c)), first digit) of every value, lc(0) = 0; built on
+    # the first prefix that admits a value
+    leads = None
+    # the values the sieve admits, per admitted (deg c, lc(c)) pairs and
+    # whether the prefix is nonzero
+    candidates: dict[tuple, list] = {}
     for prefix, lead, part in _restricted_forms(terms, values, s, s - 1, 0):
-        # per deg c: the terms (k, lc(part_k)) tied at the top degree and
-        # whether their sum S must vanish; no entry means the wrong degree
-        sieve = {}
+        tops = [(k, p.degree, p.coeffs[-1]) for k, p in enumerate(part) if p]
+        # the (deg c, lc(c)) whose terms tied at the top degree give form(c)
+        # the degree of want (S != 0) or may (a tie above it with S = 0)
+        admitted = []
         for dc in degrees:
             top, tied = -1, []
-            for k, p in enumerate(part):
-                if p and (dc >= 0 or not k):
-                    d = p.degree + k * dc
+            for k, dp, lk in tops:
+                if dc >= 0 or not k:
+                    d = dp + k * dc
                     if d > top:
                         top, tied = d, []
                     if d == top:
-                        tied.append((k, p.coeffs[-1]))
-            if top == want.degree:
-                sieve[dc] = (tied, False)
-            elif top > want.degree and len(tied) > 1:
-                sieve[dc] = (tied, True)
-        for c, pw, v in values:
-            if not lead and v != 1:
+                        tied.append((k, lk))
+            if top == target:
+                cancel = False
+            elif top > target and len(tied) > 1:
+                cancel = True
+            else:
                 continue
-            rule = sieve.get(c.degree)
-            if rule is None:
-                continue
-            tied, cancel = rule
-            lc_sum = 0
-            for k, lk in tied:
-                lc_sum = add[lc_sum][mul[lk][pw[k].coeffs[-1]]]
-            if (lc_sum == 0) != cancel:
-                continue
+            for a in range(1, fq.q) if dc >= 0 else (0,):
+                pows = lc_pows[a]
+                lc_sum = 0
+                for k, lk in tied:
+                    lc_sum = add[lc_sum][mul[lk][pows[k]]]
+                if (lc_sum == 0) == cancel:
+                    admitted.append((dc, a))
+        if not admitted:
+            continue
+        key = (tuple(admitted), bool(lead))
+        cands = candidates.get(key)
+        if cands is None:
+            if leads is None:
+                leads = [((c.degree, c.coeffs[-1] if c else 0), v) for c, _, v in values]
+            allowed = set(admitted)
+            cands = candidates[key] = [
+                value
+                for value, (dl, v) in zip(values, leads)
+                if dl in allowed and (lead or v == 1)
+            ]
+        for c, pw, _ in cands:
             val = part[0]
             for k in range(1, s + 1):
                 if part[k]:
                     val = val + part[k] * pw[k]
-            if val.degree == want.degree and val.monic() == want:
+            if val.degree == target and val.monic() == want:
                 yield prefix + [c]
 
 
@@ -895,7 +976,8 @@ def _restricted_forms(terms: list, values: tuple, s: int, depth: int, lead: int)
             for exps, coef in terms:
                 if exps[0]:
                     coef = coef * pw[exps[0]]
-                part[exps[1]] = part[exps[1]] + coef
+                k = exps[1]
+                part[k] = part[k] + coef if part[k] else coef
             yield [c], lead or v, part
             continue
         folded: dict[tuple[int, ...], APoly] = {}
@@ -931,7 +1013,9 @@ def lin_equiv(ideal: FracIdeal, other: FracIdeal, bound_deg: int | None = None):
     have N(u) equal to N(ideal) / N(other) up to a unit. Hits are closed
     under F_q^x scaling, so one vector per line is tried, and the first
     hit in lexicographic order of the whole box is the one returned.
-    The norm is built only for candidates whose leading terms give it the
+    The norm is the order's `norm_form` with the basis of the colon
+    substituted (`_norm_form`), so no determinant is taken per pair. It
+    is built only for candidates whose leading terms give it the
     target's degree: a tie of top terms at that degree must not cancel,
     a tie above it must (see _norm_hits). The size guard compares
     q^(s(bound_deg+1)) with its limit without building the power.

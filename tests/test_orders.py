@@ -658,6 +658,99 @@ def test_norm_form_is_the_determinant(name):
         assert value == mat_det([order.mul_coords(u, e) for e in mat_identity(fq, s)])
 
 
+def _norm_form_by_determinants(order, cols):
+    """_norm_form as it ran before the order's norm form, kept as the
+    reference: the s^s determinants det(M_sigma(r)[r]) of the row choices
+    sigma over the multiplication matrices M_i of the vectors cols[i],
+    collected per monomial."""
+    s = order.s
+    basis_vecs = mat_identity(order.fq, s)
+    mats = [[order.mul_coords(w, e) for e in basis_vecs] for w in cols]
+    form = {}
+    for sigma in itertools.product(range(s), repeat=s):
+        exps = tuple(sigma.count(i) for i in range(s))
+        d = mat_det([mats[i][r] for r, i in enumerate(sigma)])
+        form[exps] = form[exps] + d if exps in form else d
+    return form
+
+
+def _tower_order(tower_name, coeffs):
+    """End(phi) for phi_T with the given coefficients."""
+    tower = get_tower(tower_name)
+    return endomorphism_ring(DrinfeldModule(tower, SkewPoly(tower, [tower.elem(c) for c in coeffs])))
+
+
+# orders at s = 1, 2, 3 and 4; the End orders of the F_4 census members
+# are not A[pi], and their bases are over the denominator T
+NORM_FORM_ORDERS = {
+    "f9-rank1": (1, lambda: _tower_order("f9", [[0, 1], [1, 0]])),
+    "f9-one-class": (2, lambda: _case_order("f9-one-class")),
+    "f4-rank2-end": (2, lambda: _tower_order("f4", [[0, 0], [0, 0], [0, 1]])),
+    "f3-rank3": (3, lambda: _case_order("f3-rank3")),
+    "f4-rank3-end": (3, lambda: _tower_order("f4", [[0, 0], [0, 0], [0, 0], [0, 1]])),
+    "f2-rank4": (4, lambda: _tower_order("f2", [[1], [0], [0], [0], [1]])),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NORM_FORM_ORDERS))
+def test_norm_form_substitution_matches_the_determinants(name):
+    # the substituted form is the s^s-determinant expansion, key for key
+    # and in the same key order, zero coefficients included
+    s, build = NORM_FORM_ORDERS[name]
+    order = build()
+    fq = order.fq
+    assert order.s == s
+    if name.endswith("-end"):
+        assert order.basis_matrix[1].degree > 0
+    rng = random.Random(name)
+    identity = mat_identity(fq, s)
+    # the basis itself, an HNF-shaped triangle and full random columns
+    triangle = [[rand_apoly(rng, fq, 2) if m <= i else APoly.zero(fq) for m in range(s)] for i in range(s)]
+    cases = [identity, triangle] + [
+        [[rand_apoly(rng, fq, 2) for _ in range(s)] for _ in range(s)] for _ in range(4)
+    ]
+    keys = [tuple(sigma.count(i) for i in range(s)) for sigma in itertools.product(range(s), repeat=s)]
+    for cols in cases:
+        got = _norm_form(order, cols)
+        want = _norm_form_by_determinants(order, cols)
+        assert list(got.items()) == list(want.items()), cols
+        assert list(got) == list(dict.fromkeys(keys))
+    assert list(order.norm_form.items()) == list(_norm_form_by_determinants(order, identity).items())
+
+
+def test_norm_form_is_built_once_per_order(monkeypatch):
+    # validating one F_9 isogeny class takes s^s determinants, all for
+    # the End order's own norm form, however many pairs lin_equiv tests
+    import drinfeld.census as census
+    import drinfeld.orders as orders
+    from drinfeld.census import validate_ideal_class_action
+
+    tower = get_tower("f9")
+    groups = census_isomorphism_classes(tower, 2, tower.elem([2, 0]))
+    group = groups["x^2+(2*T+1)*x+(2*T^2+T+2)"]
+    base = next(e.rep for e in group.iso_classes if group.end(e)["is_minimal"])
+    order = endomorphism_ring(base)
+    assert "norm_form" not in vars(order)
+    calls = {"mat_det": 0, "lin_equiv": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(orders, "mat_det", counted("mat_det", orders.mat_det))
+    monkeypatch.setattr(census, "lin_equiv", counted("lin_equiv", census.lin_equiv))
+    first = validate_ideal_class_action(group)
+    assert calls["mat_det"] == order.s**order.s == 4
+    assert calls["lin_equiv"] > 1 and "norm_form" in vars(order)
+    pairs = calls["lin_equiv"]
+    # a second validation reuses the form: more pairs, no determinant
+    assert validate_ideal_class_action(group) == first
+    assert calls == {"mat_det": 4, "lin_equiv": 2 * pairs}
+
+
 def _norm_hits_unsieved(form, values, want):
     """_norm_hits as it ran before the leading-coefficient sieve, kept as
     the reference: form(c) is built for every candidate whose degree is

@@ -781,6 +781,17 @@ def test_cli_census_rejects_bad_rank(tmp_path, capsys, rank):
     assert captured.err.count("\n") == 1 and "rank must be a positive integer" in captured.err
 
 
+@pytest.mark.parametrize("rank", [0, "2", True, 2.0])
+def test_cli_census_bad_rank_names_file_and_field(tmp_path, capsys, rank):
+    path = _write(tmp_path, "census.json", {"field": F2_FIELD, "rank": rank})
+    assert main(["census", "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"input error: {path}: field 'rank': census rank must be a positive integer, got {rank!r}\n"
+    )
+
+
 def test_cli_census_too_large_mid_validation_is_an_input_error(tmp_path, capsys, monkeypatch):
     # a lin_equiv that gives up while the census validates ends the run
     # with exit 2, one stderr line and nothing on stdout
